@@ -4,16 +4,13 @@
 // Two sections on a 4+1 Citus deployment with deliberately NON-co-located
 // distributed tables, every query also run on a single-node volcano oracle
 // loaded with identical data:
-//  1. shuffle_modes — a TPC-H Q5/Q7/Q8/Q9-class join workload plus a
-//     materialized-CTE query, each executed once with worker-to-worker
-//     shuffling (the default) and once with the coordinator-relay ablation
-//     (citus config repartition_via_coordinator): end-to-end latency,
-//     shuffled vs coordinator-relayed bytes, and an oracle diff;
-//  2. coordinator_traffic_vs_scale — the same repartition join at growing
-//     data scale, showing shuffled bytes scale with the data while the
-//     coordinator stays out of the data path.
-// Self-checks: every result matches the oracle, w2w mode relays zero bytes
-// through the coordinator, and w2w beats the coordinator relay on latency.
+//  1. repartition_queries — a TPC-H Q5/Q7/Q8/Q9-class join workload plus a
+//     materialized-CTE query, each executed with the worker-to-worker
+//     shuffle: end-to-end latency, shuffled bytes, and an oracle diff;
+//  2. shuffled_bytes_vs_scale — the same repartition join at growing
+//     data scale, showing shuffled bytes scale with the data.
+// Self-checks: every result matches the oracle, every repartition query
+// shuffles, and shuffled bytes grow with scale.
 //
 //   abl_joins [--quick] [--seed=<n>] [--json=<path>]
 #include "bench_common.h"
@@ -32,19 +29,14 @@ namespace {
 struct QueryRow {
   std::string name;
   double w2w_ms = 0;
-  double coord_ms = 0;
   int64_t w2w_shuffled_bytes = 0;
-  int64_t w2w_coordinator_bytes = 0;
-  int64_t coord_mode_coordinator_bytes = 0;
   bool matched = false;
-  double Speedup() const { return w2w_ms > 0 ? coord_ms / w2w_ms : 0; }
 };
 
 struct ScaleRow {
   int scale = 0;
   int64_t orders = 0;
   int64_t shuffled_bytes = 0;
-  int64_t coordinator_bytes = 0;
 };
 
 // Batched VALUES loader targeting both the deployment connection and the
@@ -199,16 +191,14 @@ int main(int argc, char** argv) {
       CITUSX_ASSIGN_OR_RETURN(engine::QueryResult expected,
                               osession->Execute(sql));
 
-      // Warm-up untimed, then best-of-3 timed iterations in each shuffle
-      // mode (connection pools and shuffle caches reach steady state after
-      // the warm-up; the minimum is the data-path cost without ramp-up
-      // artifacts). Metric deltas come from the last timed iteration.
-      ext->mutable_config().repartition_via_coordinator = false;
+      // Warm-up untimed, then best-of-3 timed iterations (connection pools
+      // and shuffle caches reach steady state after the warm-up; the
+      // minimum is the data-path cost without ramp-up artifacts). The
+      // shuffled-byte delta comes from the last timed iteration.
       CITUSX_RETURN_IF_ERROR(conn.Query(sql).status());
       Result<engine::QueryResult> w2w = Status::Internal("not run");
       for (int it = 0; it < 3; it++) {
         int64_t sh0 = ext->metric_repartition_shuffled_bytes->value();
-        int64_t co0 = ext->metric_repartition_coordinator_bytes->value();
         sim::Time t0 = sim.now();
         w2w = conn.Query(sql);
         if (!w2w.ok()) return w2w.status();
@@ -216,32 +206,13 @@ int main(int argc, char** argv) {
         if (it == 0 || ms < row.w2w_ms) row.w2w_ms = ms;
         row.w2w_shuffled_bytes =
             ext->metric_repartition_shuffled_bytes->value() - sh0;
-        row.w2w_coordinator_bytes =
-            ext->metric_repartition_coordinator_bytes->value() - co0;
       }
-
-      ext->mutable_config().repartition_via_coordinator = true;
-      CITUSX_RETURN_IF_ERROR(conn.Query(sql).status());
-      Result<engine::QueryResult> coord = Status::Internal("not run");
-      for (int it = 0; it < 3; it++) {
-        int64_t co0 = ext->metric_repartition_coordinator_bytes->value();
-        sim::Time t0 = sim.now();
-        coord = conn.Query(sql);
-        if (!coord.ok()) return coord.status();
-        double ms = Ms(sim.now() - t0);
-        if (it == 0 || ms < row.coord_ms) row.coord_ms = ms;
-        row.coord_mode_coordinator_bytes =
-            ext->metric_repartition_coordinator_bytes->value() - co0;
-      }
-      ext->mutable_config().repartition_via_coordinator = false;
-
-      row.matched = ApproxEqualResults(expected, *w2w) &&
-                    ApproxEqualResults(expected, *coord);
+      row.matched = ApproxEqualResults(expected, *w2w);
       rows.push_back(std::move(row));
     }
 
-    // Section 2: shuffled bytes scale with the data, coordinator bytes stay
-    // zero in w2w mode. Fresh table pairs per scale point.
+    // Section 2: shuffled bytes scale with the data. Fresh table pairs per
+    // scale point.
     for (int scale : args.quick ? std::vector<int>{1, 2}
                                 : std::vector<int>{1, 10}) {
       ScaleRow srow;
@@ -288,7 +259,6 @@ int main(int argc, char** argv) {
         batch.clear();
       }
       int64_t sh0 = ext->metric_repartition_shuffled_bytes->value();
-      int64_t co0 = ext->metric_repartition_coordinator_bytes->value();
       CITUSX_RETURN_IF_ERROR(
           conn.Query(StrFormat("SELECT count(*), sum(sh_cost) FROM %s "
                                "JOIN %s ON sh_orderkey = o_orderkey",
@@ -296,74 +266,57 @@ int main(int argc, char** argv) {
               .status());
       srow.shuffled_bytes =
           ext->metric_repartition_shuffled_bytes->value() - sh0;
-      srow.coordinator_bytes =
-          ext->metric_repartition_coordinator_bytes->value() - co0;
       scale_rows.push_back(srow);
     }
     return Status::OK();
   });
 
-  std::printf("\nShuffle modes (w2w vs coordinator relay), %lld orders:\n",
+  std::printf("\nWorker-to-worker shuffle, %lld orders:\n",
               static_cast<long long>(n_orders));
-  std::printf("%-10s %10s %10s %8s %14s %14s %6s\n", "query", "w2w (ms)",
-              "coord (ms)", "speedup", "w2w shuffled", "coord relayed",
+  std::printf("%-10s %10s %14s %6s\n", "query", "w2w (ms)", "w2w shuffled",
               "match");
   for (const QueryRow& r : rows) {
-    std::printf("%-10s %10.3f %10.3f %7.1fx %14lld %14lld %6s\n",
-                r.name.c_str(), r.w2w_ms, r.coord_ms, r.Speedup(),
+    std::printf("%-10s %10.3f %14lld %6s\n", r.name.c_str(), r.w2w_ms,
                 static_cast<long long>(r.w2w_shuffled_bytes),
-                static_cast<long long>(r.coord_mode_coordinator_bytes),
                 r.matched ? "yes" : "NO");
   }
-  std::printf("\nCoordinator traffic vs scale (w2w mode):\n");
-  std::printf("%-6s %10s %16s %18s\n", "scale", "orders", "shuffled bytes",
-              "coordinator bytes");
+  std::printf("\nShuffled bytes vs scale:\n");
+  std::printf("%-6s %10s %16s\n", "scale", "orders", "shuffled bytes");
   for (const ScaleRow& r : scale_rows) {
-    std::printf("%-6d %10lld %16lld %18lld\n", r.scale,
+    std::printf("%-6d %10lld %16lld\n", r.scale,
                 static_cast<long long>(r.orders),
-                static_cast<long long>(r.shuffled_bytes),
-                static_cast<long long>(r.coordinator_bytes));
+                static_cast<long long>(r.shuffled_bytes));
   }
 
   BenchReport report("abl_joins");
   for (const QueryRow& r : rows) {
     report.AddResult({
-        {"section", sql::Json::MakeString("shuffle_modes")},
+        {"section", sql::Json::MakeString("repartition_queries")},
         {"query", sql::Json::MakeString(r.name)},
         {"w2w_ms", sql::Json::MakeNumber(r.w2w_ms)},
-        {"coord_ms", sql::Json::MakeNumber(r.coord_ms)},
-        {"speedup", sql::Json::MakeNumber(r.Speedup())},
         {"w2w_shuffled_bytes",
          sql::Json::MakeNumber(static_cast<double>(r.w2w_shuffled_bytes))},
-        {"w2w_coordinator_bytes",
-         sql::Json::MakeNumber(static_cast<double>(r.w2w_coordinator_bytes))},
-        {"coord_mode_coordinator_bytes",
-         sql::Json::MakeNumber(
-             static_cast<double>(r.coord_mode_coordinator_bytes))},
         {"matched", sql::Json::MakeBool(r.matched)},
     });
   }
   for (const ScaleRow& r : scale_rows) {
     report.AddResult({
-        {"section", sql::Json::MakeString("coordinator_traffic_vs_scale")},
+        {"section", sql::Json::MakeString("shuffled_bytes_vs_scale")},
         {"scale", sql::Json::MakeNumber(r.scale)},
         {"orders", sql::Json::MakeNumber(static_cast<double>(r.orders))},
         {"shuffled_bytes",
          sql::Json::MakeNumber(static_cast<double>(r.shuffled_bytes))},
-        {"coordinator_bytes",
-         sql::Json::MakeNumber(static_cast<double>(r.coordinator_bytes))},
     });
   }
   if (!report.WriteTo(args.json_path)) return 1;
   sim.Shutdown();
 
-  // Self-checks: wrong answers, coordinator bytes leaking into the w2w data
-  // path, or a lost w2w advantage are regressions. cte_class is the
-  // exception on the shuffle checks: its MATERIALIZED CTE lands in an
-  // intermediate result through the materialization path (no repartition
-  // shuffle in either mode), so it only asserts correctness and a clean
-  // coordinator-byte ledger — it rides along to prove CTE materialization
-  // and repartition temps coexist.
+  // Self-checks: wrong answers or a query that stopped shuffling are
+  // regressions. cte_class is the exception on the shuffle check: its
+  // MATERIALIZED CTE lands in an intermediate result through the
+  // materialization path (no repartition shuffle), so it only asserts
+  // correctness — it rides along to prove CTE materialization and
+  // repartition temps coexist.
   bool failed = false;
   for (const QueryRow& r : rows) {
     bool shuffles = r.name != "cte_class";
@@ -372,35 +325,13 @@ int main(int argc, char** argv) {
                    r.name.c_str());
       failed = true;
     }
-    if (r.w2w_coordinator_bytes != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %s relayed %lld bytes through the coordinator in "
-                   "w2w mode\n",
-                   r.name.c_str(),
-                   static_cast<long long>(r.w2w_coordinator_bytes));
-      failed = true;
-    }
     if (shuffles && r.w2w_shuffled_bytes <= 0) {
       std::fprintf(stderr, "FAIL: %s shuffled no bytes — the workload "
                    "stopped exercising repartition\n", r.name.c_str());
       failed = true;
     }
-    if (shuffles && r.Speedup() < 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s slower via w2w shuffle (%.2fx) than the "
-                   "coordinator relay\n",
-                   r.name.c_str(), r.Speedup());
-      failed = true;
-    }
   }
   for (const ScaleRow& r : scale_rows) {
-    if (r.coordinator_bytes != 0) {
-      std::fprintf(stderr,
-                   "FAIL: scale %d relayed %lld bytes through the "
-                   "coordinator in w2w mode\n",
-                   r.scale, static_cast<long long>(r.coordinator_bytes));
-      failed = true;
-    }
     if (r.shuffled_bytes <= 0) {
       std::fprintf(stderr, "FAIL: scale %d shuffled no bytes\n", r.scale);
       failed = true;
@@ -412,7 +343,7 @@ int main(int argc, char** argv) {
     failed = true;
   }
   if (failed) return 1;
-  std::printf("\nOK: all results match the oracle; w2w keeps the "
-              "coordinator out of the data path.\n");
+  std::printf("\nOK: all results match the oracle; shuffled bytes grow "
+              "with the data.\n");
   return 0;
 }

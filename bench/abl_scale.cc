@@ -9,11 +9,10 @@
 //             aggregates riding the pipelined executor) against clusters of
 //             8 -> 128 nodes, clients spread over 8 coordinating nodes (MX).
 //             Before each run's workload, a burst of metadata churns
-//             (CREATE INDEX) measures sync cost per node per change — with
-//             the delta fast path and again with the full three-round-trip
-//             protocol. Delta cost must stay proportional to the change
-//             (per-node bytes flat as the cluster grows 16x), not to the
-//             catalog or the worker list.
+//             (CREATE INDEX) measures delta-sync cost per node per change.
+//             It must stay proportional to the change (per-node bytes flat
+//             as the cluster grows 16x, one round trip), not to the catalog
+//             or the worker list.
 //
 //   sessions  1k -> 1M logical client sessions (each with its own SET
 //             state) multiplexed over a fixed driver fleet and a bounded
@@ -25,7 +24,7 @@
 //             deliver >= 2x aggregate tps at >= 100k sessions on the same
 //             budget.
 //
-//   abl_scale [--quick] [--json=<path>] [--no-pipelining] [--no-delta]
+//   abl_scale [--quick] [--json=<path>] [--no-pipelining]
 #include <unordered_map>
 
 #include "bench_common.h"
@@ -36,11 +35,6 @@ using namespace citusx;
 using namespace citusx::bench;
 
 namespace {
-
-struct ScaleFlags {
-  bool pipelining = true;
-  bool delta = true;
-};
 
 struct SyncCost {
   int64_t bytes = 0;
@@ -95,8 +89,6 @@ struct NodeScaleResult {
   // Per peer node, per metadata change.
   double delta_bytes_per_node = 0;
   double delta_rts_per_node = 0;
-  double full_bytes_per_node = 0;
-  double full_rts_per_node = 0;
   int64_t delta_syncs = 0;
 };
 
@@ -120,7 +112,7 @@ Status RunChurn(citus::Deployment& deploy, net::Connection& conn, int* seq,
   return Status::OK();
 }
 
-NodeScaleResult RunNodeScale(int nodes, const ScaleFlags& flags, bool quick) {
+NodeScaleResult RunNodeScale(int nodes, bool pipelining, bool quick) {
   sim::CostModel cost;
   cost.cores_per_node = 1;  // small nodes: small clusters visibly saturate
   cost.buffer_pool_bytes = 256LL << 20;
@@ -129,8 +121,7 @@ NodeScaleResult RunNodeScale(int nodes, const ScaleFlags& flags, bool quick) {
   citus::DeploymentOptions options;
   options.num_workers = nodes - 1;
   options.cost = cost;
-  options.citus.enable_task_pipelining = flags.pipelining;
-  options.citus.enable_delta_metadata_sync = flags.delta;
+  options.citus.enable_task_pipelining = pipelining;
   citus::Deployment deploy(&sim, options);
 
   const int64_t rows = quick ? 1000 : 4000;
@@ -143,19 +134,9 @@ NodeScaleResult RunNodeScale(int nodes, const ScaleFlags& flags, bool quick) {
   MustRun(sim, [&] {
     auto conn = deploy.Connect();
     if (!conn.ok()) return conn.status();
-    // Churn cost with the delta fast path, then with the full protocol.
-    CITUSX_RETURN_IF_ERROR(RunChurn(deploy, **conn, &seq, churns, nodes - 1,
-                                    &out.delta_bytes_per_node,
-                                    &out.delta_rts_per_node,
-                                    &out.delta_syncs));
-    citus::CitusExtension* coord = deploy.extension(deploy.coordinator());
-    coord->mutable_config().enable_delta_metadata_sync = false;
-    int64_t ignored = 0;
-    CITUSX_RETURN_IF_ERROR(RunChurn(deploy, **conn, &seq, churns, nodes - 1,
-                                    &out.full_bytes_per_node,
-                                    &out.full_rts_per_node, &ignored));
-    coord->mutable_config().enable_delta_metadata_sync = flags.delta;
-    return Status::OK();
+    return RunChurn(deploy, **conn, &seq, churns, nodes - 1,
+                    &out.delta_bytes_per_node, &out.delta_rts_per_node,
+                    &out.delta_syncs);
   });
 
   workload::DriverOptions dopts;
@@ -311,14 +292,11 @@ SessionScaleResult RunSessionScale(int64_t sessions, bool pooled, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ScaleFlags flags;
+  bool pipelining = true;
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; i++) {
-    std::string a = argv[i];
-    if (a == "--no-pipelining") {
-      flags.pipelining = false;
-    } else if (a == "--no-delta") {
-      flags.delta = false;
+    if (std::string(argv[i]) == "--no-pipelining") {
+      pipelining = false;
     } else {
       rest.push_back(argv[i]);
     }
@@ -333,18 +311,17 @@ int main(int argc, char** argv) {
   // ---- Sweep 1: node count ----
   std::vector<int> node_counts =
       args.quick ? std::vector<int>{8, 32} : std::vector<int>{8, 16, 32, 64, 128};
-  std::printf("%-8s %12s %10s %10s %10s | %14s %12s %14s %12s\n", "nodes",
-              "tps", "p50 (ms)", "p95 (ms)", "p99 (ms)", "delta B/node",
-              "delta RT/n", "full B/node", "full RT/n");
+  std::printf("%-8s %12s %10s %10s %10s | %14s %12s\n", "nodes", "tps",
+              "p50 (ms)", "p95 (ms)", "p99 (ms)", "delta B/node",
+              "delta RT/n");
   std::vector<NodeScaleResult> node_results;
   for (int n : node_counts) {
-    NodeScaleResult r = RunNodeScale(n, flags, args.quick);
+    NodeScaleResult r = RunNodeScale(n, pipelining, args.quick);
     node_results.push_back(r);
-    std::printf("%-8d %12.0f %10.3f %10.3f %10.3f | %14.0f %12.2f %14.0f "
-                "%12.2f\n",
+    std::printf("%-8d %12.0f %10.3f %10.3f %10.3f | %14.0f %12.2f\n",
                 r.nodes, r.tps, r.latency.p50_ms, r.latency.p95_ms,
-                r.latency.p99_ms, r.delta_bytes_per_node, r.delta_rts_per_node,
-                r.full_bytes_per_node, r.full_rts_per_node);
+                r.latency.p99_ms, r.delta_bytes_per_node,
+                r.delta_rts_per_node);
     report.AddResult(
         {{"phase", sql::Json::MakeString("nodes")},
          {"nodes", sql::Json::MakeNumber(r.nodes)},
@@ -361,10 +338,6 @@ int main(int argc, char** argv) {
           sql::Json::MakeNumber(r.delta_bytes_per_node)},
          {"churn_delta_rts_per_node",
           sql::Json::MakeNumber(r.delta_rts_per_node)},
-         {"churn_full_bytes_per_node",
-          sql::Json::MakeNumber(r.full_bytes_per_node)},
-         {"churn_full_rts_per_node",
-          sql::Json::MakeNumber(r.full_rts_per_node)},
          {"delta_syncs",
           sql::Json::MakeNumber(static_cast<double>(r.delta_syncs))}});
   }
@@ -418,11 +391,11 @@ int main(int argc, char** argv) {
       fail("FAIL: nodes=%d produced %lld errors\n", r.nodes,
            static_cast<long long>(r.errors));
     }
-    if (flags.pipelining && r.pipelined_tasks <= 0) {
+    if (pipelining && r.pipelined_tasks <= 0) {
       fail("FAIL: nodes=%d executed no pipelined tasks\n", r.nodes);
     }
   }
-  if (flags.delta && node_results.size() >= 2) {
+  if (node_results.size() >= 2) {
     const NodeScaleResult& lo = node_results.front();
     const NodeScaleResult& hi = node_results.back();
     double flatness = lo.delta_bytes_per_node > 0
@@ -439,10 +412,9 @@ int main(int argc, char** argv) {
            "not proportional to the change\n",
            flatness, hi.nodes / lo.nodes);
     }
-    if (hi.delta_rts_per_node > 1.5 || hi.full_rts_per_node < 2.5) {
-      fail("FAIL: expected ~1 RT/churn with delta (got %.2f) vs ~3 full "
-           "(got %.2f) at %d nodes\n",
-           hi.delta_rts_per_node, hi.full_rts_per_node, hi.nodes);
+    if (hi.delta_rts_per_node > 1.5) {
+      fail("FAIL: expected ~1 RT/churn with delta (got %.2f) at %d nodes\n",
+           hi.delta_rts_per_node, hi.nodes);
     }
     if (hi.delta_syncs <= 0) {
       fail("FAIL: no delta syncs at %d nodes\n", hi.nodes);

@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
   options.cost = cost;
   // Short maintenance cadence so 2PC recovery and deferred cleanup finish
   // within the recovery-wait phase.
-  options.citus.deadlock_poll_interval = 1 * sim::kSecond;
-  options.citus.recovery_poll_interval = 2 * sim::kSecond;
+  options.cost.deadlock_poll_interval = 1 * sim::kSecond;
+  options.cost.recovery_poll_interval = 2 * sim::kSecond;
   // Per-statement deadline on worker connections: a crashed worker costs a
   // timeout, not a hung client.
   options.citus.statement_timeout = 500 * sim::kMillisecond;

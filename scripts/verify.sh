@@ -12,13 +12,16 @@
 #               scaling), abl_olap (vectorized executor matches the volcano
 #               oracle on every TPC-H query, >= 10x on scan/agg-heavy ones),
 #               abl_scale (>= 2x pooled tps at >= 100k sessions on a bounded
-#               connection budget, delta-sync cost flat per node),
-#               abl_joins (repartition joins match a single-node oracle,
-#               worker-to-worker shuffle relays zero bytes through the
-#               coordinator and beats the coordinator-relay ablation),
-#               chaos_ycsb --quick under a fixed seed (release and, when
-#               present, the ASan build); every binary self-checks its own
-#               invariants and JSON report
+#               connection budget, one-round-trip delta-sync cost flat per
+#               node), abl_joins (repartition joins match a single-node
+#               oracle, shuffled bytes grow with the data), chaos_ycsb
+#               --quick under a fixed seed (release and, when present, the
+#               ASan build); every binary self-checks its own invariants and
+#               JSON report. Then the standalone benchmark (benchmark/) is
+#               built from src/ and every workload runs its checks with
+#               short windows (benchmark/run.sh --smoke), so a src/ change
+#               that breaks the benchmark build or a workload check fails
+#               here, before the benchmark pipeline runs
 #
 # Usage: scripts/verify.sh [--tier N]
 #   --tier N       run only that tier (1-4, or "bench"); "bench" expects a
@@ -125,6 +128,9 @@ if run_tier bench; then
   else
     echo "    (no ASan build present; skipping the ASan chaos pass)"
   fi
+
+  echo "==> benchmark smoke: standalone build + every workload check"
+  bash benchmark/run.sh --smoke --out build/benchmark-smoke
 fi
 
 echo "OK (tier: $TIER)"

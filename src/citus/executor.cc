@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -505,7 +506,7 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
 
   // Ticker: wakes the coordinator loop at slow-start intervals so it can
   // grow pools even when no task has completed yet.
-  sim::Time tick = cfg.slow_start_interval;
+  const sim::Time tick = ext_->node()->cost().executor_slow_start_interval;
   sim->Spawn(
       "citus:slowstart_tick",
       [stp, sim, tick] {
@@ -519,7 +520,10 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
   // Grow connection pools toward the current allowance; new connections
   // are established concurrently (non-blocking connects), each becoming a
   // runner when ready.
-  auto grow = [&st, stp, &session, this](int allowance) {
+  // The opener holds the session state weakly: the statement can finish
+  // and the client disconnect while a connect is still in flight.
+  std::weak_ptr<CitusSessionState> weak_css = ext_->WeakSessionState(session);
+  auto grow = [&st, stp, weak_css, this](int allowance) {
     for (auto& [worker, q] : st.queues) {
       int pending = static_cast<int>(q.general.size());
       if (pending == 0) continue;
@@ -528,11 +532,10 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
         q.runners++;  // reserve the slot before the async open
         std::string w = worker;
         CitusExtension* ext = ext_;
-        engine::Session* sess = &session;
         st.sim->Spawn(
             "citus:opener",
-            [stp, w, ext, sess] {
-              auto extra = ext->TryOpenExtraConnection(*sess, w);
+            [stp, w, ext, weak_css] {
+              auto extra = ext->TryOpenExtraConnection(weak_css, w);
               if (!extra.ok() || *extra == nullptr) {
                 if (!extra.ok() && stp->first_error.ok()) {
                   stp->first_error = extra.status();
@@ -549,9 +552,8 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
   };
   auto allowance_now = [&]() {
     return cfg.enable_slow_start
-               ? 1 + static_cast<int>(
-                         (sim->now() - start) /
-                         std::max<sim::Time>(cfg.slow_start_interval, 1))
+               ? 1 + static_cast<int>((sim->now() - start) /
+                                      std::max<sim::Time>(tick, 1))
                : 1 << 20;
   };
   grow(allowance_now());  // with slow start disabled, open the pool up front
@@ -624,6 +626,7 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::ExecutePipelined(
 
   int width = std::max(1, cfg.pipeline_width);
   int batch = std::max(1, cfg.pipeline_batch_size);
+  std::weak_ptr<CitusSessionState> weak_css = ext_->WeakSessionState(session);
 
   for (auto& [worker, q] : st.queues) {
     // One runner on the session's cached/affine connection; extra runners
@@ -648,11 +651,10 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::ExecutePipelined(
       q.runners++;
       std::string w = worker;
       CitusExtension* ext = ext_;
-      engine::Session* sess = &session;
       sim->Spawn(
           "citus:pipeline_opener",
-          [stp, w, ext, sess, batch] {
-            auto extra = ext->TryOpenExtraConnection(*sess, w);
+          [stp, w, ext, weak_css, batch] {
+            auto extra = ext->TryOpenExtraConnection(weak_css, w);
             if (!extra.ok() || *extra == nullptr) {
               // Budget or worker unavailable: the remaining runners (at
               // least the first) drain this worker's queue.

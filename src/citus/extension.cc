@@ -56,8 +56,6 @@ CitusExtension::CitusExtension(engine::Node* node,
   metric_repartition_joins = m.counter("citus.repartition.joins");
   metric_repartition_shuffled_bytes =
       m.counter("citus.repartition.shuffled_bytes");
-  metric_repartition_coordinator_bytes =
-      m.counter("citus.repartition.coordinator_bytes");
   metric_cte_inlined = m.counter("citus.cte.inlined");
   metric_cte_materialized = m.counter("citus.cte.materialized");
   metric_plancache_hit = m.counter("citus.plancache.hit");
@@ -155,7 +153,8 @@ void CitusExtension::StartMaintenanceDaemon() {
       "citus_maintenance", [ext](engine::Node& node) {
         sim::Simulation* sim = node.sim();
         sim::Time last_recovery = 0;
-        while (sim->WaitFor(ext->config().deadlock_poll_interval)) {
+        const sim::CostModel& cost = node.cost();
+        while (sim->WaitFor(cost.deadlock_poll_interval)) {
           if (node.is_down()) continue;
           ext->DetectDistributedDeadlocks();
           // Metadata-sync repair (§3.10): re-sync any worker that is behind
@@ -169,8 +168,7 @@ void CitusExtension::StartMaintenanceDaemon() {
                 "periodic daemon pass; unsynced nodes refuse MX routing "
                 "and are retried next round");
           }
-          if (sim->now() - last_recovery >=
-              ext->config().recovery_poll_interval) {
+          if (sim->now() - last_recovery >= cost.recovery_poll_interval) {
             last_recovery = sim->now();
             auto session = node.OpenSession();
             CITUSX_IGNORE_STATUS(
@@ -191,6 +189,12 @@ CitusSessionState& CitusExtension::SessionState(engine::Session& session) {
     session.extension_state = state;
   }
   return *static_cast<CitusSessionState*>(session.extension_state.get());
+}
+
+std::weak_ptr<CitusSessionState> CitusExtension::WeakSessionState(
+    engine::Session& session) {
+  SessionState(session);
+  return std::static_pointer_cast<CitusSessionState>(session.extension_state);
 }
 
 std::string CitusExtension::NextDistTxnId() {
@@ -271,7 +275,8 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
 }
 
 Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
-    engine::Session& session, const std::string& worker) {
+    const std::weak_ptr<CitusSessionState>& session_state,
+    const std::string& worker) {
   if (outgoing_connections(worker) >= config_.max_shared_pool_size) {
     return static_cast<WorkerConnection*>(nullptr);  // limit reached
   }
@@ -283,6 +288,13 @@ Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
     return conn.status();
   }
   NoteWorkerAvailable(worker);
+  // The connect yielded: if the client disconnected meanwhile, its session
+  // and connection pool are gone, so the new connection has no owner.
+  std::shared_ptr<CitusSessionState> state = session_state.lock();
+  if (state == nullptr) {
+    (*conn)->Close();
+    return static_cast<WorkerConnection*>(nullptr);
+  }
   if (config_.statement_timeout > 0) {
     (*conn)->SetStatementTimeout(config_.statement_timeout);
   }
@@ -290,12 +302,11 @@ Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
     MutexLock guard(pool_mu_);
     outgoing_[worker]++;
   }
-  CitusSessionState& state = SessionState(session);
   auto wc = std::make_unique<WorkerConnection>();
   wc->conn = std::move(conn).value();
   wc->worker = worker;
   WorkerConnection* ptr = wc.get();
-  state.pool[worker].push_back(std::move(wc));
+  state->pool[worker].push_back(std::move(wc));
   return ptr;
 }
 

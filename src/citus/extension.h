@@ -87,9 +87,8 @@ struct CitusConfig {
   /// Upper bound on this node's total outgoing connections per worker
   /// (the shared connection limit of §3.6.1).
   int max_shared_pool_size = 300;
-  /// Slow-start: new-connection allowance increase interval.
-  sim::Time slow_start_interval = 10 * sim::kMillisecond;
-  /// Disable slow start entirely (ablation).
+  /// Disable slow start entirely (ablation). The allowance interval is
+  /// sim::CostModel::executor_slow_start_interval.
   bool enable_slow_start = true;
   /// Shared-connection task pipelining: batch read-only multi-shard tasks
   /// bound for the same worker into pipelined round trips on a small fixed
@@ -109,9 +108,6 @@ struct CitusConfig {
   /// SET citus.use_vectorized_executor = off, which the coordinator also
   /// propagates to its worker connections (ablation: abl_olap).
   bool use_vectorized_executor = true;
-  /// Maintenance daemon intervals.
-  sim::Time deadlock_poll_interval = 2 * sim::kSecond;
-  sim::Time recovery_poll_interval = 30 * sim::kSecond;
   /// Task retry policy (chaos hardening): transient failures retry with
   /// capped exponential backoff on a fresh connection where safe.
   int task_retry_attempts = 3;
@@ -127,27 +123,15 @@ struct CitusConfig {
   /// manual sync UDFs (citus_sync_metadata, start_metadata_sync_to_node)
   /// still work.
   bool enable_metadata_sync = true;
-  /// Repartition data movement (join-order tier): by default map output is
-  /// shuffled worker-to-worker (each source shard hash-partitions locally
-  /// and ships fragments directly to the destination workers). Set to route
-  /// every fragment through the coordinator instead — the pre-shuffle
-  /// coordinator-mediated path, kept as the abl_joins ablation baseline.
-  bool repartition_via_coordinator = false;
-  /// Delta fast path for metadata sync: peers already synced at an earlier
-  /// version receive a one-round-trip diff (changed tables, dropped names,
-  /// workers/procedures only when touched) instead of the full
-  /// three-round-trip payload. Any delta failure falls back to the full
-  /// protocol. Disable to measure full-sync cost (abl_scale --no-delta).
-  bool enable_delta_metadata_sync = true;
 };
 
-/// Metadata-sync round-trip boundaries where the fault hook fires
+/// Metadata-sync round boundaries where the fault hook fires
 /// (crash-during-sync testing). The arguments are the target node name and
 /// the boundary just crossed.
 enum class MetadataSyncPoint {
-  kBeforeBegin,  // before the sync_begin round trip
-  kAfterBegin,   // peer marked unsynced, payload not yet shipped
-  kAfterApply,   // payload applied, finish (publish) not yet sent
+  kBeforeApply,  // before the round connects and ships its payload
+  kAfterApply,   // payload applied and published on the peer, authority's
+                 // bookkeeping not yet updated
 };
 
 /// Per-node metadata-sync bookkeeping on the authority (backing store of
@@ -160,7 +144,7 @@ struct NodeSyncState {
   int64_t round_trips = 0;  // cumulative sync round trips (incl. failures)
   int64_t syncs = 0;        // successful sync rounds
   int64_t attempts = 0;     // rounds attempted
-  int64_t delta_syncs = 0;  // successful rounds served by the delta path
+  int64_t delta_syncs = 0;  // successful rounds from a nonzero base
   int64_t bytes_sent = 0;   // cumulative payload bytes shipped to this node
 };
 
@@ -207,12 +191,12 @@ class CitusExtension {
   CitusMetadata& metadata() { return *metadata_; }
   net::NodeDirectory& directory() { return *directory_; }
   const CitusConfig& config() const { return config_; }
-  /// Benches flip feature flags (delta sync, pipelining) between phases of
-  /// one deployment to measure ablations without a redeploy.
-  CitusConfig& mutable_config() { return config_; }
 
   /// Session state accessor (created lazily).
   CitusSessionState& SessionState(engine::Session& session);
+  /// Weak handle on the same state, for work that yields and may outlive
+  /// the session (a client can disconnect mid-connect).
+  std::weak_ptr<CitusSessionState> WeakSessionState(engine::Session& session);
 
   /// Connection with affinity: if `group` (colocation, shard index) was
   /// already accessed in this transaction, returns that connection;
@@ -226,10 +210,11 @@ class CitusExtension {
 
   /// Open an additional connection to `worker` for parallel execution,
   /// respecting the shared pool limit. Returns nullptr (not an error) when
-  /// the limit is reached.
-  Result<WorkerConnection*> TryOpenExtraConnection(engine::Session& session,
-                                                   const std::string& worker)
-      EXCLUDES(pool_mu_);
+  /// the limit is reached, or when the session ended while connecting (the
+  /// new connection is then closed and not counted).
+  Result<WorkerConnection*> TryOpenExtraConnection(
+      const std::weak_ptr<CitusSessionState>& session_state,
+      const std::string& worker) EXCLUDES(pool_mu_);
 
   /// Ensure a worker-side transaction block is open on `wc` and the
   /// distributed transaction id is assigned/propagated.
@@ -304,13 +289,13 @@ class CitusExtension {
   }
 
   /// Push the authority's catalogs to one node / all registered workers
-  /// over a dedicated connection (delta fast path: one round trip; full
-  /// protocol: begin, incremental apply, finish). Peers already at the
-  /// current version are skipped unless `force` is set — the explicit
-  /// repair UDFs (citus_sync_metadata, start_metadata_sync_to_node) force
-  /// a re-ship, internal sweeps don't. SyncMetadataToWorkers returns the
-  /// number of nodes synced; per-node failures mark the node unsynced and
-  /// are not fatal.
+  /// over a dedicated connection, one round trip per round: a delta to a
+  /// peer known synced at an earlier version, a snapshot otherwise (see
+  /// metadata_sync.h). Peers already at the current version are skipped
+  /// unless `force` is set — the explicit repair UDFs (citus_sync_metadata,
+  /// start_metadata_sync_to_node) force a snapshot, internal sweeps don't.
+  /// SyncMetadataToWorkers returns the number of nodes synced; per-node
+  /// failures mark the node pending and are not fatal.
   Status SyncMetadataToNode(const std::string& target, bool force = false);
   Result<int> SyncMetadataToWorkers(bool force = false);
   /// Best-effort auto-sync after an authoritative metadata change; failures
@@ -351,13 +336,8 @@ class CitusExtension {
   /// Drop registrations for tables the authority no longer has (sync
   /// reconciliation after a DROP TABLE).
   void ReconcileShellTables(const std::set<std::string>& keep) {
-    for (auto it = shell_tables_.begin(); it != shell_tables_.end();) {
-      if (keep.count(*it) == 0) {
-        it = shell_tables_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(shell_tables_,
+                  [&](const std::string& n) { return keep.count(n) == 0; });
   }
 
   /// Authority-side per-node sync bookkeeping (citus_stat_metadata_sync).
@@ -369,7 +349,7 @@ class CitusExtension {
   }
 
   /// Test/chaos hook fired at metadata-sync boundaries; a non-OK return
-  /// aborts the sync round at that point, leaving the target unsynced.
+  /// fails the sync round at that point, leaving the target pending.
   std::function<Status(const std::string&, MetadataSyncPoint)>
       metadata_sync_fault_hook;
 
@@ -425,8 +405,6 @@ class CitusExtension {
   obs::Counter* metric_repartition_joins = nullptr;  // citus.repartition.joins
   obs::Counter* metric_repartition_shuffled_bytes =
       nullptr;  // citus.repartition.shuffled_bytes
-  obs::Counter* metric_repartition_coordinator_bytes =
-      nullptr;  // citus.repartition.coordinator_bytes
   obs::Counter* metric_cte_inlined = nullptr;       // citus.cte.inlined
   obs::Counter* metric_cte_materialized = nullptr;  // citus.cte.materialized
   obs::Counter* metric_plancache_hit = nullptr;  // citus.plancache.hit
@@ -508,8 +486,8 @@ class CitusExtension {
   /// (citus_internal_shuffle). Acquire removes the handle from the cache,
   /// so two concurrent shuffles never interleave on one wire; Release puts
   /// it back. Without the cache every shuffle pays connect_cost per
-  /// destination — enough to lose to the coordinator relay, whose COPY
-  /// tasks ride the session's long-lived pooled connections.
+  /// destination, while the executor's own tasks ride the session's
+  /// long-lived pooled connections.
   std::map<std::string, std::vector<std::unique_ptr<net::Connection>>>
       shuffle_conns_ GUARDED_BY(pool_mu_);
   /// Relations registered as distributed-table shells on this node.

@@ -187,8 +187,8 @@ class CitusMetadata {
   /// Authority-only: record that `name` was dropped at the current version.
   /// Delta sync ships "drop X" to peers instead of a full name-list
   /// reconcile. The log is capped; DropLogCovers reports whether it still
-  /// reaches back far enough for a given peer (if not, sync falls back to
-  /// the full protocol).
+  /// reaches back far enough for a given peer (if not, the peer gets a
+  /// snapshot).
   void RecordTableDrop(const std::string& name) {
     MutexLock guard(metadata_mu_);
     dropped_log_.emplace_back(cluster_version_, name);
@@ -230,8 +230,8 @@ class CitusMetadata {
   }
 
   /// True once a replica has applied a complete sync (always true on the
-  /// authority). Cleared while a sync round is applying and on node
-  /// restart, so a half-applied copy is never used for routing.
+  /// authority). Cleared on node restart, so a copy that may have missed
+  /// changes while the node was down is never used for routing.
   bool mx_synced() const {
     MutexLock guard(metadata_mu_);
     return mx_synced_;
@@ -254,36 +254,20 @@ class CitusMetadata {
     known_cluster_version_ = std::max(known_cluster_version_, version);
   }
 
-  /// Replica-side sync protocol. BeginSync marks the copy unsynced for the
-  /// duration of the apply window and reports the last applied version so
-  /// the authority can ship an incremental payload. ApplySyncedTable
-  /// replaces one table in place (std::map node addresses are stable, so
-  /// CitusTable pointers held across a yield by in-flight queries stay
-  /// valid). ReconcileTables drops tables the authority no longer has.
-  /// FinishSync publishes the new version and bumps the generation once so
-  /// cached plans built against the old copy are discarded.
-  uint64_t BeginSync() {
-    MutexLock guard(metadata_mu_);
-    mx_synced_ = false;
-    return cluster_version_;
-  }
+  /// Replica-side apply (ApplyMetadataDelta, metadata_sync.cc).
+  /// ApplySyncedTable replaces one table in place (std::map node addresses
+  /// are stable, so CitusTable pointers held across a yield by in-flight
+  /// queries stay valid). ReconcileTables drops tables a snapshot does not
+  /// list. FinishSync publishes the new version and bumps the generation
+  /// once so cached plans built against the old copy are discarded.
   void ApplySyncedTable(CitusTable table) {
     MutexLock guard(metadata_mu_);
     tables_[table.name] = std::move(table);
   }
-  int ReconcileTables(const std::set<std::string>& keep) {
+  void ReconcileTables(const std::set<std::string>& keep) {
     MutexLock guard(metadata_mu_);
-    int removed = 0;
-    for (auto it = tables_.begin(); it != tables_.end();) {
-      if (keep.count(it->first) == 0) {
-        it = tables_.erase(it);
-        removed++;
-        generation_++;
-      } else {
-        ++it;
-      }
-    }
-    return removed;
+    generation_ += std::erase_if(
+        tables_, [&](const auto& kv) { return keep.count(kv.first) == 0; });
   }
   void FinishSync(uint64_t version) {
     MutexLock guard(metadata_mu_);

@@ -1,9 +1,13 @@
 // Metadata syncing (§3.10, Citus MX): the authority-side sync driver and
-// the JSON payload (de)serialization. See metadata_sync.h for the protocol
-// and udf.cc for the worker-side internal UDFs.
+// the JSON delta (de)serialization. See metadata_sync.h for the protocol
+// and udf.cc for the worker-side internal UDF.
 #include "citus/metadata_sync.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <map>
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -51,112 +55,164 @@ sql::JsonPtr SerializeTable(const CitusTable& t) {
   });
 }
 
-Result<CitusTable> DeserializeTable(const sql::JsonPtr& j) {
-  auto field = [&](const char* key) -> Result<sql::JsonPtr> {
-    sql::JsonPtr v = j->GetField(key);
-    if (v == nullptr) {
+// Field `key` of JSON object `obj`, required to be of `kind`.
+Result<sql::JsonPtr> Field(const sql::JsonPtr& obj, const char* key,
+                           sql::Json::Kind kind) {
+  sql::JsonPtr v = obj->GetField(key);
+  if (v == nullptr || v->kind() != kind) {
+    return Status::InvalidArgument(
+        StrFormat("metadata delta: missing or malformed field '%s'", key));
+  }
+  return v;
+}
+
+// Every number in the payload is an integer. JSON numbers are doubles, and
+// converting one outside the integer range is undefined, so bound it first.
+Result<int64_t> IntField(const sql::JsonPtr& obj, const char* key) {
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr v,
+                          Field(obj, key, sql::Json::Kind::kNumber));
+  const double d = v->number_value();
+  if (!(std::fabs(d) <= 9007199254740992.0)) {  // 2^53; false for NaN
+    return Status::InvalidArgument(
+        StrFormat("metadata delta: field '%s' out of range", key));
+  }
+  return static_cast<int64_t>(d);
+}
+
+Result<std::string> StringField(const sql::JsonPtr& obj, const char* key) {
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr v,
+                          Field(obj, key, sql::Json::Kind::kString));
+  return v->string_value();
+}
+
+Result<bool> BoolField(const sql::JsonPtr& obj, const char* key) {
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr v,
+                          Field(obj, key, sql::Json::Kind::kBool));
+  return v->bool_value();
+}
+
+Result<std::vector<std::string>> StringArray(const sql::JsonPtr& obj,
+                                             const char* key) {
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr arr,
+                          Field(obj, key, sql::Json::Kind::kArray));
+  std::vector<std::string> out;
+  out.reserve(arr->array_items().size());
+  for (const sql::JsonPtr& s : arr->array_items()) {
+    if (s->kind() != sql::Json::Kind::kString) {
       return Status::InvalidArgument(
-          StrFormat("metadata payload table missing field '%s'", key));
+          StrFormat("metadata delta: non-string entry in '%s'", key));
     }
-    return v;
-  };
+    out.push_back(s->string_value());
+  }
+  return out;
+}
+
+Result<CitusTable> DeserializeTable(const sql::JsonPtr& j) {
   CitusTable t;
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr name, field("name"));
-  t.name = name->string_value();
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr is_ref, field("is_reference"));
-  t.is_reference = is_ref->bool_value();
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr dist_col, field("dist_column"));
-  t.dist_column = dist_col->string_value();
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr idx, field("dist_col_index"));
-  t.dist_col_index = static_cast<int>(idx->number_value());
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr type, field("dist_col_type"));
-  t.dist_col_type = static_cast<sql::TypeId>(
-      static_cast<int>(type->number_value()));
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr coloc, field("colocation_id"));
-  t.colocation_id = static_cast<int>(coloc->number_value());
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr columnar, field("columnar_shards"));
-  t.columnar_shards = columnar->bool_value();
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr rows, field("approx_rows"));
-  t.approx_rows = static_cast<int64_t>(rows->number_value());
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr bytes, field("approx_bytes"));
-  t.approx_bytes = static_cast<int64_t>(bytes->number_value());
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr modv, field("modified_version"));
-  t.modified_version = static_cast<uint64_t>(modv->number_value());
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr shards, field("shards"));
+  CITUSX_ASSIGN_OR_RETURN(t.name, StringField(j, "name"));
+  CITUSX_ASSIGN_OR_RETURN(t.is_reference, BoolField(j, "is_reference"));
+  CITUSX_ASSIGN_OR_RETURN(t.dist_column, StringField(j, "dist_column"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t idx, IntField(j, "dist_col_index"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t type, IntField(j, "dist_col_type"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t coloc, IntField(j, "colocation_id"));
+  CITUSX_ASSIGN_OR_RETURN(t.columnar_shards, BoolField(j, "columnar_shards"));
+  CITUSX_ASSIGN_OR_RETURN(t.approx_rows, IntField(j, "approx_rows"));
+  CITUSX_ASSIGN_OR_RETURN(t.approx_bytes, IntField(j, "approx_bytes"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t modv, IntField(j, "modified_version"));
+  t.dist_col_index = static_cast<int>(idx);
+  t.dist_col_type = static_cast<sql::TypeId>(type);
+  t.colocation_id = static_cast<int>(coloc);
+  t.modified_version = static_cast<uint64_t>(modv);
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr shards,
+                          Field(j, "shards", sql::Json::Kind::kArray));
   for (const sql::JsonPtr& s : shards->array_items()) {
     ShardInterval si;
-    sql::JsonPtr id = s->GetField("id");
-    sql::JsonPtr min = s->GetField("min");
-    sql::JsonPtr max = s->GetField("max");
-    sql::JsonPtr placement = s->GetField("placement");
-    if (!id || !min || !max || !placement) {
-      return Status::InvalidArgument("metadata payload shard malformed");
-    }
-    si.shard_id = static_cast<uint64_t>(id->number_value());
-    si.min_hash = static_cast<int32_t>(min->number_value());
-    si.max_hash = static_cast<int32_t>(max->number_value());
-    si.placement = placement->string_value();
+    CITUSX_ASSIGN_OR_RETURN(int64_t id, IntField(s, "id"));
+    CITUSX_ASSIGN_OR_RETURN(int64_t min, IntField(s, "min"));
+    CITUSX_ASSIGN_OR_RETURN(int64_t max, IntField(s, "max"));
+    CITUSX_ASSIGN_OR_RETURN(si.placement, StringField(s, "placement"));
+    si.shard_id = static_cast<uint64_t>(id);
+    si.min_hash = static_cast<int32_t>(min);
+    si.max_hash = static_cast<int32_t>(max);
     t.shards.push_back(std::move(si));
   }
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr replicas, field("replica_nodes"));
-  for (const sql::JsonPtr& r : replicas->array_items()) {
-    t.replica_nodes.push_back(r->string_value());
-  }
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr ddl, field("post_ddl"));
-  for (const sql::JsonPtr& d : ddl->array_items()) {
-    t.post_ddl.push_back(d->string_value());
-  }
+  CITUSX_ASSIGN_OR_RETURN(t.replica_nodes, StringArray(j, "replica_nodes"));
+  CITUSX_ASSIGN_OR_RETURN(t.post_ddl, StringArray(j, "post_ddl"));
   return t;
+}
+
+/// A fully decoded delta: nothing is applied until all of it decoded.
+struct MetadataDelta {
+  uint64_t from = 0;
+  uint64_t to = 0;
+  int default_shard_count = 0;
+  std::vector<CitusTable> tables;
+  std::vector<std::string> dropped;
+  std::optional<std::vector<std::string>> workers;
+  std::optional<std::map<std::string, DistributedProcedure>> procedures;
+};
+
+Result<MetadataDelta> DecodeMetadataDelta(const std::string& json) {
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr payload, sql::Json::Parse(json));
+  MetadataDelta d;
+  CITUSX_ASSIGN_OR_RETURN(int64_t from, IntField(payload, "from"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t to, IntField(payload, "to"));
+  CITUSX_ASSIGN_OR_RETURN(int64_t shard_count,
+                          IntField(payload, "default_shard_count"));
+  d.from = static_cast<uint64_t>(from);
+  d.to = static_cast<uint64_t>(to);
+  d.default_shard_count = static_cast<int>(shard_count);
+  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr tables,
+                          Field(payload, "tables", sql::Json::Kind::kArray));
+  for (const sql::JsonPtr& t : tables->array_items()) {
+    CITUSX_ASSIGN_OR_RETURN(CitusTable table, DeserializeTable(t));
+    d.tables.push_back(std::move(table));
+  }
+  CITUSX_ASSIGN_OR_RETURN(d.dropped, StringArray(payload, "dropped"));
+  // A snapshot replaces the whole copy, so it must carry both sections; a
+  // delta carries each only when it changed since the base.
+  const bool snapshot = d.from == 0;
+  if (snapshot || payload->GetField("workers") != nullptr) {
+    CITUSX_ASSIGN_OR_RETURN(d.workers, StringArray(payload, "workers"));
+  }
+  if (snapshot || payload->GetField("procedures") != nullptr) {
+    CITUSX_ASSIGN_OR_RETURN(
+        sql::JsonPtr procedures,
+        Field(payload, "procedures", sql::Json::Kind::kArray));
+    d.procedures.emplace();
+    for (const sql::JsonPtr& p : procedures->array_items()) {
+      DistributedProcedure proc;
+      CITUSX_ASSIGN_OR_RETURN(proc.name, StringField(p, "name"));
+      CITUSX_ASSIGN_OR_RETURN(int64_t arg, IntField(p, "dist_arg_index"));
+      CITUSX_ASSIGN_OR_RETURN(proc.colocated_table,
+                              StringField(p, "colocated_table"));
+      proc.dist_arg_index = static_cast<int>(arg);
+      (*d.procedures)[proc.name] = std::move(proc);
+    }
+  }
+  return d;
 }
 
 }  // namespace
 
-std::string SerializeMetadataPayload(const CitusMetadata& md,
-                                     uint64_t peer_version) {
-  std::vector<sql::JsonPtr> workers;
-  workers.reserve(md.workers.size());
-  for (const std::string& w : md.workers) workers.push_back(Str(w));
-  std::vector<sql::JsonPtr> names;
-  std::vector<sql::JsonPtr> tables;
-  for (const auto& [name, t] : md.tables()) {
-    names.push_back(Str(name));
-    // Incremental: ship only tables the peer has not seen. A table touched
-    // at version V is stamped modified_version = V, and a peer that applied
-    // V already holds it.
-    if (t.modified_version > peer_version) {
-      tables.push_back(SerializeTable(t));
-    }
-  }
-  std::vector<sql::JsonPtr> procedures;
-  for (const auto& [name, p] : md.procedures) {
-    procedures.push_back(sql::Json::MakeObject({
-        {"name", Str(p.name)},
-        {"dist_arg_index", Num(p.dist_arg_index)},
-        {"colocated_table", Str(p.colocated_table)},
-    }));
-  }
-  sql::JsonPtr payload = sql::Json::MakeObject({
-      {"version", Num(static_cast<double>(md.cluster_version()))},
-      {"default_shard_count", Num(md.default_shard_count)},
-      {"workers", sql::Json::MakeArray(std::move(workers))},
-      {"table_names", sql::Json::MakeArray(std::move(names))},
-      {"tables", sql::Json::MakeArray(std::move(tables))},
-      {"procedures", sql::Json::MakeArray(std::move(procedures))},
-  });
-  return payload->ToString();
-}
-
 std::string SerializeMetadataDelta(const CitusMetadata& md,
                                    uint64_t from_version) {
+  const bool snapshot = from_version == 0;
   std::vector<sql::JsonPtr> tables;
   for (const auto& [name, t] : md.tables()) {
-    if (t.modified_version > from_version) {
+    // A table touched at version V is stamped modified_version = V, and a
+    // peer that applied V already holds it.
+    if (snapshot || t.modified_version > from_version) {
       tables.push_back(SerializeTable(t));
     }
   }
+  // A snapshot needs no drop list: the receiver drops whatever it does not
+  // list.
   std::vector<sql::JsonPtr> dropped;
-  for (const std::string& name : md.DroppedSince(from_version)) {
-    dropped.push_back(Str(name));
+  if (!snapshot) {
+    for (const std::string& name : md.DroppedSince(from_version)) {
+      dropped.push_back(Str(name));
+    }
   }
   std::vector<std::pair<std::string, sql::JsonPtr>> fields = {
       {"from", Num(static_cast<double>(from_version))},
@@ -165,16 +221,16 @@ std::string SerializeMetadataDelta(const CitusMetadata& md,
       {"tables", sql::Json::MakeArray(std::move(tables))},
       {"dropped", sql::Json::MakeArray(std::move(dropped))},
   };
-  // Workers and procedures ride along only when they actually changed —
-  // the worker list alone is O(cluster size), which is exactly the factor
-  // delta sync exists to avoid shipping N times per change.
-  if (md.workers_modified_version() > from_version) {
+  // Workers and procedures ride along in a delta only when they actually
+  // changed — the worker list alone is O(cluster size), which is exactly
+  // the factor delta sync exists to avoid shipping N times per change.
+  if (snapshot || md.workers_modified_version() > from_version) {
     std::vector<sql::JsonPtr> workers;
     workers.reserve(md.workers.size());
     for (const std::string& w : md.workers) workers.push_back(Str(w));
     fields.emplace_back("workers", sql::Json::MakeArray(std::move(workers)));
   }
-  if (md.procedures_modified_version() > from_version) {
+  if (snapshot || md.procedures_modified_version() > from_version) {
     std::vector<sql::JsonPtr> procedures;
     for (const auto& [name, p] : md.procedures) {
       procedures.push_back(sql::Json::MakeObject({
@@ -190,117 +246,44 @@ std::string SerializeMetadataDelta(const CitusMetadata& md,
 }
 
 Status ApplyMetadataDelta(CitusExtension* ext, const std::string& json) {
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr payload, sql::Json::Parse(json));
-  sql::JsonPtr from = payload->GetField("from");
-  sql::JsonPtr to = payload->GetField("to");
-  sql::JsonPtr tables = payload->GetField("tables");
-  sql::JsonPtr dropped = payload->GetField("dropped");
-  sql::JsonPtr shard_count = payload->GetField("default_shard_count");
-  if (!from || !to || !tables || !dropped || !shard_count) {
-    return Status::InvalidArgument("metadata delta missing sections");
-  }
+  CITUSX_ASSIGN_OR_RETURN(MetadataDelta delta, DecodeMetadataDelta(json));
   CitusMetadata& md = ext->metadata();
-  const uint64_t base = static_cast<uint64_t>(from->number_value());
-  const uint64_t target = static_cast<uint64_t>(to->number_value());
-  // The delta only composes on top of the exact base it was computed
-  // against; anything else (missed round, restart wiped the copy, a full
-  // sync in flight) must go through the full protocol.
-  if (!md.mx_synced() || md.cluster_version() != base) {
+  // A delta only composes on top of the exact base it was computed
+  // against; anything else (missed round, restart, refused earlier delta)
+  // needs a snapshot.
+  if (delta.from > 0 &&
+      (!md.mx_synced() || md.cluster_version() != delta.from)) {
     return Status::InvalidArgument(StrFormat(
         "metadata delta base mismatch: local copy at %llu (synced=%d), "
         "delta from %llu",
         static_cast<unsigned long long>(md.cluster_version()),
-        md.mx_synced() ? 1 : 0, static_cast<unsigned long long>(base)));
+        md.mx_synced() ? 1 : 0, static_cast<unsigned long long>(delta.from)));
   }
   // Everything below is pure in-memory application — no yields — so the
   // validate-apply-publish sequence is atomic under the simulation's
-  // cooperative scheduling; no unsynced window is needed.
-  md.default_shard_count = static_cast<int>(shard_count->number_value());
-  for (const sql::JsonPtr& t : tables->array_items()) {
-    CITUSX_ASSIGN_OR_RETURN(CitusTable table, DeserializeTable(t));
-    ext->RegisterShellTable(table.name);
-    md.ApplySyncedTable(std::move(table));
+  // cooperative scheduling. Drops go first so a table dropped and
+  // re-created since the base survives.
+  md.default_shard_count = delta.default_shard_count;
+  for (const std::string& name : delta.dropped) {
+    md.Remove(name);
+    ext->UnregisterShellTable(name);
   }
-  for (const sql::JsonPtr& d : dropped->array_items()) {
-    md.Remove(d->string_value());
-    ext->UnregisterShellTable(d->string_value());
+  if (delta.from == 0) {
+    std::set<std::string> keep;
+    for (const CitusTable& t : delta.tables) keep.insert(t.name);
+    md.ReconcileTables(keep);
+    ext->ReconcileShellTables(keep);
   }
-  if (sql::JsonPtr workers = payload->GetField("workers")) {
-    md.workers.clear();
-    for (const sql::JsonPtr& w : workers->array_items()) {
-      md.workers.push_back(w->string_value());
-    }
-  }
-  if (sql::JsonPtr procedures = payload->GetField("procedures")) {
-    md.procedures.clear();
-    for (const sql::JsonPtr& p : procedures->array_items()) {
-      sql::JsonPtr name = p->GetField("name");
-      sql::JsonPtr arg = p->GetField("dist_arg_index");
-      sql::JsonPtr table = p->GetField("colocated_table");
-      if (!name || !arg || !table) {
-        return Status::InvalidArgument("metadata delta procedure malformed");
-      }
-      DistributedProcedure proc;
-      proc.name = name->string_value();
-      proc.dist_arg_index = static_cast<int>(arg->number_value());
-      proc.colocated_table = table->string_value();
-      md.procedures[proc.name] = std::move(proc);
-    }
-  }
-  md.FinishSync(target);
-  if (ext->metric_mx_sync_applied != nullptr) {
-    ext->metric_mx_sync_applied->Inc();
-  }
-  return Status::OK();
-}
-
-Status ApplyMetadataPayload(CitusExtension* ext, const std::string& json) {
-  CITUSX_ASSIGN_OR_RETURN(sql::JsonPtr payload, sql::Json::Parse(json));
-  sql::JsonPtr workers = payload->GetField("workers");
-  sql::JsonPtr names = payload->GetField("table_names");
-  sql::JsonPtr tables = payload->GetField("tables");
-  sql::JsonPtr procedures = payload->GetField("procedures");
-  sql::JsonPtr shard_count = payload->GetField("default_shard_count");
-  if (!workers || !names || !tables || !procedures || !shard_count) {
-    return Status::InvalidArgument("metadata payload missing sections");
-  }
-  CitusMetadata& md = ext->metadata();
-  md.default_shard_count = static_cast<int>(shard_count->number_value());
-  md.workers.clear();
-  for (const sql::JsonPtr& w : workers->array_items()) {
-    md.workers.push_back(w->string_value());
-  }
-  for (const sql::JsonPtr& t : tables->array_items()) {
-    CITUSX_ASSIGN_OR_RETURN(CitusTable table, DeserializeTable(t));
-    ext->RegisterShellTable(table.name);
-    md.ApplySyncedTable(std::move(table));
-  }
-  std::set<std::string> keep;
-  for (const sql::JsonPtr& n : names->array_items()) {
-    keep.insert(n->string_value());
+  for (CitusTable& table : delta.tables) {
     // Every distributed table has a local shell on this node; record that
     // so a later stale window refuses to answer from the empty shell.
-    ext->RegisterShellTable(n->string_value());
+    ext->RegisterShellTable(table.name);
+    md.ApplySyncedTable(std::move(table));
   }
-  md.ReconcileTables(keep);
-  ext->ReconcileShellTables(keep);
-  md.procedures.clear();
-  for (const sql::JsonPtr& p : procedures->array_items()) {
-    sql::JsonPtr name = p->GetField("name");
-    sql::JsonPtr arg = p->GetField("dist_arg_index");
-    sql::JsonPtr table = p->GetField("colocated_table");
-    if (!name || !arg || !table) {
-      return Status::InvalidArgument("metadata payload procedure malformed");
-    }
-    DistributedProcedure proc;
-    proc.name = name->string_value();
-    proc.dist_arg_index = static_cast<int>(arg->number_value());
-    proc.colocated_table = table->string_value();
-    md.procedures[proc.name] = std::move(proc);
-  }
-  if (ext->metric_mx_sync_applied != nullptr) {
-    ext->metric_mx_sync_applied->Inc();
-  }
+  if (delta.workers) md.workers = std::move(*delta.workers);
+  if (delta.procedures) md.procedures = std::move(*delta.procedures);
+  md.FinishSync(delta.to);
+  ext->metric_mx_sync_applied->Inc();
   return Status::OK();
 }
 
@@ -316,104 +299,72 @@ Status CitusExtension::SyncMetadataToNode(const std::string& target,
     return Status::NotFound("unknown node: " + target);
   }
   const uint64_t version = metadata_->cluster_version();
+  // Read before the round: a restart that lands mid-round leaves the
+  // recorded epoch stale, so the peer stays pending and gets re-synced.
+  const uint64_t epoch = target_node->restart_epoch();
   NodeSyncState& state = sync_states_[target];
   // Already current: nothing to ship. Without this, a sweep triggered by
   // one lagging peer (the maintenance daemon syncs all workers whenever
-  // any is pending) would re-send the full catalog to every current peer —
+  // any is pending) would re-send the catalog to every current peer —
   // O(catalog x cluster) of pointless traffic at 128 nodes. The explicit
-  // repair UDFs force a re-ship regardless.
-  if (!force && state.synced && state.version == version &&
-      target_node->restart_epoch() == state.target_epoch) {
-    return Status::OK();
-  }
+  // repair UDFs force a snapshot regardless.
+  const bool same_epoch = state.synced && epoch == state.target_epoch;
+  if (!force && same_epoch && state.version == version) return Status::OK();
   state.attempts++;
   metric_mx_sync_rounds->Inc();
   auto fire_hook = [&](MetadataSyncPoint point) -> Status {
     if (metadata_sync_fault_hook) return metadata_sync_fault_hook(target, point);
     return Status::OK();
   };
-  // Delta fast path: the peer is known-synced at an earlier version, has
-  // not restarted since, and the drop log still reaches back to its base —
-  // ship only what changed, in one round trip. Any failure (most commonly
-  // a base mismatch after the peer missed a round) falls through to the
-  // authoritative three-round-trip protocol below.
-  if (config_.enable_delta_metadata_sync && state.synced &&
-      state.version > 0 && state.version < version &&
-      target_node->restart_epoch() == state.target_epoch &&
-      metadata_->DropLogCovers(state.version)) {
-    Status delta = [&]() -> Status {
-      CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kBeforeBegin));
-      CITUSX_ASSIGN_OR_RETURN(std::unique_ptr<net::Connection> conn,
-                              directory_->Connect(node_, target));
-      const std::string payload =
-          SerializeMetadataDelta(*metadata_, state.version);
-      metric_mx_sync_bytes->Inc(static_cast<int64_t>(payload.size()));
-      state.bytes_sent += static_cast<int64_t>(payload.size());
-      CITUSX_RETURN_IF_ERROR(
-          conn->Query("SELECT citus_internal_metadata_apply_delta(" +
-                      QuoteSqlLiteral(payload) + ")")
-              .status());
-      state.round_trips++;
-      CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kAfterApply));
-      return Status::OK();
-    }();
-    if (delta.ok()) {
-      state.version = version;
-      state.target_epoch = target_node->restart_epoch();
-      state.synced = true;
-      state.last_sync_time = node_->sim()->now();
-      state.syncs++;
-      state.delta_syncs++;
-      metric_mx_delta_syncs->Inc();
-      return Status::OK();
-    }
-  }
-  auto run = [&]() -> Status {
-    CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kBeforeBegin));
+  // One round: ship the delta from `base` (0 = snapshot) in one round trip.
+  uint64_t shipped = 0;
+  auto ship = [&](uint64_t base) -> Status {
+    CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kBeforeApply));
     CITUSX_ASSIGN_OR_RETURN(std::unique_ptr<net::Connection> conn,
                             directory_->Connect(node_, target));
-    const std::string ver = std::to_string(version);
-    CITUSX_ASSIGN_OR_RETURN(
-        engine::QueryResult begin,
-        conn->Query("SELECT citus_internal_metadata_sync_begin('" + ver +
-                    "')"));
-    state.round_trips++;
-    uint64_t peer_version = 0;
-    if (!begin.rows.empty() && !begin.rows[0].empty()) {
-      peer_version = static_cast<uint64_t>(begin.rows[0][0].AsInt64());
-    }
-    CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kAfterBegin));
-    const std::string payload =
-        SerializeMetadataPayload(*metadata_, peer_version);
+    shipped = metadata_->cluster_version();
+    const std::string payload = SerializeMetadataDelta(*metadata_, base);
     metric_mx_sync_bytes->Inc(static_cast<int64_t>(payload.size()));
     state.bytes_sent += static_cast<int64_t>(payload.size());
-    CITUSX_RETURN_IF_ERROR(
-        conn->Query("SELECT citus_internal_metadata_apply(" +
+    Status applied =
+        conn->Query("SELECT citus_internal_metadata_apply_delta(" +
                     QuoteSqlLiteral(payload) + ")")
-            .status());
-    state.round_trips++;
-    CITUSX_RETURN_IF_ERROR(fire_hook(MetadataSyncPoint::kAfterApply));
-    CITUSX_RETURN_IF_ERROR(
-        conn->Query("SELECT citus_internal_metadata_sync_finish('" + ver +
-                    "')")
-            .status());
-    state.round_trips++;
-    return Status::OK();
+            .status();
+    state.round_trips++;  // a refused delta costs its round trip too
+    CITUSX_RETURN_IF_ERROR(applied);
+    return fire_hook(MetadataSyncPoint::kAfterApply);
   };
-  Status status = run();
+  // Delta: the peer is known-synced at an earlier version, has not
+  // restarted since, and the drop log still reaches back to its base. Any
+  // failure (most commonly a refused base after the peer missed a round)
+  // falls back to a snapshot in the same call.
+  uint64_t base = 0;
+  if (!force && same_epoch && state.version > 0 && state.version < version &&
+      metadata_->DropLogCovers(state.version)) {
+    base = state.version;
+  }
+  Status status = ship(base);
+  if (!status.ok() && base > 0) {
+    base = 0;
+    status = ship(base);
+  }
   if (!status.ok()) {
-    // The target's copy may be half-applied: it stays marked unsynced (the
-    // begin round trip cleared its synced flag) and refuses MX routing
-    // until a later round completes. Never a wrong answer.
+    // The peer either never saw the round (its old copy is intact) or
+    // applied it completely; either way it is pending until a later round
+    // succeeds, and the maintenance daemon retries it.
     state.synced = false;
     metric_mx_sync_failures->Inc();
     return status;
   }
-  state.version = version;
-  state.target_epoch = target_node->restart_epoch();
+  state.version = shipped;
+  state.target_epoch = epoch;
   state.synced = true;
   state.last_sync_time = node_->sim()->now();
   state.syncs++;
+  if (base > 0) {
+    state.delta_syncs++;
+    metric_mx_delta_syncs->Inc();
+  }
   return Status::OK();
 }
 

@@ -1,35 +1,32 @@
-// Metadata syncing (§3.10, Citus MX): payload serialization helpers shared
-// by the authority-side syncer (metadata_sync.cc) and the worker-side
-// internal UDFs that apply a payload (udf.cc). The protocol itself is three
-// round trips driven by CitusExtension::SyncMetadataToNode:
-//
-//   1. SELECT citus_internal_metadata_sync_begin('<version>')
-//        marks the peer's copy unsynced, returns the version it last
-//        applied (for incremental payloads)
-//   2. SELECT citus_internal_metadata_apply('<json payload>')
-//        replaces tables changed since that version, reconciles drops,
-//        refreshes workers / procedures / shell registrations
-//   3. SELECT citus_internal_metadata_sync_finish('<version>')
-//        publishes the new version and re-marks the copy synced
-//
-// A failure at any point leaves the peer unsynced; it refuses MX routing
-// (never answers from a half-applied copy) until the maintenance daemon or
-// a manual citus_sync_metadata() completes a full round.
-//
-// Delta fast path (large clusters): when the authority knows a peer is
-// synced at version F (and the peer has not restarted since), it ships one
-// round trip instead of three:
+// Metadata syncing (§3.10, Citus MX): the one wire format shared by the
+// authority-side syncer (CitusExtension::SyncMetadataToNode) and the
+// worker-side internal UDF that applies it (udf.cc). Every sync round is a
+// single round trip:
 //
 //   SELECT citus_internal_metadata_apply_delta('<json delta>')
 //
-// The delta carries only what changed between F and the current version V:
-// changed tables, dropped table names (from the authority's drop log),
-// and the worker list / procedure map only if they changed. The receiver
-// validates atomically that its copy is synced at exactly F before
-// applying, and publishes V in the same step; any mismatch is a SQL error
-// and the authority falls back to the full three-round-trip protocol in
-// the same call. Sync cost per change is therefore proportional to the
-// size of the change, not to the catalog or the cluster.
+// A delta carries what changed between a base version F and the
+// authority's current version V: the tables modified since F, the table
+// names dropped since F (from the authority's drop log), and the worker
+// list / procedure map only if they changed since F. A snapshot is the
+// delta from F = 0: it carries every table, the worker list and the
+// procedures, and the receiver drops every table and shell registration it
+// does not list.
+//
+// The authority ships a delta from F only to a peer it knows is synced at
+// F, with an unchanged restart epoch, while the drop log still reaches back
+// to F. Every other round ships a snapshot: a first sync, a forced repair
+// (citus_sync_metadata, start_metadata_sync_to_node), a round after a
+// restart or a failed round, and the retry after a peer refused a delta.
+//
+// The receiver decodes and validates the whole payload before touching its
+// copy, requires a copy synced at exactly F when F > 0, then applies it and
+// publishes V with no yield in between. So no copy is ever half-applied: a
+// round either never reaches the peer, which keeps its intact old-version
+// copy, or applies completely. The authority marks a peer whose round
+// failed pending and the maintenance daemon retries it with a snapshot.
+// Sync cost per change is proportional to the size of the change, not to
+// the catalog or the cluster.
 #ifndef CITUSX_CITUS_METADATA_SYNC_H_
 #define CITUSX_CITUS_METADATA_SYNC_H_
 
@@ -43,28 +40,16 @@ namespace citusx::citus {
 
 class CitusExtension;
 
-/// Serialize `md` into the sync payload JSON. Only tables with
-/// modified_version > peer_version are included in "tables"; "table_names"
-/// always lists the full catalog so the receiver can reconcile drops.
-std::string SerializeMetadataPayload(const CitusMetadata& md,
-                                     uint64_t peer_version);
-
-/// Apply a sync payload to `ext`'s local metadata copy (worker side).
-/// Registers every listed table as a shell and drops local tables absent
-/// from the payload's full name list. Does not publish a version — that is
-/// sync_finish's job, after the apply succeeded.
-Status ApplyMetadataPayload(CitusExtension* ext, const std::string& json);
-
-/// Serialize the delta between `from_version` and md's current version:
-/// changed tables, dropped names, and workers/procedures when touched
-/// since. Caller must have verified DropLogCovers(from_version).
+/// Serialize the delta between `from_version` and md's current version;
+/// from 0 it is a snapshot. For a nonzero base the caller must have checked
+/// DropLogCovers(from_version).
 std::string SerializeMetadataDelta(const CitusMetadata& md,
                                    uint64_t from_version);
 
-/// Apply a delta payload (worker side). Validates the local copy is synced
-/// at exactly the delta's base version, applies the changes, and publishes
-/// the delta's target version — all atomically (no yields). A base
-/// mismatch returns InvalidArgument without touching the copy.
+/// Apply a delta (worker side). Decodes and validates all of it, checks
+/// that a nonzero base is exactly the version of a synced local copy, then
+/// applies it and publishes its target version atomically (no yields). Any
+/// error returns InvalidArgument without touching the copy.
 Status ApplyMetadataDelta(CitusExtension* ext, const std::string& json);
 
 }  // namespace citusx::citus

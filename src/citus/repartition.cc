@@ -6,13 +6,10 @@
 // shard intervals (fragments land exactly where their join partners live)
 // or broadcast when the table is tiny or carries no usable join key.
 //
-// Data movement is worker-to-worker by default: each source shard runs a
+// Data movement is worker-to-worker: each source shard runs a
 // `citus_internal_shuffle` task on its own worker that hash-buckets the
 // rows and ships every bucket directly to its destination worker, so the
-// coordinator never touches tuple data. Setting
-// CitusConfig::repartition_via_coordinator routes the shuffle through the
-// coordinator instead (map output pulled, bucketed, COPY'd back out) — the
-// ablation baseline the abl_joins bench compares against.
+// coordinator never touches tuple data.
 //
 // Moved tables land in intermediate results: temporary reference relations
 // with one full-range shard replicated on the kept workers, dropped again
@@ -194,82 +191,6 @@ Status ShuffleWorkerToWorker(CitusExtension* ext, engine::Session& session,
         "citus.max_intermediate_result_size",
         mp.table->name.c_str()));
   }
-  return Status::OK();
-}
-
-// Coordinator-mediated shuffle (ablation baseline): pull every source
-// shard's rows to the coordinator, bucket them there, COPY the buckets out.
-// Twice the wire traffic of worker-to-worker and the coordinator becomes
-// the bottleneck — which is exactly what abl_joins measures.
-Status ShuffleViaCoordinator(CitusExtension* ext, engine::Session& session,
-                             const MovePlan& mp, engine::TableInfo* shell,
-                             const IntermediateResult& ir, int64_t max_bytes) {
-  AdaptiveExecutor executor(ext);
-  std::vector<Task> map_tasks;
-  for (size_t i = 0; i < mp.table->shards.size(); i++) {
-    Task t;
-    t.index = static_cast<int>(i);
-    t.worker = mp.table->shards[i].placement;
-    t.sql =
-        "SELECT * FROM " + mp.table->ShardName(mp.table->shards[i].shard_id);
-    map_tasks.push_back(std::move(t));
-  }
-  CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> map_results,
-                          executor.Execute(session, std::move(map_tasks)));
-  int64_t pulled = 0;
-  for (const auto& r : map_results) pulled += net::ResultWireBytes(r);
-
-  int join_col_idx =
-      mp.join_col.empty() ? -1 : shell->schema().FindColumn(mp.join_col);
-  std::map<std::string, std::vector<std::vector<std::string>>> shipments;
-  for (auto& r : map_results) {
-    for (auto& row : r.rows) {
-      std::vector<std::string> fields = RowToCopyFields(row);
-      if (join_col_idx >= 0 && mp.target != nullptr) {
-        const sql::Datum& key = row[static_cast<size_t>(join_col_idx)];
-        // NULL / uncastable keys can never match a join partner; route them
-        // to the first interval so every input row lands exactly once (a
-        // LEFT JOIN still NULL-extends them, exactly once).
-        int idx = 0;
-        if (!key.is_null()) {
-          auto coerced = key.CastTo(mp.target->dist_col_type);
-          if (coerced.ok()) {
-            int h = mp.target->ShardIndexForHash(coerced->PartitionHash());
-            if (h >= 0) idx = h;
-          }
-        }
-        shipments[mp.target->shards[static_cast<size_t>(idx)].placement]
-            .push_back(std::move(fields));
-      } else {
-        for (const std::string& w : ir.workers) {
-          shipments[w].push_back(fields);
-        }
-      }
-    }
-  }
-  int64_t shipped_bytes = 0;
-  for (const auto& [w, rows] : shipments) shipped_bytes += CopyRowsBytes(rows);
-  ext->metric_repartition_coordinator_bytes->Inc(pulled + shipped_bytes);
-  if (max_bytes >= 0 && shipped_bytes > max_bytes) {
-    return Status::ResourceExhausted(StrFormat(
-        "repartitioned relation \"%s\" exceeds "
-        "citus.max_intermediate_result_size",
-        mp.table->name.c_str()));
-  }
-  std::vector<Task> copy_tasks;
-  int index = 0;
-  for (auto& [w, rows] : shipments) {
-    if (rows.empty()) continue;
-    Task t;
-    t.index = index++;
-    t.worker = w;
-    t.is_copy = true;
-    t.copy_table = ir.shard;
-    t.copy_rows = std::move(rows);
-    copy_tasks.push_back(std::move(t));
-  }
-  CITUSX_RETURN_IF_ERROR(
-      executor.Execute(session, std::move(copy_tasks)).status());
   return Status::OK();
 }
 
@@ -550,7 +471,6 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
 
   // ---- execute: create temps, move data, run the co-located remainder ----
   ext_->metric_repartition_joins->Inc();
-  const bool via_coordinator = ext_->config().repartition_via_coordinator;
   const int64_t max_bytes = MaxIntermediateResultBytes(session);
   sql::SelectPtr rewritten = sel.Clone();
   std::vector<IntermediateResult> temps;
@@ -583,10 +503,7 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
     const IntermediateResult& ir = temps.back();
     Status step = fault(ir.logical, RepartitionPoint::kAfterCreate);
     if (step.ok()) {
-      step = via_coordinator
-                 ? ShuffleViaCoordinator(ext_, session, mp, shell, ir,
-                                         max_bytes)
-                 : ShuffleWorkerToWorker(ext_, session, mp, ir, max_bytes);
+      step = ShuffleWorkerToWorker(ext_, session, mp, ir, max_bytes);
     }
     if (step.ok()) step = fault(ir.logical, RepartitionPoint::kAfterShuffle);
     if (!step.ok()) {

@@ -1,7 +1,6 @@
 // Citus UDFs (§3.3): create_distributed_table, create_reference_table,
 // co-location, procedure delegation registration, rebalancing entry points,
 // and the consistent restore point.
-#include <cstdlib>
 
 #include "citus/metadata_sync.h"
 #include "sim/channel.h"
@@ -522,28 +521,10 @@ void CitusExtension::RegisterUdfs() {
     return sql::Datum::Int8(synced);
   };
 
-  // Internal protocol UDFs, invoked by the authority's syncer on the
-  // receiving node (see metadata_sync.h for the three-phase protocol).
-  udfs["citus_internal_metadata_sync_begin"] =
-      [ext](engine::Session& session,
-            const std::vector<sql::Datum>& args) -> Result<sql::Datum> {
-    // Mark the copy unsynced for the apply window and report the version
-    // last applied, so the authority ships an incremental payload.
-    return sql::Datum::Int8(
-        static_cast<int64_t>(ext->metadata().BeginSync()));
-  };
-
-  udfs["citus_internal_metadata_apply"] =
-      [ext](engine::Session& session,
-            const std::vector<sql::Datum>& args) -> Result<sql::Datum> {
-    if (args.empty()) {
-      return Status::InvalidArgument(
-          "citus_internal_metadata_apply(payload)");
-    }
-    CITUSX_RETURN_IF_ERROR(ApplyMetadataPayload(ext, args[0].ToText()));
-    return sql::Datum::Null();
-  };
-
+  // Internal sync UDF, invoked by the authority's syncer on the receiving
+  // node (see metadata_sync.h for the protocol). Decodes and validates the
+  // whole delta, checks its base, then applies and publishes it atomically;
+  // any error leaves the copy untouched and the authority sends a snapshot.
   udfs["citus_internal_metadata_apply_delta"] =
       [ext](engine::Session& session,
             const std::vector<sql::Datum>& args) -> Result<sql::Datum> {
@@ -551,22 +532,7 @@ void CitusExtension::RegisterUdfs() {
       return Status::InvalidArgument(
           "citus_internal_metadata_apply_delta(payload)");
     }
-    // Validates the base version, applies, and publishes atomically; a
-    // mismatch is a SQL error and the authority falls back to a full sync.
     CITUSX_RETURN_IF_ERROR(ApplyMetadataDelta(ext, args[0].ToText()));
-    return sql::Datum::Null();
-  };
-
-  udfs["citus_internal_metadata_sync_finish"] =
-      [ext](engine::Session& session,
-            const std::vector<sql::Datum>& args) -> Result<sql::Datum> {
-    if (args.empty()) {
-      return Status::InvalidArgument(
-          "citus_internal_metadata_sync_finish(version)");
-    }
-    uint64_t version =
-        std::strtoull(args[0].ToText().c_str(), nullptr, 10);
-    ext->metadata().FinishSync(version);
     return sql::Datum::Null();
   };
 
@@ -699,10 +665,9 @@ void CitusExtension::RegisterUdfs() {
     // Ship every bucket to its destination concurrently (including this
     // worker: loop-back connections keep the path uniform). Serial ships
     // would pay RTT + the receiver's COPY apply once per destination;
-    // concurrent ships pay only the slowest one — the same parallelism the
-    // coordinator relay gets from its per-worker COPY tasks. Connections
-    // come from the node's shuffle cache (paying connect_cost per
-    // destination every shuffle would hand the win back to the relay); a
+    // concurrent ships pay only the slowest one. Connections come from the
+    // node's shuffle cache (a fresh connect_cost per destination on every
+    // shuffle would cost more than a small shuffle's data path); a
     // connection that fails mid-COPY is destroyed, not recycled.
     sim::Simulation* sim = ext->node()->sim();
     auto ship_status = std::make_shared<std::vector<Status>>();

@@ -58,7 +58,6 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "citus.planner.pushdown",
     "citus.planner.router",
     // citus: join-order tier data movement
-    "citus.repartition.coordinator_bytes",
     "citus.repartition.joins",
     "citus.repartition.shuffled_bytes",
     // engine: lock manager

@@ -1,10 +1,13 @@
 // Chaos tests: the fault-injection framework (sim::FaultInjector) and the
 // failure-hardened distributed execution path — task retries, replica
 // failover, connection pruning, 2PC crash recovery at every phase boundary,
-// clean rebalance aborts, and the citus_stat_failures view.
+// clean rebalance aborts, crashes around a metadata-sync round, connection
+// accounting when a client leaves during pool growth, and the
+// citus_stat_failures view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "citus/deploy.h"
 #include "citus/rebalancer.h"
@@ -462,8 +465,8 @@ TEST_F(ChaosTest, CommitFailureBeforePrepareAbortsEverywhere) {
 TEST_F(ChaosTest, CrashAfterPrepareIsRolledBackByRecovery) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.deadlock_poll_interval = 1 * sim::kSecond;
-  options.citus.recovery_poll_interval = 5 * sim::kSecond;
+  options.cost.deadlock_poll_interval = 1 * sim::kSecond;
+  options.cost.recovery_poll_interval = 5 * sim::kSecond;
   Deploy(options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();
@@ -507,8 +510,8 @@ TEST_F(ChaosTest, CrashAfterPrepareIsRolledBackByRecovery) {
 TEST_F(ChaosTest, CrashAfterCommitRecordIsCommittedByRecovery) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.deadlock_poll_interval = 1 * sim::kSecond;
-  options.citus.recovery_poll_interval = 5 * sim::kSecond;
+  options.cost.deadlock_poll_interval = 1 * sim::kSecond;
+  options.cost.recovery_poll_interval = 5 * sim::kSecond;
   Deploy(options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();
@@ -542,7 +545,7 @@ TEST_F(ChaosTest, CrashAfterCommitRecordIsCommittedByRecovery) {
 TEST_F(ChaosTest, ShardMoveAbortsCleanlyWhenTargetDies) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.recovery_poll_interval = 2 * sim::kSecond;
+  options.cost.recovery_poll_interval = 2 * sim::kSecond;
   Deploy(options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();
@@ -600,7 +603,7 @@ TEST_F(ChaosTest, ShardMoveAbortsCleanlyWhenTargetDies) {
 TEST_F(ChaosTest, CrashDuringMetadataSyncLeavesNodeStaleUntilResync) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.deadlock_poll_interval = 1 * sim::kSecond;
+  options.cost.deadlock_poll_interval = 1 * sim::kSecond;
   Deploy(options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();
@@ -608,12 +611,12 @@ TEST_F(ChaosTest, CrashDuringMetadataSyncLeavesNodeStaleUntilResync) {
     int64_t k1 = 0, k2 = 0;
     SetupPairTable(**conn, &k1, &k2);
     CitusExtension* ext = CoordinatorExt();
-    // Crash worker1 right after the sync round marked it unsynced (begin
-    // done, payload never shipped): the round fails mid-flight.
+    // Crash worker1 right before the sync round ships its payload: the
+    // round fails mid-flight.
     bool fired = false;
     ext->metadata_sync_fault_hook = [&](const std::string& target,
                                         MetadataSyncPoint point) {
-      if (target == "worker1" && point == MetadataSyncPoint::kAfterBegin &&
+      if (target == "worker1" && point == MetadataSyncPoint::kBeforeApply &&
           !fired) {
         fired = true;
         sim_.faults().Crash("worker1");
@@ -650,6 +653,115 @@ TEST_F(ChaosTest, CrashDuringMetadataSyncLeavesNodeStaleUntilResync) {
     EXPECT_EQ(r2->rows[0][0].int_value(), 0);
   });
   sim_.Run();
+}
+
+// A worker that crashes right after a sync round applied on it (the
+// authority already saw the round succeed) is caught by its restart epoch:
+// it refuses MX routing after the restart until the daemon re-syncs it.
+TEST_F(ChaosTest, CrashAfterMetadataApplyIsHealedByDaemon) {
+  DeploymentOptions options;
+  options.num_workers = 2;
+  options.cost.deadlock_poll_interval = 1 * sim::kSecond;
+  Deploy(options);
+  sim_.Spawn("test", [&] {
+    auto conn = deploy_->Connect();
+    ASSERT_TRUE(conn.ok());
+    int64_t k1 = 0, k2 = 0;
+    SetupPairTable(**conn, &k1, &k2);
+    CitusExtension* ext = CoordinatorExt();
+    bool fired = false;
+    ext->metadata_sync_fault_hook = [&](const std::string& target,
+                                        MetadataSyncPoint point) {
+      if (target == "worker1" && point == MetadataSyncPoint::kAfterApply &&
+          !fired) {
+        fired = true;
+        sim_.faults().Crash("worker1");
+      }
+      return Status::OK();
+    };
+    auto sync = (*conn)->Query("SELECT citus_sync_metadata()");
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    ASSERT_TRUE(fired);
+    ext->metadata_sync_fault_hook = nullptr;
+    sim_.faults().Restart("worker1");
+    EXPECT_TRUE(ext->AnyMetadataSyncPending());
+    CitusExtension* wext = deploy_->extension(
+        deploy_->cluster().directory().Find("worker1"));
+    EXPECT_FALSE(wext->MxReady());
+    auto wconn = deploy_->Connect("worker1");
+    ASSERT_TRUE(wconn.ok());
+    auto r = (*wconn)->Query(StrFormat("SELECT v FROM t WHERE key = %lld",
+                                       static_cast<long long>(k1)));
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(IsStaleMetadataStatus(r.status())) << r.status().ToString();
+    sim_.WaitFor(3 * sim::kSecond);
+    EXPECT_TRUE(wext->MxReady());
+    EXPECT_FALSE(ext->AnyMetadataSyncPending());
+    auto healed = deploy_->Connect("worker1");
+    ASSERT_TRUE(healed.ok());
+    auto r2 = (*healed)->Query(StrFormat("SELECT v FROM t WHERE key = %lld",
+                                         static_cast<long long>(k1)));
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    EXPECT_EQ(r2->rows[0][0].int_value(), 0);
+  });
+  sim_.Run();
+}
+
+// A client that disconnects right after a multi-shard read, while the
+// executor's pool-growth connects are still in flight, must not leak them:
+// each late connection is closed and never counted against the worker.
+// Both the slow-start and the pipelined executor grow the pool this way.
+TEST_F(ChaosTest, ClientCloseDuringPoolGrowthLeaksNoConnections) {
+  for (bool pipelining : {true, false}) {
+    SCOPED_TRACE(pipelining ? "pipelined" : "slow start");
+    sim::Simulation sim;
+    DeploymentOptions options;
+    options.num_workers = 2;
+    options.citus.shard_count = 64;
+    options.citus.enable_task_pipelining = pipelining;
+    options.cost.connect_cost = 40 * sim::kMillisecond;
+    Deployment deploy(&sim, options);
+    CitusExtension* ext = deploy.extension(deploy.coordinator());
+    sim.Spawn("test", [&] {
+      {
+        auto setup = deploy.Connect();
+        ASSERT_TRUE(setup.ok());
+        ASSERT_TRUE((*setup)->Query("CREATE TABLE t (key bigint, v bigint)")
+                        .ok());
+        ASSERT_TRUE(
+            (*setup)->Query("SELECT create_distributed_table('t', 'key')")
+                .ok());
+        ASSERT_TRUE(
+            (*setup)->Query("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+                .ok());
+        (*setup)->Close();
+      }
+      sim.WaitFor(200 * sim::kMillisecond);
+      std::map<std::string, int> outgoing;
+      std::map<std::string, int64_t> gate;
+      for (engine::Node* w : deploy.workers()) {
+        outgoing[w->name()] = ext->outgoing_connections(w->name());
+        gate[w->name()] =
+            deploy.cluster().directory().GateFor(w->name())->in_use();
+      }
+      auto client = deploy.Connect();
+      ASSERT_TRUE(client.ok());
+      auto r = (*client)->Query("SELECT count(*) FROM t");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->rows[0][0].int_value(), 3);
+      (*client)->Close();
+      sim.WaitFor(200 * sim::kMillisecond);
+      for (engine::Node* w : deploy.workers()) {
+        EXPECT_EQ(ext->outgoing_connections(w->name()), outgoing[w->name()])
+            << w->name();
+        EXPECT_EQ(deploy.cluster().directory().GateFor(w->name())->in_use(),
+                  gate[w->name()])
+            << w->name();
+      }
+    });
+    sim.Run();
+    sim.Shutdown();  // before the deployment goes away
+  }
 }
 
 // A worker crash landing mid-scan under the vectorized executor must surface
@@ -747,7 +859,7 @@ TEST_F(ChaosTest, StatFailuresViewExposesFailureCounters) {
 TEST_F(ChaosTest, CrashMidRepartitionJoinCleansUpIntermediateResults) {
   DeploymentOptions options;
   options.num_workers = 3;
-  options.citus.recovery_poll_interval = 2 * sim::kSecond;
+  options.cost.recovery_poll_interval = 2 * sim::kSecond;
   Deploy(options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();

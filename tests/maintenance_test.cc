@@ -21,7 +21,7 @@ class MaintenanceTest : public ::testing::Test {
 TEST_F(MaintenanceTest, DaemonRecoversOrphanedPreparedTransaction) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.recovery_poll_interval = 10 * sim::kSecond;
+  options.cost.recovery_poll_interval = 10 * sim::kSecond;
   deploy_ = std::make_unique<Deployment>(&sim_, options);
   sim_.Spawn("test", [&] {
     auto conn = deploy_->Connect();
@@ -142,7 +142,7 @@ TEST_F(MaintenanceTest, RestorePointWaitsForInFlight2pc) {
 TEST_F(MaintenanceTest, DistributedDeadlockAbortsExactlyOneVictim) {
   DeploymentOptions options;
   options.num_workers = 2;
-  options.citus.deadlock_poll_interval = 500 * sim::kMillisecond;
+  options.cost.deadlock_poll_interval = 500 * sim::kMillisecond;
   deploy_ = std::make_unique<Deployment>(&sim_, options);
   auto conn_a = std::make_shared<std::unique_ptr<net::Connection>>();
   auto conn_b = std::make_shared<std::unique_ptr<net::Connection>>();

@@ -1,8 +1,9 @@
 // Citus MX tests (§3.10): metadata syncing to workers and any-node
 // coordination — router reads/writes and multi-shard queries via workers
 // match coordinator-originated results, worker-originated 2PC, stale-node
-// rejection (never wrong answers), re-sync healing, the sync admin UDFs,
-// and the citus_stat_metadata_sync view.
+// rejection (never wrong answers), re-sync healing (deltas, snapshots, the
+// snapshot retry after a refused delta), rejection of malformed sync
+// payloads, the sync admin UDFs, and the citus_stat_metadata_sync view.
 #include <gtest/gtest.h>
 
 #include "citus/deploy.h"
@@ -296,7 +297,7 @@ TEST_F(MxTest, ObservedNewerVersionMarksWorkerStale) {
     CitusExtension* cext = ExtOf("coordinator");
     cext->metadata_sync_fault_hook = [](const std::string& target,
                                         MetadataSyncPoint point) {
-      if (target == "worker1" && point == MetadataSyncPoint::kBeforeBegin) {
+      if (target == "worker1" && point == MetadataSyncPoint::kBeforeApply) {
         return Status::Unavailable("injected sync failure");
       }
       return Status::OK();
@@ -381,7 +382,7 @@ TEST_F(MxTest, RestartClearsSyncedStateUntilResync) {
   DeploymentOptions options;
   options.num_workers = 2;
   // Park the maintenance daemon so the stale window is observable.
-  options.citus.deadlock_poll_interval = 600 * sim::kSecond;
+  options.cost.deadlock_poll_interval = 600 * sim::kSecond;
   Deploy(options);
   RunSim([&] {
     auto cconn = deploy_->Connect();
@@ -430,7 +431,7 @@ TEST_F(MxTest, StatMetadataSyncViewExposesSyncState) {
       EXPECT_EQ(row[2].int_value(), 1);  // synced
       EXPECT_EQ(row[3].int_value(), static_cast<int64_t>(version));
       if (!authority) {
-        EXPECT_GE(row[5].int_value(), 3);  // >= 3 round trips per sync
+        EXPECT_GE(row[5].int_value(), 1);  // >= 1 round trip per sync
         EXPECT_GE(row[6].int_value(), 1);  // >= 1 successful sync
         EXPECT_GE(row[7].int_value(), row[6].int_value());  // attempts
       }
@@ -491,8 +492,8 @@ TEST_F(MxTest, DdlOnDistributedTablesRefusedOnWorker) {
 // Adding a node mid-flight syncs it and extends reference-table placement;
 // dropped tables disappear from worker copies on the next sync.
 // Once a worker is synced, further metadata changes ship as one-round-trip
-// deltas; a restarted worker (stale base) falls back to the full protocol
-// and then resumes delta syncing.
+// deltas; a restarted worker (stale base) gets a snapshot and then resumes
+// delta syncing.
 TEST_F(MxTest, DeltaSyncShipsIncrementsInOneRoundTrip) {
   MakeDeployment(2);
   RunSim([&] {
@@ -507,22 +508,22 @@ TEST_F(MxTest, DeltaSyncShipsIncrementsInOneRoundTrip) {
     // DDL on an already-synced cluster: the version bump syncs via delta.
     MustQuery(**cconn, "CREATE INDEX kv_v ON kv (v)");
     EXPECT_GT(st.delta_syncs, deltas0);
-    EXPECT_EQ(st.round_trips, rts0 + 1);  // one RT, not three
+    EXPECT_EQ(st.round_trips, rts0 + 1);  // one RT
     EXPECT_EQ(ExtOf("worker1")->metadata().cluster_version(),
               deploy_->metadata().cluster_version());
     EXPECT_TRUE(ExtOf("worker1")->MxReady());
     // A dropped table rides the delta's drop log.
     MustQuery(**cconn, "DROP TABLE kv");
     EXPECT_EQ(ExtOf("worker1")->metadata().Find("kv"), nullptr);
-    // Restart invalidates the peer's epoch: the next sync must be a full
-    // round (delta count unchanged), after which deltas resume.
+    // Restart invalidates the peer's epoch: the next sync must be a
+    // snapshot (delta count unchanged), after which deltas resume.
     int64_t deltas1 = st.delta_syncs;
     sim_.faults().Crash("worker1");
     sim_.faults().Restart("worker1");
     MustQuery(**cconn, "CREATE TABLE kv2 (key bigint PRIMARY KEY, v text)");
     MustQuery(**cconn, "SELECT create_distributed_table('kv2', 'key')");
     EXPECT_TRUE(ExtOf("worker1")->MxReady());
-    EXPECT_EQ(st.delta_syncs, deltas1);  // full round after the restart
+    EXPECT_EQ(st.delta_syncs, deltas1);  // snapshot after the restart
     MustQuery(**cconn, "CREATE INDEX kv2_v ON kv2 (v)");
     EXPECT_GT(st.delta_syncs, deltas1);  // deltas resume
     // A non-forcing sweep (the eager post-DDL / maintenance-daemon path)
@@ -534,9 +535,117 @@ TEST_F(MxTest, DeltaSyncShipsIncrementsInOneRoundTrip) {
     ASSERT_TRUE(swept.ok());
     EXPECT_EQ(st.round_trips, rts2);
     EXPECT_EQ(st.attempts, attempts2);
-    // The explicit repair UDF forces a full re-ship.
+    // The explicit repair UDF forces a snapshot.
     MustQuery(**cconn, "SELECT citus_sync_metadata()");
     EXPECT_GT(st.round_trips, rts2);
+  });
+}
+
+// A delta is decoded and validated in full before it touches the copy: a
+// valid table followed by a malformed one (missing fields, or a number no
+// integer field can hold) is rejected and leaves the copy exactly as it
+// was (still synced, no table or shell from the payload).
+TEST_F(MxTest, MalformedSyncPayloadLeavesCopyUntouched) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto cconn = deploy_->Connect();
+    ASSERT_TRUE(cconn.ok());
+    MustQuery(**cconn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**cconn, "SELECT create_distributed_table('kv', 'key')");
+    CitusExtension* w1 = ExtOf("worker1");
+    ASSERT_TRUE(w1->MxReady());
+    const uint64_t version = w1->metadata().cluster_version();
+    auto table = [&](const char* name, const char* approx_rows) {
+      return StrFormat(
+          "{\"name\": \"%s\", \"is_reference\": false, "
+          "\"dist_column\": \"key\", \"dist_col_index\": 0, "
+          "\"dist_col_type\": 0, \"colocation_id\": 99, "
+          "\"columnar_shards\": false, \"approx_rows\": %s, "
+          "\"approx_bytes\": 0, \"modified_version\": %llu, "
+          "\"shards\": [], \"replica_nodes\": [], \"post_ddl\": []}",
+          name, approx_rows, static_cast<unsigned long long>(version + 1));
+    };
+    auto wconn = deploy_->Connect("worker1");
+    ASSERT_TRUE(wconn.ok());
+    for (const std::string& bad :
+         {std::string("{\"name\": \"bad\"}"), table("bad", "1e300")}) {
+      SCOPED_TRACE(bad);
+      const std::string payload = StrFormat(
+          "{\"from\": %llu, \"to\": %llu, \"default_shard_count\": 32, "
+          "\"dropped\": [], \"tables\": [%s, %s]}",
+          static_cast<unsigned long long>(version),
+          static_cast<unsigned long long>(version + 1),
+          table("evil", "0").c_str(), bad.c_str());
+      auto r = (*wconn)->Query("SELECT citus_internal_metadata_apply_delta(" +
+                               QuoteSqlLiteral(payload) + ")");
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(w1->metadata().Find("evil"), nullptr);
+      EXPECT_FALSE(w1->IsShellTable("evil"));
+      EXPECT_EQ(w1->metadata().cluster_version(), version);
+      EXPECT_TRUE(w1->MxReady());
+      EXPECT_NE(w1->metadata().Find("kv"), nullptr);
+    }
+  });
+}
+
+// A table dropped while every round to worker1 fails never reaches its
+// copy as a delta; the next round is a snapshot, which drops the table and
+// its shell registration all the same.
+TEST_F(MxTest, SnapshotHealDropsTablesMissedWhileRoundsFailed) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto cconn = deploy_->Connect();
+    ASSERT_TRUE(cconn.ok());
+    MustQuery(**cconn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**cconn, "SELECT create_distributed_table('kv', 'key')");
+    MustQuery(**cconn, "CREATE TABLE gone (key bigint PRIMARY KEY)");
+    MustQuery(**cconn, "SELECT create_distributed_table('gone', 'key')");
+    CitusExtension* w1 = ExtOf("worker1");
+    ASSERT_TRUE(w1->IsShellTable("gone"));
+    CitusExtension* coord = ExtOf("coordinator");
+    const NodeSyncState& st = coord->sync_states().at("worker1");
+    const int64_t deltas = st.delta_syncs;
+    coord->metadata_sync_fault_hook = [](const std::string& target,
+                                         MetadataSyncPoint point) {
+      if (target == "worker1" && point == MetadataSyncPoint::kBeforeApply) {
+        return Status::Unavailable("injected sync failure");
+      }
+      return Status::OK();
+    };
+    MustQuery(**cconn, "DROP TABLE gone");
+    EXPECT_NE(w1->metadata().Find("gone"), nullptr);  // round never arrived
+    EXPECT_TRUE(coord->AnyMetadataSyncPending());
+    coord->metadata_sync_fault_hook = nullptr;
+    // A non-forcing sweep, as the maintenance daemon runs it.
+    ASSERT_TRUE(coord->SyncMetadataToWorkers().ok());
+    EXPECT_EQ(w1->metadata().Find("gone"), nullptr);
+    EXPECT_FALSE(w1->IsShellTable("gone"));
+    EXPECT_TRUE(w1->IsShellTable("kv"));
+    EXPECT_TRUE(w1->MxReady());
+    EXPECT_EQ(st.delta_syncs, deltas);
+  });
+}
+
+// A peer that refuses a delta (here its copy lost its synced mark behind
+// the authority's back) gets a snapshot in the same call: two round trips
+// instead of one, and no delta counted.
+TEST_F(MxTest, RefusedDeltaFallsBackToSnapshotInTheSameCall) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto cconn = deploy_->Connect();
+    ASSERT_TRUE(cconn.ok());
+    MustQuery(**cconn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**cconn, "SELECT create_distributed_table('kv', 'key')");
+    const NodeSyncState& st = ExtOf("coordinator")->sync_states().at("worker1");
+    const int64_t rts = st.round_trips;
+    const int64_t deltas = st.delta_syncs;
+    ExtOf("worker1")->metadata().set_mx_synced(false);
+    MustQuery(**cconn, "CREATE INDEX kv_v ON kv (v)");
+    EXPECT_EQ(st.round_trips, rts + 2);
+    EXPECT_EQ(st.delta_syncs, deltas);
+    EXPECT_TRUE(ExtOf("worker1")->MxReady());
+    EXPECT_EQ(ExtOf("worker1")->metadata().cluster_version(),
+              deploy_->metadata().cluster_version());
   });
 }
 
