@@ -5,7 +5,16 @@
 // than it saves), while expensive analytical queries should ramp up to many
 // connections. This bench runs a multi-shard query whose per-task cost is
 // swept from cheap to expensive, with slow start on and off, and reports
-// latency and connections opened.
+// latency and connections opened. The query runs inside BEGIN ... COMMIT:
+// a read-only fan-out outside a transaction block takes the fixed-width
+// pipelined path, so the transaction block is where slow start admits its
+// connections by default.
+//
+// The binary self-checks every count and sum, that slow start OFF opens the
+// full pool (1 + tasks connections per worker), and that ON opens fewer
+// connections than OFF; it exits non-zero on any violation.
+#include <map>
+
 #include "bench_common.h"
 #include "common/str.h"
 
@@ -42,9 +51,16 @@ Status SetupTable(citus::Deployment& deploy, int64_t rows) {
 int main() {
   PrintHeader("Ablation: adaptive executor slow start (§3.6.1)",
               "design choice from DESIGN.md");
-  std::printf("%-14s %12s %18s %18s %14s\n", "rows/shard", "slow start",
+  std::printf("%-14s %12s %18s %18s %14s\n", "total rows", "slow start",
               "query latency (ms)", "conns opened", "conn time (s)");
+  bool failed = false;
+  auto fail = [&](const char* fmt, auto... vals) {
+    std::fprintf(stderr, fmt, vals...);
+    failed = true;
+  };
   for (int64_t total_rows : {int64_t{3200}, int64_t{64000}, int64_t{640000}}) {
+    int conns_on = 0;
+    int conns_off = 0;
     for (bool slow_start : {true, false}) {
       sim::CostModel cost;
       cost.buffer_pool_bytes = 256LL << 20;  // keep I/O out of the picture
@@ -54,9 +70,6 @@ int main() {
       options.num_workers = setup.workers;
       options.cost = cost;
       options.citus.enable_slow_start = slow_start;
-      // Pipelining batches co-located tasks onto one connection, which would
-      // hide the connection-open cost this ablation exists to measure.
-      options.citus.enable_task_pipelining = false;
       citus::Deployment deploy(&sim, options);
       MustRun(sim, [&] { return SetupTable(deploy, total_rows); });
 
@@ -64,17 +77,40 @@ int main() {
       int conns = 0;
       sim::Time conn_time = 0;
       MustRun(sim, [&]() -> Status {
+        // A fresh session shows the connection ramp-up behaviour we want
+        // to observe (no cached executor connections).
         auto conn_r = deploy.Connect();
         if (!conn_r.ok()) return conn_r.status();
-        // Warm the executor's cached connections? No: a fresh session shows
-        // the connection ramp-up behaviour we want to observe.
+        net::Connection& conn = **conn_r;
+        CITUSX_RETURN_IF_ERROR(conn.Query("BEGIN").status());
         sim::Time t0 = sim.now();
-        CITUSX_RETURN_IF_ERROR(
-            (*conn_r)->Query("SELECT count(*), sum(k) FROM sweep").status());
+        auto r = conn.Query("SELECT count(*), sum(k) FROM sweep");
+        if (!r.ok()) return r.status();
         latency_ms = static_cast<double>(sim.now() - t0) / 1e6;
+        int64_t count = r->rows[0][0].int_value();
+        int64_t sum = r->rows[0][1].int_value();
+        if (count != total_rows || sum != total_rows * (total_rows - 1) / 2) {
+          fail("FAIL: rows=%lld slow_start=%d: count %lld, sum %lld\n",
+               static_cast<long long>(total_rows), slow_start ? 1 : 0,
+               static_cast<long long>(count), static_cast<long long>(sum));
+        }
+        CITUSX_RETURN_IF_ERROR(conn.Query("COMMIT").status());
+        // Pool-growth connects still in flight when the query returns land
+        // by the time COMMIT has made its round trips: count them now.
         citus::CitusExtension* ext = deploy.extension(deploy.coordinator());
+        std::map<std::string, int> tasks;
+        for (const auto& shard : ext->metadata().Find("sweep")->shards) {
+          tasks[shard.placement]++;
+        }
         for (engine::Node* w : deploy.workers()) {
-          conns += ext->outgoing_connections(w->name());
+          int opened = ext->outgoing_connections(w->name());
+          conns += opened;
+          if (!slow_start && opened != 1 + tasks[w->name()]) {
+            fail("FAIL: rows=%lld slow start off: %s opened %d connections, "
+                 "expected 1 + %d tasks\n",
+                 static_cast<long long>(total_rows), w->name().c_str(),
+                 opened, tasks[w->name()]);
+          }
         }
         conn_time = static_cast<sim::Time>(conns) *
                     deploy.coordinator()->cost().connect_cost;
@@ -84,11 +120,20 @@ int main() {
                   static_cast<long long>(total_rows),
                   slow_start ? "on" : "off", latency_ms, conns,
                   static_cast<double>(conn_time) / 1e9);
+      if (slow_start) {
+        conns_on = conns;
+      } else {
+        conns_off = conns;
+      }
       sim.Shutdown();
     }
+    if (conns_on >= conns_off) {
+      fail("FAIL: rows=%lld slow start on opened %d connections, off %d\n",
+           static_cast<long long>(total_rows), conns_on, conns_off);
+    }
   }
-  std::printf("\nExpected: with slow start ON, cheap queries use ~1 connection "
-              "per worker and expensive\nqueries ramp up; with slow start OFF "
-              "every multi-shard query opens the full pool at once.\n");
-  return 0;
+  std::printf("\nExpected: with slow start ON, a multi-shard query in a "
+              "transaction block ramps up\nfrom 1 connection per worker; "
+              "with slow start OFF it opens the full pool at once.\n");
+  return failed ? 1 : 0;
 }

@@ -24,7 +24,7 @@
 //             deliver >= 2x aggregate tps at >= 100k sessions on the same
 //             budget.
 //
-//   abl_scale [--quick] [--json=<path>] [--no-pipelining]
+//   abl_scale [--quick] [--json=<path>]
 #include <unordered_map>
 
 #include "bench_common.h"
@@ -112,7 +112,7 @@ Status RunChurn(citus::Deployment& deploy, net::Connection& conn, int* seq,
   return Status::OK();
 }
 
-NodeScaleResult RunNodeScale(int nodes, bool pipelining, bool quick) {
+NodeScaleResult RunNodeScale(int nodes, bool quick) {
   sim::CostModel cost;
   cost.cores_per_node = 1;  // small nodes: small clusters visibly saturate
   cost.buffer_pool_bytes = 256LL << 20;
@@ -121,7 +121,6 @@ NodeScaleResult RunNodeScale(int nodes, bool pipelining, bool quick) {
   citus::DeploymentOptions options;
   options.num_workers = nodes - 1;
   options.cost = cost;
-  options.citus.enable_task_pipelining = pipelining;
   citus::Deployment deploy(&sim, options);
 
   const int64_t rows = quick ? 1000 : 4000;
@@ -292,16 +291,7 @@ SessionScaleResult RunSessionScale(int64_t sessions, bool pooled, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool pipelining = true;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; i++) {
-    if (std::string(argv[i]) == "--no-pipelining") {
-      pipelining = false;
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  BenchArgs args = ParseBenchArgs(static_cast<int>(rest.size()), rest.data());
+  BenchArgs args = ParseBenchArgs(argc, argv);
 
   PrintHeader("Ablation: transaction pooling + pipelining + delta sync scale",
               "paper §3.2.1 connection scarcity; cluster and session scale");
@@ -316,7 +306,7 @@ int main(int argc, char** argv) {
               "delta RT/n");
   std::vector<NodeScaleResult> node_results;
   for (int n : node_counts) {
-    NodeScaleResult r = RunNodeScale(n, pipelining, args.quick);
+    NodeScaleResult r = RunNodeScale(n, args.quick);
     node_results.push_back(r);
     std::printf("%-8d %12.0f %10.3f %10.3f %10.3f | %14.0f %12.2f\n",
                 r.nodes, r.tps, r.latency.p50_ms, r.latency.p95_ms,
@@ -391,7 +381,7 @@ int main(int argc, char** argv) {
       fail("FAIL: nodes=%d produced %lld errors\n", r.nodes,
            static_cast<long long>(r.errors));
     }
-    if (pipelining && r.pipelined_tasks <= 0) {
+    if (r.pipelined_tasks <= 0) {
       fail("FAIL: nodes=%d executed no pipelined tasks\n", r.nodes);
     }
   }

@@ -7,10 +7,12 @@
 #   tier 2: AddressSanitizer build + full ctest suite
 #   tier 3: ThreadSanitizer build + full ctest suite
 #   tier 4: UndefinedBehaviorSanitizer build + full ctest suite
-#   tier bench: bench + chaos smoke — fig9 (2PC invariant), abl_plancache
-#               (>= 2x plan-cache speedup), abl_mx (>= 2x any-node read
-#               scaling), abl_olap (vectorized executor matches the volcano
-#               oracle on every TPC-H query, >= 10x on scan/agg-heavy ones),
+#   tier bench: bench + chaos smoke — fig9 (2PC invariant), abl_executor
+#               (slow start opens fewer connections than the full pool,
+#               every answer correct), abl_plancache (>= 2x plan-cache
+#               speedup), abl_mx (>= 2x any-node read scaling), abl_olap
+#               (vectorized executor matches the volcano oracle on every
+#               TPC-H query, >= 10x on scan/agg-heavy ones),
 #               abl_scale (>= 2x pooled tps at >= 100k sessions on a bounded
 #               connection budget, one-round-trip delta-sync cost flat per
 #               node), abl_joins (repartition joins match a single-node
@@ -106,8 +108,9 @@ if run_tier bench; then
     cmake -B build -S . >/dev/null
     cmake --build build -j"$(nproc)"
   fi
-  echo "==> bench smoke: fig9 (2PC) + abl_plancache (plan cache) + abl_mx (MX)"
+  echo "==> bench smoke: fig9 (2PC) + abl_executor (slow start) + abl_plancache (plan cache) + abl_mx (MX)"
   ./build/bench/fig9_2pc --quick --json=build/BENCH_fig9_smoke.json
+  ./build/bench/abl_executor
   ./build/bench/abl_plancache --quick --json=build/BENCH_plancache_smoke.json
   ./build/bench/abl_mx --quick --json=build/BENCH_mx_smoke.json
 

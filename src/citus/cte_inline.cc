@@ -86,20 +86,6 @@ void CollectTableNames(const sql::SelectStmt& sel, std::set<std::string> bound,
   for (const auto& f : sel.from) CollectNamesInFrom(*f, bound, out);
 }
 
-// Mirror of the engine's trivial-wrapper shape (hooks.cc): detecting it here
-// must never claim a pullup the engine pass would not perform, or the
-// rewrite would re-enter itself without making progress.
-bool IsTrivialWrapper(const sql::SelectStmt& s) {
-  return s.ctes.empty() && !s.distinct && s.targets.size() == 1 &&
-         s.targets[0].expr != nullptr &&
-         s.targets[0].expr->kind == sql::ExprKind::kStar &&
-         s.targets[0].alias.empty() && s.from.size() == 1 &&
-         s.from[0]->kind == sql::TableRef::Kind::kTable &&
-         s.from[0]->alias.empty() && s.where == nullptr &&
-         s.group_by.empty() && s.having == nullptr && s.order_by.empty() &&
-         s.limit == nullptr && s.offset == nullptr && !s.for_update;
-}
-
 bool HasPullableSubquery(const sql::SelectStmt& sel);
 
 bool PullableInFrom(const sql::TableRef& ref) {
@@ -107,7 +93,10 @@ bool PullableInFrom(const sql::TableRef& ref) {
     case sql::TableRef::Kind::kTable:
       return false;
     case sql::TableRef::Kind::kSubquery:
-      return (!ref.alias.empty() && IsTrivialWrapper(*ref.subquery)) ||
+      // The engine's own shape test: claiming a pullup the engine pass
+      // would not perform would re-enter the rewrite without progress.
+      return (!ref.alias.empty() &&
+              engine::IsTrivialWrapper(*ref.subquery)) ||
              HasPullableSubquery(*ref.subquery);
     case sql::TableRef::Kind::kJoin:
       return PullableInFrom(*ref.left) || PullableInFrom(*ref.right);

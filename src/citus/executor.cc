@@ -16,6 +16,17 @@ namespace citusx::citus {
 
 namespace {
 
+// Task retry policy (chaos hardening): transient failures retry with capped
+// exponential backoff on a fresh connection where safe.
+constexpr int kTaskRetryAttempts = 3;
+constexpr sim::Time kTaskRetryBackoff = 2 * sim::kMillisecond;
+constexpr sim::Time kTaskRetryMaxBackoff = 50 * sim::kMillisecond;
+// Fixed-width admission: connections per worker (a backend executes its
+// pipeline serially, so the width is per-worker CPU parallelism) and the
+// most tasks batched into one pipelined round trip.
+constexpr int kPipelineWidth = 4;
+constexpr int kPipelineBatchSize = 16;
+
 // Shared between the coordinating process, runners, and the ticker; heap
 // allocated so cancellation-order at simulation shutdown cannot dangle.
 struct RunState {
@@ -40,15 +51,14 @@ struct RunState {
   std::map<std::string, WorkerQueue> queues;
 };
 
-Status ExecOneTask(RunState& st, WorkerConnection* wc, Task& task) {
-  // NOLINTNEXTLINE: task fields moved at most once (each task runs once).
+// Per-connection stamps, sent ahead of any task on `wc`; each is one SET
+// round trip, skipped when the connection already carries the value.
+Status StampConnection(RunState& st, WorkerConnection* wc) {
   // MX (§3.10): every inter-node statement carries the sender's metadata
-  // version so the receiver can refuse work routed by a staler peer. One
-  // SET round trip per connection per version; a no-op when current.
+  // version so the receiver can refuse work routed by a staler peer.
   CITUSX_RETURN_IF_ERROR(st.ext->StampPeerMetadataVersion(wc));
   // Propagate the coordinator session's executor choice so worker fragments
-  // honor SET citus.use_vectorized_executor (same stamping idiom as the
-  // metadata version: one SET round trip, only when the setting changes).
+  // honor SET citus.use_vectorized_executor.
   std::string vec_var = st.session->GetVar("citus.use_vectorized_executor");
   if (vec_var.empty()) {
     vec_var = std::string(GucDefault("citus.use_vectorized_executor"));
@@ -82,6 +92,12 @@ Status ExecOneTask(RunState& st, WorkerConnection* wc, Task& task) {
             .status());
     wc->intermediate_size_stamped = ims_var;
   }
+  return Status::OK();
+}
+
+Status ExecOneTask(RunState& st, WorkerConnection* wc, Task& task) {
+  // NOLINTNEXTLINE: task fields moved at most once (each task runs once).
+  CITUSX_RETURN_IF_ERROR(StampConnection(st, wc));
   if (st.need_txn_block) {
     CITUSX_RETURN_IF_ERROR(st.ext->EnsureWorkerTxn(*st.session, wc));
   }
@@ -153,14 +169,12 @@ Status ExecOneTask(RunState& st, WorkerConnection* wc, Task& task) {
 // of unknown fate must surface through the 2PC/abort machinery instead.
 Status ExecTaskResilient(RunState& st, WorkerConnection*& wc, Task& task) {
   CitusExtension* ext = st.ext;
-  const CitusConfig& cfg = ext->config();
   sim::Simulation* sim = ext->node()->sim();
-  int max_attempts = std::max(1, cfg.task_retry_attempts);
-  sim::Time backoff = cfg.task_retry_backoff;
+  sim::Time backoff = kTaskRetryBackoff;
   std::string worker = task.worker;
   size_t next_fallback = 0;
   Status last = Status::OK();
-  for (int attempt = 1; attempt <= max_attempts; attempt++) {
+  for (int attempt = 1; attempt <= kTaskRetryAttempts; attempt++) {
     // Heal: replace a broken connection before dispatching on it.
     if (wc != nullptr && !wc->conn->usable()) {
       if (!wc->groups.empty() || wc->txn_open || wc->did_write ||
@@ -222,12 +236,18 @@ Status ExecTaskResilient(RunState& st, WorkerConnection*& wc, Task& task) {
         !task.is_copy &&
         (last.code() == StatusCode::kResourceExhausted ||
          (!task.is_write && (last.IsConnectionLost() || last.IsTimeout())));
-    if (!can_retry || attempt == max_attempts) return last;
+    if (!can_retry || attempt == kTaskRetryAttempts) return last;
     ext->metric_task_retries->Inc();
     if (!sim->WaitFor(backoff)) return Status::Cancelled("simulation stopping");
-    backoff = std::min(backoff * 2, cfg.task_retry_max_backoff);
+    backoff = std::min(backoff * 2, kTaskRetryMaxBackoff);
   }
   return last;
+}
+
+// Record one task's outcome for the partial-failure report.
+void RecordTask(RunState& st, const Task& task, const Status& s) {
+  st.task_status[static_cast<size_t>(task.index)] = s;
+  if (!s.ok() && st.first_error.ok()) st.first_error = s;
 }
 
 // Run one chunk of read-only tasks over `wc` as a single pipelined round
@@ -237,51 +257,15 @@ Status ExecTaskResilient(RunState& st, WorkerConnection*& wc, Task& task) {
 // rejections are recorded directly without a wasted re-execution.
 void RunPipelineChunk(RunState& st, WorkerConnection*& wc,
                       const std::vector<Task*>& chunk) {
-  auto record = [&](Task* t, const Status& s) {
-    if (!st.task_status.empty()) {
-      st.task_status[static_cast<size_t>(t->index)] = s;
-    }
-    if (!s.ok() && st.first_error.ok()) st.first_error = s;
+  auto fallback = [&](Task* t) {
+    RecordTask(st, *t, ExecTaskResilient(st, wc, *t));
   };
-  auto fallback = [&](Task* t) { record(t, ExecTaskResilient(st, wc, *t)); };
 
   // No usable connection: the resilient path acquires (or fails) per task.
-  bool ready = wc != nullptr && wc->conn->usable();
-  if (ready) {
-    // Per-connection stamps (peer metadata version, executor choice) ride
-    // ahead of the batch exactly as on the per-task path.
-    Status stamp = st.ext->StampPeerMetadataVersion(wc);
-    std::string vec_var =
-        st.session->GetVar("citus.use_vectorized_executor");
-    if (vec_var.empty()) {
-      vec_var = std::string(GucDefault("citus.use_vectorized_executor"));
-    }
-    bool vec_off = vec_var == "off";
-    if (stamp.ok() && vec_off != wc->vectorized_off_stamped) {
-      stamp = wc->conn
-                  ->Query(vec_off ? "SET citus.use_vectorized_executor = 'off'"
-                                  : "SET citus.use_vectorized_executor = 'on'")
-                  .status();
-      if (stamp.ok()) wc->vectorized_off_stamped = vec_off;
-    }
-    std::string ims_var =
-        st.session->GetVar("citus.max_intermediate_result_size");
-    if (ims_var.empty()) {
-      ims_var = std::string(GucDefault("citus.max_intermediate_result_size"));
-    }
-    std::string ims_cur =
-        wc->intermediate_size_stamped.empty()
-            ? std::string(GucDefault("citus.max_intermediate_result_size"))
-            : wc->intermediate_size_stamped;
-    if (stamp.ok() && ims_var != ims_cur) {
-      stamp = wc->conn
-                  ->Query("SET citus.max_intermediate_result_size = '" +
-                          ims_var + "'")
-                  .status();
-      if (stamp.ok()) wc->intermediate_size_stamped = ims_var;
-    }
-    ready = stamp.ok() && wc->conn->usable();
-  }
+  // Otherwise the per-connection stamps ride ahead of the batch exactly as
+  // on the per-task path.
+  bool ready = wc != nullptr && wc->conn->usable() &&
+               StampConnection(st, wc).ok() && wc->conn->usable();
   if (!ready) {
     for (Task* t : chunk) fallback(t);
     return;
@@ -331,10 +315,10 @@ void RunPipelineChunk(RunState& st, WorkerConnection*& wc,
       st.ext->metric_tasks->Inc();
       st.ext->metric_pipelined_tasks->Inc();
       (*st.results)[static_cast<size_t>(t->index)] = std::move(out.result);
-      record(t, Status::OK());
+      RecordTask(st, *t, Status::OK());
     } else if (out.status.error_class() == ErrorClass::kFatal ||
                IsStaleMetadataStatus(out.status)) {
-      record(t, out.status);
+      RecordTask(st, *t, out.status);
     } else {
       fallback(t);
     }
@@ -344,13 +328,13 @@ void RunPipelineChunk(RunState& st, WorkerConnection*& wc,
 // A pipeline runner drains its worker's queue in chunks sized to share the
 // backlog across the worker's runners, one pipelined round trip per chunk.
 void PipelineRunnerLoop(RunState& st, const std::string& worker,
-                        WorkerConnection* wc, int batch_size) {
+                        WorkerConnection* wc) {
   auto& q = st.queues[worker];
   for (;;) {
     int pending = static_cast<int>(q.general.size());
     if (pending == 0) break;
     int runners = std::max(1, q.runners);
-    int take = std::min(batch_size, (pending + runners - 1) / runners);
+    int take = std::min(kPipelineBatchSize, (pending + runners - 1) / runners);
     std::vector<Task*> chunk;
     chunk.reserve(static_cast<size_t>(take));
     for (int i = 0; i < take; ++i) {
@@ -379,11 +363,7 @@ void RunnerLoop(RunState& st, const std::string& worker,
     } else {
       break;
     }
-    Status s = ExecTaskResilient(st, wc, *task);
-    if (!st.task_status.empty()) {
-      st.task_status[static_cast<size_t>(task->index)] = s;
-    }
-    if (!s.ok() && st.first_error.ok()) st.first_error = s;
+    RecordTask(st, *task, ExecTaskResilient(st, wc, *task));
     st.done->Send(1);
   }
   q.runners--;
@@ -397,21 +377,12 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
   if (tasks.empty()) return results;
 
   int writes = 0;
-  for (const auto& t : tasks) writes += (t.is_write && !t.standalone) ? 1 : 0;
-  bool need_txn_block = session.in_explicit_txn() || writes > 1;
-
-  // Read-only multi-shard fan-out takes the pipelined path: tasks bound for
-  // the same worker share a few pipelined connections instead of ramping
-  // one connection per task. Traced statements (EXPLAIN ANALYZE) keep the
-  // per-task path for span fidelity.
-  if (ext_->config().enable_task_pipelining && tasks.size() > 1 &&
-      !need_txn_block && session.GetVar("citusx.trace_ctx").empty()) {
-    bool all_plain_reads = true;
-    for (const auto& t : tasks) {
-      all_plain_reads = all_plain_reads && !t.is_write && !t.is_copy;
-    }
-    if (all_plain_reads) return ExecutePipelined(session, std::move(tasks));
+  bool all_reads = true;
+  for (const auto& t : tasks) {
+    writes += (t.is_write && !t.standalone) ? 1 : 0;
+    all_reads = all_reads && !t.is_write && !t.is_copy;
   }
+  bool need_txn_block = session.in_explicit_txn() || writes > 1;
 
   // Single-task fast path: one round trip on the affine/cached connection.
   if (tasks.size() == 1) {
@@ -432,6 +403,14 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
     return results;
   }
 
+  // Admission policy. Read-only multi-shard fan-out outside a transaction
+  // block is pipelined: tasks bound for the same worker share a fixed width
+  // of connections instead of ramping one connection per task through slow
+  // start. Traced statements (EXPLAIN ANALYZE) keep the per-task path so
+  // every task gets its own span.
+  bool pipelined = all_reads && !need_txn_block &&
+                   session.GetVar("citusx.trace_ctx").empty();
+
   sim::Simulation* sim = ext_->node()->sim();
   auto stp = std::make_shared<RunState>();
   RunState& st = *stp;
@@ -443,15 +422,15 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
   st.results = &st.owned_results;  // heap-owned: safe across cancellation
   st.task_status.assign(tasks.size(), Status::OK());
   st.done = std::make_unique<sim::Channel<int>>(sim);
-  sim::Channel<int>& done = *st.done;
 
   // Partition tasks: affinity-bound tasks go to their connection's private
-  // queue; the rest to the per-worker general queue.
+  // queue; the rest to the per-worker general queue. Pipelined runners only
+  // drain the general queue.
   CitusSessionState& css = ext_->SessionState(session);
   for (auto& t : tasks) {
     auto& q = st.queues[t.worker];
     WorkerConnection* affine = nullptr;
-    if (t.shard_group >= 0) {
+    if (!pipelined && t.shard_group >= 0) {
       for (auto& wc : css.pool[t.worker]) {
         if (wc->groups.count({t.colocation_id, t.shard_group}) > 0) {
           affine = wc.get();
@@ -466,64 +445,17 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
     }
   }
 
-  const auto& cfg = ext_->config();
   sim::Time start = sim->now();
-  int total = static_cast<int>(tasks.size());
-  int finished = 0;
-
-  auto spawn_runner = [&](const std::string& worker, WorkerConnection* wc) {
-    st.queues[worker].runners++;
-    sim->Spawn(
-        "citus:runner", [stp, worker, wc] { RunnerLoop(*stp, worker, wc); },
-        /*daemon=*/true);
-  };
-
-  // Acquire the initial general-queue connections before spawning any
-  // runner. An acquisition failure (worker down, pool exhausted) does NOT
-  // fail the query here: the worker still gets a runner with no connection,
-  // and each of its tasks goes through the retry/failover wrapper — which
-  // may heal, fail over, or record a per-task error for partial-failure
-  // reporting.
-  std::vector<std::pair<std::string, WorkerConnection*>> initial;
-  for (auto& [worker, q] : st.queues) {
-    bool has_assigned_runner = false;
-    for (auto& [wc, queue] : q.assigned) {
-      has_assigned_runner = has_assigned_runner || !queue.empty();
-    }
-    if (!q.general.empty() && !has_assigned_runner) {
-      auto got = ext_->GetConnection(session, worker, {0, -1});
-      initial.emplace_back(worker, got.ok() ? *got : nullptr);
-    }
-  }
-  // Start one runner per connection with assigned tasks, plus one connection
-  // per worker for the general queue (slow start begins at n=1).
-  for (auto& [worker, q] : st.queues) {
-    for (auto& [wc, queue] : q.assigned) {
-      if (!queue.empty()) spawn_runner(worker, wc);
-    }
-  }
-  for (auto& [worker, wc] : initial) spawn_runner(worker, wc);
-
-  // Ticker: wakes the coordinator loop at slow-start intervals so it can
-  // grow pools even when no task has completed yet.
   const sim::Time tick = ext_->node()->cost().executor_slow_start_interval;
-  sim->Spawn(
-      "citus:slowstart_tick",
-      [stp, sim, tick] {
-        while (stp->ticker_active && sim->WaitFor(tick)) {
-          if (!stp->ticker_active) break;
-          stp->done->Send(0);  // sentinel
-        }
-      },
-      /*daemon=*/true);
-
-  // Grow connection pools toward the current allowance; new connections
-  // are established concurrently (non-blocking connects), each becoming a
-  // runner when ready.
-  // The opener holds the session state weakly: the statement can finish
-  // and the client disconnect while a connect is still in flight.
+  // Openers hold the session state weakly: the statement can finish and the
+  // client disconnect while a connect is still in flight.
   std::weak_ptr<CitusSessionState> weak_css = ext_->WeakSessionState(session);
-  auto grow = [&st, stp, weak_css, this](int allowance) {
+  CitusExtension* ext = ext_;
+
+  // Slow start: grow connection pools toward the current allowance; new
+  // connections are established concurrently (non-blocking connects), each
+  // becoming a runner when ready.
+  auto grow = [&st, stp, weak_css, ext](int allowance) {
     for (auto& [worker, q] : st.queues) {
       int pending = static_cast<int>(q.general.size());
       if (pending == 0) continue;
@@ -531,7 +463,6 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
       while (q.runners < target) {
         q.runners++;  // reserve the slot before the async open
         std::string w = worker;
-        CitusExtension* ext = ext_;
         st.sim->Spawn(
             "citus:opener",
             [stp, w, ext, weak_css] {
@@ -551,15 +482,98 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
     }
   };
   auto allowance_now = [&]() {
-    return cfg.enable_slow_start
+    return ext_->config().enable_slow_start
                ? 1 + static_cast<int>((sim->now() - start) /
                                       std::max<sim::Time>(tick, 1))
                : 1 << 20;
   };
-  grow(allowance_now());  // with slow start disabled, open the pool up front
 
+  if (pipelined) {
+    for (auto& [worker, q] : st.queues) {
+      // One runner on the session's cached connection; extra runners (up
+      // to kPipelineWidth, bounded by the shared pool limit) each open
+      // their own connection concurrently.
+      int pending = static_cast<int>(q.general.size());
+      int runners = std::max(
+          1, std::min(kPipelineWidth,
+                      (pending + kPipelineBatchSize - 1) / kPipelineBatchSize));
+      q.runners = 1;
+      auto got = ext_->GetConnection(session, worker, {0, -1});
+      WorkerConnection* first = got.ok() ? *got : nullptr;
+      std::string w = worker;
+      sim->Spawn(
+          "citus:pipeline_runner",
+          [stp, w, first] { PipelineRunnerLoop(*stp, w, first); },
+          /*daemon=*/true);
+      for (int i = 1; i < runners; ++i) {
+        q.runners++;
+        sim->Spawn(
+            "citus:pipeline_opener",
+            [stp, w, ext, weak_css] {
+              auto extra = ext->TryOpenExtraConnection(weak_css, w);
+              if (!extra.ok() || *extra == nullptr) {
+                // Budget or worker unavailable: the remaining runners (at
+                // least the first) drain this worker's queue.
+                stp->queues[w].runners--;
+                return;
+              }
+              PipelineRunnerLoop(*stp, w, *extra);
+            },
+            /*daemon=*/true);
+      }
+    }
+  } else {
+    // Acquire the initial general-queue connections before spawning any
+    // runner. An acquisition failure (worker down, pool exhausted) does NOT
+    // fail the query here: the worker still gets a runner with no
+    // connection, and each of its tasks goes through the retry/failover
+    // wrapper — which may heal, fail over, or record a per-task error for
+    // partial-failure reporting.
+    std::vector<std::pair<std::string, WorkerConnection*>> initial;
+    for (auto& [worker, q] : st.queues) {
+      bool has_assigned_runner = false;
+      for (auto& [wc, queue] : q.assigned) {
+        has_assigned_runner = has_assigned_runner || !queue.empty();
+      }
+      if (!q.general.empty() && !has_assigned_runner) {
+        auto got = ext_->GetConnection(session, worker, {0, -1});
+        initial.emplace_back(worker, got.ok() ? *got : nullptr);
+      }
+    }
+    // Start one runner per connection with assigned tasks, plus one
+    // connection per worker for the general queue (slow start begins at
+    // n=1).
+    auto spawn_runner = [&](const std::string& worker, WorkerConnection* wc) {
+      st.queues[worker].runners++;
+      sim->Spawn(
+          "citus:runner", [stp, worker, wc] { RunnerLoop(*stp, worker, wc); },
+          /*daemon=*/true);
+    };
+    for (auto& [worker, q] : st.queues) {
+      for (auto& [wc, queue] : q.assigned) {
+        if (!queue.empty()) spawn_runner(worker, wc);
+      }
+    }
+    for (auto& [worker, wc] : initial) spawn_runner(worker, wc);
+
+    // Ticker: wakes the coordinator loop at slow-start intervals so it can
+    // grow pools even when no task has completed yet.
+    sim->Spawn(
+        "citus:slowstart_tick",
+        [stp, sim, tick] {
+          while (stp->ticker_active && sim->WaitFor(tick)) {
+            if (!stp->ticker_active) break;
+            stp->done->Send(0);  // sentinel
+          }
+        },
+        /*daemon=*/true);
+    grow(allowance_now());  // with slow start disabled, open the pool up front
+  }
+
+  int total = static_cast<int>(tasks.size());
+  int finished = 0;
   while (finished < total) {
-    auto msg = done.Receive();
+    auto msg = st.done->Receive();
     if (!msg.has_value()) {
       st.ticker_active = false;
       return Status::Cancelled("simulation stopping");
@@ -589,105 +603,7 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
     // Read-only multi-shard queries degrade gracefully: when only some
     // shards failed, report exactly which ones instead of an opaque error,
     // so callers can distinguish a partial outage from a dead cluster.
-    bool all_reads = true;
-    for (const auto& t : tasks) {
-      all_reads = all_reads && !t.is_write && !t.is_copy;
-    }
     if (all_reads && failed < total) {
-      ext_->metric_partial_failures->Inc();
-      return Status::Unavailable(StrFormat(
-          "partial query failure: %d of %d shard tasks failed (%s); first "
-          "error: %s",
-          failed, total, failed_shards.c_str(),
-          st.first_error.message().c_str()));
-    }
-    return st.first_error;
-  }
-  return std::move(st.owned_results);
-}
-
-Result<std::vector<engine::QueryResult>> AdaptiveExecutor::ExecutePipelined(
-    engine::Session& session, std::vector<Task> tasks) {
-  sim::Simulation* sim = ext_->node()->sim();
-  const CitusConfig& cfg = ext_->config();
-  auto stp = std::make_shared<RunState>();
-  RunState& st = *stp;
-  st.session = &session;
-  st.ext = ext_;
-  st.sim = sim;
-  st.need_txn_block = false;
-  st.owned_results.resize(tasks.size());
-  st.results = &st.owned_results;
-  st.task_status.assign(tasks.size(), Status::OK());
-  st.done = std::make_unique<sim::Channel<int>>(sim);
-  st.ticker_active = false;  // admission is the fixed width, not slow start
-
-  for (auto& t : tasks) st.queues[t.worker].general.push_back(&t);
-
-  int width = std::max(1, cfg.pipeline_width);
-  int batch = std::max(1, cfg.pipeline_batch_size);
-  std::weak_ptr<CitusSessionState> weak_css = ext_->WeakSessionState(session);
-
-  for (auto& [worker, q] : st.queues) {
-    // One runner on the session's cached/affine connection; extra runners
-    // (up to pipeline_width, bounded by the shared pool budget) each open
-    // their own connection concurrently. A backend executes its pipeline
-    // serially, so width is what buys worker-side CPU parallelism.
-    int runners =
-        std::min(width, static_cast<int>(q.general.size() + batch - 1) / batch);
-    runners = std::max(1, runners);
-    q.runners = 1;
-    WorkerConnection* first = nullptr;
-    auto got = ext_->GetConnection(session, worker, {0, -1});
-    if (got.ok()) first = *got;
-    {
-      std::string w = worker;
-      sim->Spawn(
-          "citus:pipeline_runner",
-          [stp, w, first, batch] { PipelineRunnerLoop(*stp, w, first, batch); },
-          /*daemon=*/true);
-    }
-    for (int i = 1; i < runners; ++i) {
-      q.runners++;
-      std::string w = worker;
-      CitusExtension* ext = ext_;
-      sim->Spawn(
-          "citus:pipeline_opener",
-          [stp, w, ext, weak_css, batch] {
-            auto extra = ext->TryOpenExtraConnection(weak_css, w);
-            if (!extra.ok() || *extra == nullptr) {
-              // Budget or worker unavailable: the remaining runners (at
-              // least the first) drain this worker's queue.
-              stp->queues[w].runners--;
-              return;
-            }
-            PipelineRunnerLoop(*stp, w, *extra, batch);
-          },
-          /*daemon=*/true);
-    }
-  }
-
-  int total = static_cast<int>(tasks.size());
-  int finished = 0;
-  while (finished < total) {
-    auto msg = st.done->Receive();
-    if (!msg.has_value()) return Status::Cancelled("simulation stopping");
-    finished++;
-  }
-  if (!st.first_error.ok()) {
-    // Same partial-failure reporting as the general path: these are all
-    // reads, so surviving shards count.
-    int failed = 0;
-    std::string failed_shards;
-    for (const auto& t : tasks) {
-      const Status& s = st.task_status[static_cast<size_t>(t.index)];
-      if (s.ok()) continue;
-      failed++;
-      if (!failed_shards.empty()) failed_shards += ", ";
-      failed_shards += t.worker + "/group" + std::to_string(t.shard_group);
-    }
-    if (failed == 0) return std::move(st.owned_results);
-    if (failed < total) {
       ext_->metric_partial_failures->Inc();
       return Status::Unavailable(StrFormat(
           "partial query failure: %d of %d shard tasks failed (%s); first "

@@ -1,7 +1,10 @@
 // The adaptive executor (paper §3.6.1): executes a distributed plan's tasks
-// over per-worker connection pools with "slow start" connection ramp-up, a
-// shared connection limit, and co-located-shard connection affinity inside
-// transactions.
+// over per-worker connection pools under a shared connection limit, with
+// co-located-shard connection affinity inside transactions. Connection
+// admission adapts to the statement: read-only multi-shard fan-out outside
+// a transaction block (and not traced) runs on a fixed width of connections
+// per worker, each draining its tasks in pipelined round trips; everything
+// else gets one connection per task, ramped up through "slow start".
 #ifndef CITUSX_CITUS_EXECUTOR_H_
 #define CITUSX_CITUS_EXECUTOR_H_
 
@@ -55,13 +58,6 @@ class AdaptiveExecutor {
                                                    std::vector<Task> tasks);
 
  private:
-  /// Fast path for read-only multi-shard fan-out: batch each worker's tasks
-  /// into pipelined round trips over a small fixed set of shared
-  /// connections (pipeline_width per worker) instead of ramping one
-  /// connection per task through slow start.
-  Result<std::vector<engine::QueryResult>> ExecutePipelined(
-      engine::Session& session, std::vector<Task> tasks);
-
   CitusExtension* ext_;
 };
 

@@ -223,7 +223,7 @@ bool IsStateless(const WorkerConnection& wc) {
 
 Result<WorkerConnection*> CitusExtension::GetConnection(
     engine::Session& session, const std::string& worker,
-    std::pair<int, int> group, bool prefer_idle_only) {
+    std::pair<int, int> group) {
   CitusSessionState& state = SessionState(session);
   auto& conns = state.pool[worker];
   // Affinity: a connection that already touched this co-located shard group
@@ -259,19 +259,7 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
   CITUSX_ASSIGN_OR_RETURN(std::unique_ptr<net::Connection> conn,
                           directory_->Connect(node_, worker));
   NoteWorkerAvailable(worker);
-  if (config_.statement_timeout > 0) {
-    conn->SetStatementTimeout(config_.statement_timeout);
-  }
-  {
-    MutexLock guard(pool_mu_);
-    outgoing_[worker]++;
-  }
-  auto wc = std::make_unique<WorkerConnection>();
-  wc->conn = std::move(conn);
-  wc->worker = worker;
-  WorkerConnection* ptr = wc.get();
-  conns.push_back(std::move(wc));
-  return ptr;
+  return AddPooledConnection(state, worker, std::move(conn));
 }
 
 Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
@@ -295,18 +283,24 @@ Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
     (*conn)->Close();
     return static_cast<WorkerConnection*>(nullptr);
   }
+  return AddPooledConnection(*state, worker, std::move(conn).value());
+}
+
+WorkerConnection* CitusExtension::AddPooledConnection(
+    CitusSessionState& state, const std::string& worker,
+    std::unique_ptr<net::Connection> conn) {
   if (config_.statement_timeout > 0) {
-    (*conn)->SetStatementTimeout(config_.statement_timeout);
+    conn->SetStatementTimeout(config_.statement_timeout);
   }
   {
     MutexLock guard(pool_mu_);
     outgoing_[worker]++;
   }
   auto wc = std::make_unique<WorkerConnection>();
-  wc->conn = std::move(conn).value();
+  wc->conn = std::move(conn);
   wc->worker = worker;
   WorkerConnection* ptr = wc.get();
-  state->pool[worker].push_back(std::move(wc));
+  state.pool[worker].push_back(std::move(wc));
   return ptr;
 }
 

@@ -87,19 +87,9 @@ struct CitusConfig {
   /// Upper bound on this node's total outgoing connections per worker
   /// (the shared connection limit of §3.6.1).
   int max_shared_pool_size = 300;
-  /// Disable slow start entirely (ablation). The allowance interval is
-  /// sim::CostModel::executor_slow_start_interval.
+  /// Disable slow start entirely (ablation: abl_executor). The allowance
+  /// interval is sim::CostModel::executor_slow_start_interval.
   bool enable_slow_start = true;
-  /// Shared-connection task pipelining: batch read-only multi-shard tasks
-  /// bound for the same worker into pipelined round trips on a small fixed
-  /// set of connections, instead of ramping one connection per task through
-  /// slow start (ablation: abl_scale --no-pipelining).
-  bool enable_task_pipelining = true;
-  /// Connections per worker the pipelined path fans out over (a backend
-  /// executes its pipeline serially, so width = per-worker CPU parallelism).
-  int pipeline_width = 4;
-  /// Max tasks batched into one pipelined round trip.
-  int pipeline_batch_size = 16;
   /// Per-session distributed plan cache + worker-side prepared statements
   /// (ablation: abl_plancache --no-plan-cache).
   bool enable_plan_cache = true;
@@ -108,11 +98,6 @@ struct CitusConfig {
   /// SET citus.use_vectorized_executor = off, which the coordinator also
   /// propagates to its worker connections (ablation: abl_olap).
   bool use_vectorized_executor = true;
-  /// Task retry policy (chaos hardening): transient failures retry with
-  /// capped exponential backoff on a fresh connection where safe.
-  int task_retry_attempts = 3;
-  sim::Time task_retry_backoff = 2 * sim::kMillisecond;
-  sim::Time task_retry_max_backoff = 50 * sim::kMillisecond;
   /// Per-statement deadline on worker connections (0 = none). A round trip
   /// exceeding it fails with Timeout and the connection is replaced.
   sim::Time statement_timeout = 0;
@@ -201,11 +186,9 @@ class CitusExtension {
   /// Connection with affinity: if `group` (colocation, shard index) was
   /// already accessed in this transaction, returns that connection;
   /// otherwise returns the least-loaded cached connection, or opens one.
-  /// `allow_new` gates connection establishment (slow start).
   Result<WorkerConnection*> GetConnection(engine::Session& session,
                                           const std::string& worker,
-                                          std::pair<int, int> group,
-                                          bool prefer_idle_only = false)
+                                          std::pair<int, int> group)
       EXCLUDES(pool_mu_);
 
   /// Open an additional connection to `worker` for parallel execution,
@@ -457,6 +440,12 @@ class CitusExtension {
   void RegisterHooks();
   void RegisterUdfs();  // udf.cc
   void StartMaintenanceDaemon();
+  /// Apply the statement timeout to a freshly opened connection to
+  /// `worker`, count it against the shared limit, and cache it in `state`.
+  WorkerConnection* AddPooledConnection(CitusSessionState& state,
+                                        const std::string& worker,
+                                        std::unique_ptr<net::Connection> conn)
+      EXCLUDES(pool_mu_);
 
   engine::Node* node_;
   net::NodeDirectory* directory_;

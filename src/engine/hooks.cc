@@ -42,9 +42,8 @@ void SubstituteCteInSelect(sql::SelectStmt* s, const sql::CteDef& cte) {
   for (auto& f : s->from) SubstituteCteInRef(f, cte);
 }
 
-// True for `SELECT * FROM t` with nothing else: the shape produced by
-// mechanical query generators and view expansions, safe to collapse into a
-// direct table reference.
+}  // namespace
+
 bool IsTrivialWrapper(const sql::SelectStmt& s) {
   return s.ctes.empty() && !s.distinct && s.targets.size() == 1 &&
          s.targets[0].expr != nullptr &&
@@ -55,8 +54,6 @@ bool IsTrivialWrapper(const sql::SelectStmt& s) {
          s.group_by.empty() && s.having == nullptr && s.order_by.empty() &&
          s.limit == nullptr && s.offset == nullptr && !s.for_update;
 }
-
-}  // namespace
 
 int InlineCtes(sql::SelectStmt* stmt,
                const std::function<bool(const sql::CteDef&)>& should_inline) {

@@ -102,6 +102,11 @@ bool ExprEquals(const sql::ExprPtr& a, const sql::ExprPtr& b);
 int InlineCtes(sql::SelectStmt* stmt,
                const std::function<bool(const sql::CteDef&)>& should_inline);
 
+/// True for `SELECT * FROM t` with nothing else: the shape produced by
+/// mechanical query generators and view expansions, safe to collapse into a
+/// direct table reference.
+bool IsTrivialWrapper(const sql::SelectStmt& s);
+
 /// Flatten trivial FROM subqueries — `(SELECT * FROM t) AS x` with no
 /// WHERE/GROUP BY/HAVING/ORDER BY/LIMIT/OFFSET/DISTINCT/WITH — into direct
 /// table references that keep the subquery alias. Applied recursively

@@ -710,15 +710,15 @@ TEST_F(ChaosTest, CrashAfterMetadataApplyIsHealedByDaemon) {
 // A client that disconnects right after a multi-shard read, while the
 // executor's pool-growth connects are still in flight, must not leak them:
 // each late connection is closed and never counted against the worker.
-// Both the slow-start and the pipelined executor grow the pool this way.
+// Both admission policies grow the pool this way: a plain read is
+// pipelined, the same read inside a transaction block uses slow start.
 TEST_F(ChaosTest, ClientCloseDuringPoolGrowthLeaksNoConnections) {
-  for (bool pipelining : {true, false}) {
-    SCOPED_TRACE(pipelining ? "pipelined" : "slow start");
+  for (bool in_txn_block : {false, true}) {
+    SCOPED_TRACE(in_txn_block ? "slow start" : "pipelined");
     sim::Simulation sim;
     DeploymentOptions options;
     options.num_workers = 2;
     options.citus.shard_count = 64;
-    options.citus.enable_task_pipelining = pipelining;
     options.cost.connect_cost = 40 * sim::kMillisecond;
     Deployment deploy(&sim, options);
     CitusExtension* ext = deploy.extension(deploy.coordinator());
@@ -746,9 +746,15 @@ TEST_F(ChaosTest, ClientCloseDuringPoolGrowthLeaksNoConnections) {
       }
       auto client = deploy.Connect();
       ASSERT_TRUE(client.ok());
+      if (in_txn_block) {
+        ASSERT_TRUE((*client)->Query("BEGIN").ok());
+      }
       auto r = (*client)->Query("SELECT count(*) FROM t");
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(r->rows[0][0].int_value(), 3);
+      if (in_txn_block) {
+        ASSERT_TRUE((*client)->Query("COMMIT").ok());
+      }
       (*client)->Close();
       sim.WaitFor(200 * sim::kMillisecond);
       for (engine::Node* w : deploy.workers()) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "engine/node.h"
 #include "engine/session.h"
 #include "exec/vectorized.h"
+#include "result_compare.h"
 #include "sim/simulation.h"
 
 namespace citusx::exec {
@@ -23,43 +23,9 @@ namespace {
 
 using engine::QueryResult;
 using engine::Session;
-using sql::Datum;
 
 constexpr uint64_t kSeed = 20260809;
 constexpr int kRounds = 40;
-
-bool DatumClose(const Datum& a, const Datum& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.type() == sql::TypeId::kFloat8 || b.type() == sql::TypeId::kFloat8) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= 1e-9 * scale;
-  }
-  return Datum::Compare(a, b) == 0;
-}
-
-/// Order-insensitive row-set comparison: both sides sorted by the full row,
-/// then compared with float tolerance. Generated queries avoid
-/// LIMIT-without-total-order, so multiset equality is the right contract.
-bool RowSetsClose(std::vector<sql::Row> a, std::vector<sql::Row> b) {
-  if (a.size() != b.size()) return false;
-  auto row_less = [](const sql::Row& x, const sql::Row& y) {
-    for (size_t i = 0; i < x.size() && i < y.size(); i++) {
-      int c = Datum::Compare(x[i], y[i]);
-      if (c != 0) return c < 0;
-    }
-    return x.size() < y.size();
-  };
-  std::sort(a.begin(), a.end(), row_less);
-  std::sort(b.begin(), b.end(), row_less);
-  for (size_t i = 0; i < a.size(); i++) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t c = 0; c < a[i].size(); c++) {
-      if (!DatumClose(a[i][c], b[i][c])) return false;
-    }
-  }
-  return true;
-}
 
 /// Generates random single-table and two-table queries over a fixed schema:
 /// tN(a bigint, b bigint, c double precision, g bigint), with NULLs mixed in.
@@ -208,7 +174,9 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
       ASSERT_EQ(oracle.ok(), vec.ok())
           << "seed " << kSeed << " round " << round << ": " << sql;
       if (!oracle.ok()) continue;
-      EXPECT_TRUE(RowSetsClose(oracle->rows, vec->rows))
+      // Generated queries avoid LIMIT without a total order, so multiset
+      // equality is the right contract.
+      EXPECT_TRUE(test::RowSetsClose(oracle->rows, vec->rows))
           << "seed " << kSeed << " round " << round << ": " << sql
           << "\n  volcano rows: " << oracle->rows.size()
           << "\n  vectorized rows: " << vec->rows.size();

@@ -4,7 +4,6 @@
 // time, and clean fallback for unsupported plan shapes.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "engine/node.h"
 #include "engine/session.h"
 #include "exec/vectorized.h"
+#include "result_compare.h"
 #include "sim/simulation.h"
 
 namespace citusx::exec {
@@ -20,31 +20,6 @@ namespace {
 
 using engine::QueryResult;
 using engine::Session;
-using sql::Datum;
-
-/// Datum equality with a relative tolerance for floats: the vectorized
-/// executor sums float aggregates in a different order than the volcano
-/// path, so bit-exact equality is too strict for float8.
-bool DatumClose(const Datum& a, const Datum& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.type() == sql::TypeId::kFloat8 || b.type() == sql::TypeId::kFloat8) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= 1e-9 * scale;
-  }
-  return Datum::Compare(a, b) == 0;
-}
-
-bool RowsClose(const std::vector<sql::Row>& a, const std::vector<sql::Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); i++) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t c = 0; c < a[i].size(); c++) {
-      if (!DatumClose(a[i][c], b[i][c])) return false;
-    }
-  }
-  return true;
-}
 
 std::string RowsToString(const std::vector<sql::Row>& rows, size_t limit = 5) {
   std::string out;
@@ -81,7 +56,7 @@ class ExecTest : public ::testing::Test {
     QueryResult oracle = MustExec(s, sql);
     MustExec(s, "SET citus.use_vectorized_executor = 'on'");
     QueryResult vec = MustExec(s, sql);
-    EXPECT_TRUE(RowsClose(oracle.rows, vec.rows))
+    EXPECT_TRUE(test::RowsClose(oracle.rows, vec.rows))
         << sql << "\n  volcano:    " << RowsToString(oracle.rows)
         << "\n  vectorized: " << RowsToString(vec.rows);
     return vec;
@@ -236,7 +211,7 @@ TEST_F(ExecTest, MorselParallelismSpeedsUpAggregates) {
     t0 = sim_.now();
     QueryResult vec = MustExec(*s, q);
     sim::Time vec_ns = sim_.now() - t0;
-    EXPECT_TRUE(RowsClose(oracle.rows, vec.rows));
+    EXPECT_TRUE(test::RowsClose(oracle.rows, vec.rows));
     // Batched costs plus 16-core morsel parallelism: >= 10x in virtual time
     // (this also proves the vectorized path actually ran).
     EXPECT_GE(volcano_ns, 10 * vec_ns)

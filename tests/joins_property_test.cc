@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "common/str.h"
 #include "engine/node.h"
 #include "engine/session.h"
+#include "result_compare.h"
 #include "sim/simulation.h"
 #include "sql/deparser.h"
 #include "sql/parser.h"
@@ -37,39 +37,6 @@ namespace citusx {
 namespace {
 
 using engine::QueryResult;
-using sql::Datum;
-
-bool DatumClose(const Datum& a, const Datum& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.type() == sql::TypeId::kFloat8 || b.type() == sql::TypeId::kFloat8) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= 1e-9 * scale;
-  }
-  return Datum::Compare(a, b) == 0;
-}
-
-// Order-insensitive multiset comparison (generated queries never use
-// LIMIT without a total order).
-bool RowSetsClose(std::vector<sql::Row> a, std::vector<sql::Row> b) {
-  if (a.size() != b.size()) return false;
-  auto row_less = [](const sql::Row& x, const sql::Row& y) {
-    for (size_t i = 0; i < x.size() && i < y.size(); i++) {
-      int c = Datum::Compare(x[i], y[i]);
-      if (c != 0) return c < 0;
-    }
-    return x.size() < y.size();
-  };
-  std::sort(a.begin(), a.end(), row_less);
-  std::sort(b.begin(), b.end(), row_less);
-  for (size_t i = 0; i < a.size(); i++) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t c = 0; c < a[i].size(); c++) {
-      if (!DatumClose(a[i][c], b[i][c])) return false;
-    }
-  }
-  return true;
-}
 
 int64_t EnvInt(const char* name, int64_t fallback) {
   const char* v = std::getenv(name);
@@ -310,10 +277,10 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
       ASSERT_TRUE(dist.ok())
           << "round " << round << " seed " << seed << "\n  " << d1 << "\n  "
           << dist.status().ToString();
-      if (!RowSetsClose(dist->rows, orac->rows)) {
+      if (!test::RowSetsClose(dist->rows, orac->rows)) {
         write_repro(sql, "distributed and oracle row sets diverge");
       }
-      ASSERT_TRUE(RowSetsClose(dist->rows, orac->rows))
+      ASSERT_TRUE(test::RowSetsClose(dist->rows, orac->rows))
           << "round " << round << " seed " << seed << "\n  " << d1
           << "\n-- distributed --\n" << ResultText(dist)
           << "-- oracle --\n" << ResultText(orac);

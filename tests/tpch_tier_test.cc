@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,6 +15,7 @@
 #include "citus/deploy.h"
 #include "citus/planner.h"
 #include "common/str.h"
+#include "result_compare.h"
 #include "workload/tpch.h"
 
 namespace citusx {
@@ -129,27 +129,6 @@ TEST_F(TpchTierTest, Fig8QueriesPlanAtExpectedTier) {
 // the rows the pushdown-plannable formulation (reference/co-located twins
 // of the same data) produces.
 // ---------------------------------------------------------------------------
-
-bool DatumClose(const sql::Datum& a, const sql::Datum& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.type() == sql::TypeId::kFloat8 || b.type() == sql::TypeId::kFloat8) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= 1e-9 * scale;
-  }
-  return sql::Datum::Compare(a, b) == 0;
-}
-
-bool RowsClose(const std::vector<sql::Row>& a, const std::vector<sql::Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); i++) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t c = 0; c < a[i].size(); c++) {
-      if (!DatumClose(a[i][c], b[i][c])) return false;
-    }
-  }
-  return true;
-}
 
 TEST_F(TpchTierTest, RepartitionJoinsMatchColocatedFormulation) {
   citus::DeploymentOptions options;
@@ -284,7 +263,7 @@ TEST_F(TpchTierTest, RepartitionJoinsMatchColocatedFormulation) {
       EXPECT_EQ(after.join_order, mid.join_order)
           << c.name << " oracle unexpectedly used the join-order tier";
       EXPECT_GT(dist->rows.size(), 0u) << c.name << " returned no rows";
-      EXPECT_TRUE(RowsClose(dist->rows, oracle->rows))
+      EXPECT_TRUE(test::RowsClose(dist->rows, oracle->rows))
           << c.name << ": join-order results diverge from the co-located "
           << "formulation";
     }
