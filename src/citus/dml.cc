@@ -60,51 +60,31 @@ std::vector<Task> ReferenceTableTasks(const CitusTable& table,
 
 }  // namespace
 
-Result<engine::QueryResult> DistributedPlanner::ExecuteInsert(
-    engine::Session& session, const sql::InsertStmt& ins,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
-  if (ins.select != nullptr) {
-    return ExecuteInsertSelect(session, ins, params, analysis);
-  }
+Result<DistributedPlan> DistributedPlanner::PlanInsert(
+    const sql::InsertStmt& ins, const std::vector<sql::Datum>& params) {
   CitusTable* table = ext_->metadata().Find(ins.table);
-  const auto& cost = ext_->node()->cost();
-  sql::DeparseOptions opts;
-  opts.params = &params;
-
-  sql::Statement stmt;
-  stmt.kind = sql::Statement::Kind::kInsert;
-  stmt.insert = std::make_shared<sql::InsertStmt>(ins);
-
-  AdaptiveExecutor executor(ext_);
+  DistributedPlan plan;
+  plan.modifies = table->name;
+  plan.grows = table;
   if (table->is_reference) {
-    if (!ext_->node()->cpu().Consume(cost.plan_router)) {
-      return Status::Cancelled("simulation stopping");
-    }
-    router_count++;
-    ext_->metric_router->Inc();
+    plan.tier = PlannerTier::kRouter;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+    sql::Statement stmt;
+    stmt.kind = sql::Statement::Kind::kInsert;
+    stmt.insert = std::make_shared<sql::InsertStmt>(ins);
     std::map<std::string, std::string> map = {
         {table->name, table->ShardName(table->shards[0].shard_id)}};
+    sql::DeparseOptions opts;
+    opts.params = &params;
     opts.table_map = &map;
-    auto tasks = ReferenceTableTasks(*table, sql::DeparseStatement(stmt, opts));
-    CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                            executor.Execute(session, std::move(tasks)));
-    table->approx_rows += results.empty() ? 0 : results[0].rows_affected;
-    return std::move(results[0]);
+    plan.tasks = ReferenceTableTasks(*table, sql::DeparseStatement(stmt, opts));
+    return plan;
   }
 
-  // Locate the distribution column among the insert columns.
-  engine::TableInfo* shell = ext_->node()->catalog().Find(ins.table);
-  if (shell == nullptr) return Status::NotFound("shell table missing");
-  int dist_pos = -1;
-  if (ins.columns.empty()) {
-    dist_pos = table->dist_col_index;
-  } else {
-    for (size_t i = 0; i < ins.columns.size(); i++) {
-      if (ins.columns[i] == table->dist_column) {
-        dist_pos = static_cast<int>(i);
-      }
-    }
+  if (ext_->node()->catalog().Find(ins.table) == nullptr) {
+    return Status::NotFound("shell table missing");
   }
+  int dist_pos = table->DistColumnPosition(ins.columns);
   if (dist_pos < 0) {
     return Status::InvalidArgument(
         "cannot perform an INSERT without the partition column");
@@ -131,16 +111,12 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsert(
     if (idx < 0) return Status::Internal("no shard for hash value");
     by_shard[idx].push_back(&row);
   }
-  if (!ext_->node()->cpu().Consume(
-          by_shard.size() == 1 && ins.values.size() == 1 ? cost.plan_fast_path
-                                                         : cost.plan_router)) {
-    return Status::Cancelled("simulation stopping");
-  }
-  bool ins_fast = by_shard.size() == 1 && ins.values.size() == 1;
-  (ins_fast ? fast_path_count : router_count)++;
-  (ins_fast ? ext_->metric_fast_path : ext_->metric_router)->Inc();
-  std::vector<Task> tasks;
-  int index = 0;
+  plan.tier = by_shard.size() == 1 && ins.values.size() == 1
+                  ? PlannerTier::kFastPath
+                  : PlannerTier::kRouter;
+  CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+  plan.step = CoordinatorStep::kSumRowsAffected;
+  plan.command = "INSERT 0";
   for (const auto& [shard_idx, rows] : by_shard) {
     sql::InsertStmt shard_ins;
     shard_ins.table = ins.table;
@@ -150,131 +126,88 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsert(
     sql::Statement shard_stmt;
     shard_stmt.kind = sql::Statement::Kind::kInsert;
     shard_stmt.insert = std::make_shared<sql::InsertStmt>(std::move(shard_ins));
+    const ShardInterval& shard = table->shards[static_cast<size_t>(shard_idx)];
     std::map<std::string, std::string> map = {
-        {table->name,
-         table->ShardName(table->shards[static_cast<size_t>(shard_idx)].shard_id)}};
-    sql::DeparseOptions topts;
-    topts.params = &params;
-    topts.table_map = &map;
-    Task t;
-    t.index = index++;
-    t.worker = table->shards[static_cast<size_t>(shard_idx)].placement;
-    t.colocation_id = table->colocation_id;
-    t.shard_group = shard_idx;
-    t.sql = sql::DeparseStatement(shard_stmt, topts);
-    t.is_write = true;
-    tasks.push_back(std::move(t));
-  }
-  CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                          executor.Execute(session, std::move(tasks)));
-  engine::QueryResult out;
-  for (const auto& r : results) out.rows_affected += r.rows_affected;
-  out.command_tag = StrFormat("INSERT 0 %lld",
-                              static_cast<long long>(out.rows_affected));
-  table->approx_rows += out.rows_affected;
-  return out;
-}
-
-Result<engine::QueryResult> DistributedPlanner::ExecuteDml(
-    engine::Session& session, const sql::Statement& stmt,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
-  if (stmt.kind == sql::Statement::Kind::kInsert) {
-    return ExecuteInsert(session, *stmt.insert, params, analysis);
-  }
-  const std::string& table_name = stmt.kind == sql::Statement::Kind::kUpdate
-                                      ? stmt.update->table
-                                      : stmt.del->table;
-  const ExprPtr& where = stmt.kind == sql::Statement::Kind::kUpdate
-                             ? stmt.update->where
-                             : stmt.del->where;
-  CitusTable* table = ext_->metadata().Find(table_name);
-  const auto& cost = ext_->node()->cost();
-  AdaptiveExecutor executor(ext_);
-
-  if (table->is_reference) {
-    if (!ext_->node()->cpu().Consume(cost.plan_router)) {
-      return Status::Cancelled("simulation stopping");
-    }
-    router_count++;
-    ext_->metric_router->Inc();
-    std::map<std::string, std::string> map = {
-        {table->name, table->ShardName(table->shards[0].shard_id)}};
+        {table->name, table->ShardName(shard.shard_id)}};
     sql::DeparseOptions opts;
     opts.params = &params;
     opts.table_map = &map;
-    auto tasks = ReferenceTableTasks(*table, sql::DeparseStatement(stmt, opts));
-    CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                            executor.Execute(session, std::move(tasks)));
-    return std::move(results[0]);
+    Task t;
+    t.index = static_cast<int>(plan.tasks.size());
+    t.worker = shard.placement;
+    t.colocation_id = table->colocation_id;
+    t.shard_group = shard_idx;
+    t.sql = sql::DeparseStatement(shard_stmt, opts);
+    t.is_write = true;
+    plan.tasks.push_back(std::move(t));
+  }
+  return plan;
+}
+
+Result<DistributedPlan> DistributedPlanner::PlanModify(
+    const sql::Statement& stmt, const std::vector<sql::Datum>& params) {
+  const bool is_update = stmt.kind == sql::Statement::Kind::kUpdate;
+  CitusTable* table = ext_->metadata().Find(is_update ? stmt.update->table
+                                                      : stmt.del->table);
+  DistributedPlan plan;
+  plan.modifies = table->name;
+  auto shard_sql = [&](size_t shard_idx) {
+    std::map<std::string, std::string> map = {
+        {table->name, table->ShardName(table->shards[shard_idx].shard_id)}};
+    sql::DeparseOptions opts;
+    opts.params = &params;
+    opts.table_map = &map;
+    return sql::DeparseStatement(stmt, opts);
+  };
+
+  if (table->is_reference) {
+    plan.tier = PlannerTier::kRouter;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+    plan.tasks = ReferenceTableTasks(*table, shard_sql(0));
+    return plan;
   }
 
-  auto restriction = DmlDistRestriction(where, *table, params);
+  auto restriction = DmlDistRestriction(
+      is_update ? stmt.update->where : stmt.del->where, *table, params);
   if (restriction.has_value()) {
     // Router (fast path) DML: single shard.
     CITUSX_ASSIGN_OR_RETURN(sql::Datum coerced,
                             restriction->CastTo(table->dist_col_type));
     int idx = table->ShardIndexForHash(coerced.PartitionHash());
     if (idx < 0) return Status::Internal("no shard for hash value");
-    if (!ext_->node()->cpu().Consume(cost.plan_fast_path)) {
-      return Status::Cancelled("simulation stopping");
-    }
-    fast_path_count++;
-    ext_->metric_fast_path->Inc();
-    std::map<std::string, std::string> map = {
-        {table->name,
-         table->ShardName(table->shards[static_cast<size_t>(idx)].shard_id)}};
-    sql::DeparseOptions opts;
-    opts.params = &params;
-    opts.table_map = &map;
+    plan.tier = PlannerTier::kFastPath;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
     Task t;
     t.worker = table->shards[static_cast<size_t>(idx)].placement;
     t.colocation_id = table->colocation_id;
     t.shard_group = idx;
-    t.sql = sql::DeparseStatement(stmt, opts);
+    t.sql = shard_sql(static_cast<size_t>(idx));
     t.is_write = true;
-    CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                            executor.Execute(session, {std::move(t)}));
-    return std::move(results[0]);
+    plan.tasks.push_back(std::move(t));
+    return plan;
   }
 
   // Parallel multi-shard DML (§3.8 "parallel, distributed DML").
-  if (!ext_->node()->cpu().Consume(cost.plan_pushdown)) {
-    return Status::Cancelled("simulation stopping");
-  }
-  pushdown_count++;
-  ext_->metric_pushdown->Inc();
-  std::vector<Task> tasks;
+  plan.tier = PlannerTier::kPushdown;
+  CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+  plan.step = CoordinatorStep::kSumRowsAffected;
+  plan.command = is_update ? "UPDATE" : "DELETE";
   for (size_t i = 0; i < table->shards.size(); i++) {
-    std::map<std::string, std::string> map = {
-        {table->name, table->ShardName(table->shards[i].shard_id)}};
-    for (const auto* ref : analysis.reference) {
-      map[ref->name] = ref->ShardName(ref->shards[0].shard_id);
-    }
-    sql::DeparseOptions opts;
-    opts.params = &params;
-    opts.table_map = &map;
     Task t;
     t.index = static_cast<int>(i);
     t.worker = table->shards[i].placement;
     t.colocation_id = table->colocation_id;
     t.shard_group = static_cast<int>(i);
-    t.sql = sql::DeparseStatement(stmt, opts);
+    t.sql = shard_sql(i);
     t.is_write = true;
-    tasks.push_back(std::move(t));
+    plan.tasks.push_back(std::move(t));
   }
-  CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                          executor.Execute(session, std::move(tasks)));
-  engine::QueryResult out;
-  for (const auto& r : results) out.rows_affected += r.rows_affected;
-  out.command_tag = StrFormat(
-      "%s %lld", stmt.kind == sql::Statement::Kind::kUpdate ? "UPDATE" : "DELETE",
-      static_cast<long long>(out.rows_affected));
-  return out;
+  return plan;
 }
 
-Result<engine::QueryResult> DistributedPlanner::ExecuteInsertSelect(
+Result<DistributedPlan> DistributedPlanner::PlanInsertSelect(
     engine::Session& session, const sql::InsertStmt& ins,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
+    const std::vector<sql::Datum>& params) {
   CitusTable* target = ext_->metadata().Find(ins.table);
   if (target == nullptr) {
     return Status::NotSupported(
@@ -282,6 +215,8 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsertSelect(
   }
   const sql::SelectStmt& sel = *ins.select;
   TableAnalysis source = AnalyzeSelectTables(ext_->metadata(), sel);
+  DistributedPlan plan;
+  plan.modifies = target->name;
 
   // Strategy 1: co-located INSERT..SELECT executed per shard pair (§3.8).
   // Requirements: target distributed; source dist tables co-located with the
@@ -295,21 +230,10 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsertSelect(
   if (colocated) {
     std::string reason;
     colocated &= SubqueryPushdownSafe(sel, ext_->metadata(), &reason);
-    std::string tmp;
-    colocated &= CheckColocatedJoins(sel, source, ext_->metadata(), &tmp);
+    colocated &= CheckColocatedJoins(sel, source, ext_->metadata(), &reason);
   }
   if (colocated) {
-    // Locate the target position of the distribution column.
-    int dist_pos = -1;
-    if (ins.columns.empty()) {
-      dist_pos = target->dist_col_index;
-    } else {
-      for (size_t i = 0; i < ins.columns.size(); i++) {
-        if (ins.columns[i] == target->dist_column) {
-          dist_pos = static_cast<int>(i);
-        }
-      }
-    }
+    int dist_pos = target->DistColumnPosition(ins.columns);
     bool dist_aligned =
         dist_pos >= 0 && dist_pos < static_cast<int>(sel.targets.size());
     if (dist_aligned) {
@@ -320,21 +244,20 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsertSelect(
                       e->column == source.distributed[0]->dist_column);
     }
     if (dist_aligned) {
-      pushdown_count++;
-      ext_->metric_pushdown->Inc();
-      if (!ext_->node()->cpu().Consume(ext_->node()->cost().plan_pushdown)) {
-        return Status::Cancelled("simulation stopping");
-      }
-      std::vector<Task> tasks;
+      plan.tier = PlannerTier::kPushdown;
+      CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+      plan.step = CoordinatorStep::kSumRowsAffected;
+      plan.command = "INSERT 0";
+      plan.grows = target;
+      sql::Statement stmt;
+      stmt.kind = sql::Statement::Kind::kInsert;
+      stmt.insert = std::make_shared<sql::InsertStmt>(ins);
       for (size_t i = 0; i < target->shards.size(); i++) {
         auto map = ShardGroupTableMap(source, static_cast<int>(i));
         map[target->name] = target->ShardName(target->shards[i].shard_id);
         sql::DeparseOptions opts;
         opts.params = &params;
         opts.table_map = &map;
-        sql::Statement stmt;
-        stmt.kind = sql::Statement::Kind::kInsert;
-        stmt.insert = std::make_shared<sql::InsertStmt>(ins);
         Task t;
         t.index = static_cast<int>(i);
         t.worker = target->shards[i].placement;
@@ -342,48 +265,22 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteInsertSelect(
         t.shard_group = static_cast<int>(i);
         t.sql = sql::DeparseStatement(stmt, opts);
         t.is_write = true;
-        tasks.push_back(std::move(t));
+        plan.tasks.push_back(std::move(t));
       }
-      AdaptiveExecutor executor(ext_);
-      CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                              executor.Execute(session, std::move(tasks)));
-      engine::QueryResult out;
-      for (const auto& r : results) out.rows_affected += r.rows_affected;
-      out.command_tag = StrFormat(
-          "INSERT 0 %lld", static_cast<long long>(out.rows_affected));
-      target->approx_rows += out.rows_affected;
-      return out;
+      return plan;
     }
   }
 
   // Strategy 3 (also covers strategy 2 here, see DESIGN.md): run the SELECT
   // as a distributed query, then COPY the result into the target table.
-  CITUSX_ASSIGN_OR_RETURN(engine::QueryResult rows,
-                          ExecuteSelect(session, sel, params, source));
-  std::vector<std::vector<std::string>> text_rows;
-  text_rows.reserve(rows.rows.size());
-  for (const auto& row : rows.rows) {
-    std::vector<std::string> fields;
-    fields.reserve(row.size());
-    for (const auto& d : row) {
-      fields.push_back(d.is_null() ? "\\N" : d.ToText());
-    }
-    text_rows.push_back(std::move(fields));
-  }
-  sql::CopyStmt copy;
-  copy.table = ins.table;
-  copy.columns = ins.columns;
-  CITUSX_ASSIGN_OR_RETURN(
-      std::optional<engine::QueryResult> copied,
-      ProcessDistributedCopy(ext_, session, copy, text_rows));
-  if (!copied.has_value()) {
-    return Status::Internal("distributed COPY did not handle the target");
-  }
-  engine::QueryResult out;
-  out.rows_affected = copied->rows_affected;
-  out.command_tag = StrFormat("INSERT 0 %lld",
-                              static_cast<long long>(out.rows_affected));
-  return out;
+  CITUSX_ASSIGN_OR_RETURN(DistributedPlan select,
+                          PlanSelect(session, sel, params, source));
+  plan.tier = select.tier;
+  plan.step = CoordinatorStep::kSumRowsAffected;
+  plan.command = "INSERT 0";
+  plan.source = std::make_unique<DistributedPlan>(std::move(select));
+  plan.copy_columns = ins.columns;
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -446,17 +343,7 @@ Result<std::optional<engine::QueryResult>> ProcessDistributedCopy(
     return std::optional<engine::QueryResult>(std::move(out));
   }
 
-  // Locate the distribution column within the COPY column list.
-  int dist_pos = -1;
-  if (stmt.columns.empty()) {
-    dist_pos = table->dist_col_index;
-  } else {
-    for (size_t i = 0; i < stmt.columns.size(); i++) {
-      if (stmt.columns[i] == table->dist_column) {
-        dist_pos = static_cast<int>(i);
-      }
-    }
-  }
+  int dist_pos = table->DistColumnPosition(stmt.columns);
   if (dist_pos < 0) {
     return Status::InvalidArgument(
         "COPY into a distributed table requires the partition column");

@@ -375,6 +375,8 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
     engine::Session& session, std::vector<Task> tasks) {
   std::vector<engine::QueryResult> results(tasks.size());
   if (tasks.empty()) return results;
+  ext_->SessionState(session).tasks_dispatched +=
+      static_cast<int64_t>(tasks.size());
 
   int writes = 0;
   bool all_reads = true;

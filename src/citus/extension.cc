@@ -82,7 +82,10 @@ CitusExtension* CitusExtension::Install(
   Registry()[node] = ext;
   ext->RegisterHooks();
   ext->RegisterUdfs();
-  if (config.use_vectorized_executor) exec::InstallVectorizedExecutor(node);
+  // The vectorized morsel-driven executor (src/exec). Sessions opt out with
+  // SET citus.use_vectorized_executor = off, which the coordinator also
+  // propagates to its worker connections (ablation: abl_olap).
+  exec::InstallVectorizedExecutor(node);
   // The commit-records catalog table (pg_dist_transaction). Real MVCC
   // storage: commit records become visible atomically with local commit.
   if (node->catalog().Find(kCommitRecordsTable) == nullptr) {

@@ -68,6 +68,9 @@ struct CitusSessionState {
   /// (set once per inter-node connection; re-parsed only when it changes).
   std::string peer_version_str;
   uint64_t peer_version = 0;
+  /// Tasks the adaptive executor has dispatched for this session; a
+  /// statement's share is its citus_stat_statements shards_hit.
+  int64_t tasks_dispatched = 0;
 
   ~CitusSessionState();
 };
@@ -77,7 +80,7 @@ struct CitusSessionState {
 struct StatStatementEntry {
   std::string tier;        // planner tier of the most recent call
   int64_t calls = 0;
-  int64_t shards_hit = 0;  // cumulative tasks sent to shards
+  int64_t shards_hit = 0;  // cumulative tasks the calls dispatched
   sim::Histogram time;     // per-call virtual time (ns)
 };
 
@@ -93,11 +96,6 @@ struct CitusConfig {
   /// Per-session distributed plan cache + worker-side prepared statements
   /// (ablation: abl_plancache --no-plan-cache).
   bool enable_plan_cache = true;
-  /// Register the vectorized morsel-driven executor (src/exec) on the node.
-  /// Sessions can still opt out per-session with
-  /// SET citus.use_vectorized_executor = off, which the coordinator also
-  /// propagates to its worker connections (ablation: abl_olap).
-  bool use_vectorized_executor = true;
   /// Per-statement deadline on worker connections (0 = none). A round trip
   /// exceeding it fails with Timeout and the connection is replaced.
   sim::Time statement_timeout = 0;

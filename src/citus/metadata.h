@@ -77,6 +77,18 @@ struct CitusTable {
                      static_cast<unsigned long long>(shard_id));
   }
 
+  /// Position of the distribution column in an INSERT/COPY column list
+  /// (its last occurrence, -1 if absent); dist_col_index when the list is
+  /// empty.
+  int DistColumnPosition(const std::vector<std::string>& columns) const {
+    if (columns.empty()) return dist_col_index;
+    int pos = -1;
+    for (size_t i = 0; i < columns.size(); i++) {
+      if (columns[i] == dist_column) pos = static_cast<int>(i);
+    }
+    return pos;
+  }
+
   /// Index of the shard covering `hash`, or -1. Binary search over the
   /// min_hash-sorted intervals: find the last shard with min_hash <= hash,
   /// then confirm its max_hash covers it (ranges may have gaps).

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "citus/executor.h"
-#include "citus/planner.h"
 #include "common/str.h"
 #include "engine/hooks.h"
 #include "sql/deparser.h"
@@ -187,16 +186,7 @@ bool NormalizeStatement(const sql::Statement& stmt, const CitusTable& table,
           ins.values.size() != 1) {
         return false;
       }
-      int dist_pos = -1;
-      if (ins.columns.empty()) {
-        dist_pos = table.dist_col_index;
-      } else {
-        for (size_t i = 0; i < ins.columns.size(); i++) {
-          if (ins.columns[i] == table.dist_column) {
-            dist_pos = static_cast<int>(i);
-          }
-        }
-      }
+      int dist_pos = table.DistColumnPosition(ins.columns);
       auto& row = ins.values[0];
       if (dist_pos < 0 || dist_pos >= static_cast<int>(row.size())) {
         return false;
@@ -357,10 +347,10 @@ std::string CachedDistPlan::PrepareName(int shard_index) const {
                    shard_index);
 }
 
-Result<std::optional<engine::QueryResult>> TryPlanCacheExecution(
+Result<std::optional<DistributedPlan>> PlanFromCache(
     CitusExtension* ext, engine::Session& session, const sql::Statement& stmt,
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
-  std::optional<engine::QueryResult> not_handled;
+  std::optional<DistributedPlan> not_handled;
   if (analysis.distributed.size() != 1 || !analysis.reference.empty() ||
       !analysis.local.empty()) {
     return not_handled;
@@ -468,16 +458,10 @@ Result<std::optional<engine::QueryResult>> TryPlanCacheExecution(
   int idx = table->ShardIndexForHash(coerced->PartitionHash());
   if (idx < 0) return Status::Internal("no shard for hash value");
 
-  // A hit re-binds in O(log shards); a miss pays the fast-path planner.
-  const auto& cost = ext->node()->cost();
-  if (!ext->node()->cpu().Consume(hit ? cost.plan_cached_bind
-                                      : cost.plan_fast_path)) {
-    return Status::Cancelled("simulation stopping");
-  }
+  // Every plan-cache plan is a fast-path plan. A hit re-binds in
+  // O(log shards); a miss pays the fast-path planner.
+  CITUSX_RETURN_IF_ERROR(ChargeTier(ext, PlannerTier::kFastPath, hit));
   if (hit) ext->metric_plancache_hit->Inc();
-  // Every plan-cache execution is a fast-path plan (tier accounting).
-  DistributedPlanner::fast_path_count++;
-  ext->metric_fast_path->Inc();
 
   const ShardInterval& shard = table->shards[static_cast<size_t>(idx)];
   std::string shard_name = table->ShardName(shard.shard_id);
@@ -515,14 +499,11 @@ Result<std::optional<engine::QueryResult>> TryPlanCacheExecution(
     t.sql = sql::DeparseStatement(*plan->normalized, opts);
   }
 
-  AdaptiveExecutor executor(ext);
-  CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                          executor.Execute(session, {std::move(t)}));
-  engine::QueryResult out = std::move(results[0]);
-  if (plan->kind == sql::Statement::Kind::kInsert) {
-    table->approx_rows += out.rows_affected;
-  }
-  return std::optional<engine::QueryResult>(std::move(out));
+  DistributedPlan out;
+  out.tier = PlannerTier::kFastPath;
+  out.tasks.push_back(std::move(t));
+  if (plan->kind == sql::Statement::Kind::kInsert) out.grows = table;
+  return std::optional<DistributedPlan>(std::move(out));
 }
 
 bool PlanCacheContains(CitusExtension* ext, engine::Session& session,

@@ -21,12 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "citus/extension.h"
+#include "citus/planner.h"
 #include "sql/ast.h"
 
 namespace citusx::citus {
-
-struct TableAnalysis;  // planner.h
 
 /// One cached distributed plan for a normalized single-shard CRUD shape.
 struct CachedDistPlan {
@@ -70,13 +68,13 @@ struct PreparedPlanRef {
   std::vector<sql::Datum> lifted;
 };
 
-/// Try to execute `stmt` through the session's distributed plan cache.
-/// Returns nullopt when the statement shape is not cacheable (the caller
-/// falls through to the regular planner tiers); otherwise executes it —
-/// building and caching the plan on a miss, re-binding on a hit — and
-/// returns the result. Maintains the citus.plancache.{hit,miss,invalidation}
-/// counters and the fast-path tier counters.
-Result<std::optional<engine::QueryResult>> TryPlanCacheExecution(
+/// Plan `stmt` through the session's distributed plan cache. Returns
+/// nullopt when the statement shape is not cacheable (the caller falls
+/// through to the regular planner tiers); otherwise returns its single-task
+/// fast-path plan — building and caching the entry on a miss, re-binding it
+/// on a hit. Maintains the citus.plancache.{hit,miss,invalidation} counters
+/// and charges the fast-path tier (ChargeTier).
+Result<std::optional<DistributedPlan>> PlanFromCache(
     CitusExtension* ext, engine::Session& session, const sql::Statement& stmt,
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
 

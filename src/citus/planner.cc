@@ -11,11 +11,6 @@
 
 namespace citusx::citus {
 
-std::atomic<int64_t> DistributedPlanner::fast_path_count{0};
-std::atomic<int64_t> DistributedPlanner::router_count{0};
-std::atomic<int64_t> DistributedPlanner::pushdown_count{0};
-std::atomic<int64_t> DistributedPlanner::join_order_count{0};
-
 namespace {
 
 using sql::BinOp;
@@ -174,26 +169,6 @@ const CitusTable* AnyDistColRef(const sql::Expr& e,
     if (IsDistColRef(e, *t, analysis)) return t;
   }
   return nullptr;
-}
-
-std::optional<sql::Datum> FindDistColRestriction(
-    const sql::SelectStmt& sel, const CitusTable& table,
-    const TableAnalysis& analysis, const std::vector<sql::Datum>& params) {
-  std::vector<ExprPtr> conjuncts;
-  CollectConjuncts(sel, &conjuncts);
-  for (const auto& c : conjuncts) {
-    if (c->kind != ExprKind::kBinary || c->bin_op != BinOp::kEq) continue;
-    ExprPtr col = c->args[0], val = c->args[1];
-    if (!IsDistColRef(*col, table, analysis)) std::swap(col, val);
-    if (!IsDistColRef(*col, table, analysis)) continue;
-    if (!ExprIsConstOrParam(val)) continue;
-    sql::EvalContext ec;
-    ec.params = &params;
-    auto v = sql::Eval(*val, ec);
-    if (!v.ok() || v->is_null()) continue;
-    return *v;
-  }
-  return std::nullopt;
 }
 
 // Transitive distribution-column restrictions: conjuncts `a.dc = b.dc`
@@ -627,131 +602,117 @@ Result<AggSplit> SplitAggregates(const SelectStmt& original) {
 // DistributedPlanner
 // ---------------------------------------------------------------------------
 
+const char* TierLabel(PlannerTier tier) {
+  switch (tier) {
+    case PlannerTier::kFastPath:
+      return "fast path";
+    case PlannerTier::kRouter:
+      return "router";
+    case PlannerTier::kPushdown:
+      return "pushdown";
+    case PlannerTier::kJoinOrder:
+      return "join-order";
+  }
+  return "";
+}
+
+Status ChargeTier(CitusExtension* ext, PlannerTier tier, bool cache_hit) {
+  const auto& cost = ext->node()->cost();
+  sim::Time cpu = 0;
+  obs::Counter* planned = nullptr;
+  switch (tier) {
+    case PlannerTier::kFastPath:
+      cpu = cache_hit ? cost.plan_cached_bind : cost.plan_fast_path;
+      planned = ext->metric_fast_path;
+      break;
+    case PlannerTier::kRouter:
+      cpu = cost.plan_router;
+      planned = ext->metric_router;
+      break;
+    case PlannerTier::kPushdown:
+      cpu = cost.plan_pushdown;
+      planned = ext->metric_pushdown;
+      break;
+    case PlannerTier::kJoinOrder:
+      if (!ext->node()->cpu().Consume(cost.plan_pushdown)) {
+        return Status::Cancelled("simulation stopping");
+      }
+      cpu = cost.plan_join_order;
+      planned = ext->metric_join_order;
+      break;
+  }
+  if (!ext->node()->cpu().Consume(cpu)) {
+    return Status::Cancelled("simulation stopping");
+  }
+  planned->Inc();
+  return Status::OK();
+}
+
 namespace {
 
-// Distributed EXPLAIN: describe the chosen tier and its tasks without
-// executing anything.
-Result<engine::QueryResult> ExplainDistributed(
-    CitusExtension* ext, const sql::Statement& stmt,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis,
-    bool plan_cached) {
-  // "(cached)" marks shapes the session's distributed plan cache would serve
-  // without re-planning (mirrors EXPLAIN's "(cached plan)" note).
-  const char* cached_tag = plan_cached ? " (cached)" : "";
-  std::vector<std::string> lines;
-  auto add = [&](const std::string& s) { lines.push_back(s); };
-  sql::DeparseOptions opts;
-  opts.params = &params;
-  if (stmt.kind == sql::Statement::Kind::kSelect) {
-    const sql::SelectStmt& sel = *stmt.select;
-    auto restrictions = ComputeDistRestrictions(sel, analysis, params);
-    bool routable = !analysis.distributed.empty();
-    int shard_index = -1;
-    for (const auto* t : analysis.distributed) {
-      auto it = restrictions.find(t);
-      if (it == restrictions.end()) {
-        routable = false;
-        break;
-      }
-      auto coerced = it->second.CastTo(t->dist_col_type);
-      int idx = coerced.ok()
-                    ? t->ShardIndexForHash(coerced->PartitionHash())
-                    : -1;
-      if (idx < 0 || (shard_index >= 0 && idx != shard_index)) routable = false;
-      shard_index = idx;
-    }
-    if (analysis.distributed.empty()) {
-      add("Custom Scan (Citus Router)  Task Count: 1 (reference tables only)");
-    } else if (routable) {
-      bool fast = analysis.distributed.size() == 1 &&
-                  analysis.reference.empty() && sel.from.size() == 1 &&
-                  sel.group_by.empty();
-      auto map = ShardGroupTableMap(analysis, shard_index);
-      opts.table_map = &map;
-      add(StrFormat("Custom Scan (Citus %s)  Task Count: 1%s",
-                    fast ? "Fast Path Router" : "Router", cached_tag));
-      add("  Task: " + sql::DeparseSelect(sel, opts));
-      add("  Placement: " +
-          analysis.distributed[0]
-              ->shards[static_cast<size_t>(shard_index)]
-              .placement);
-    } else {
-      std::string reason;
-      bool colocated =
-          CheckColocatedJoins(sel, analysis, ext->metadata(), &reason);
-      bool subqueries_safe = true;
-      for (const auto& f : sel.from) {
-        if (f->kind == sql::TableRef::Kind::kSubquery) {
-          subqueries_safe &=
-              SubqueryPushdownSafe(*f->subquery, ext->metadata(), &reason);
-        }
-      }
-      if (colocated && subqueries_safe && !analysis.distributed.empty()) {
-        const CitusTable* rep = analysis.distributed[0];
-        auto map = ShardGroupTableMap(analysis, 0);
-        opts.table_map = &map;
-        add(StrFormat("Custom Scan (Citus Adaptive)  Task Count: %zu",
-                      rep->shards.size()));
-        add("  Sample Task: " + sql::DeparseSelect(sel, opts));
-      } else {
-        add("Custom Scan (Citus Adaptive)  via logical join-order planner "
-            "(repartition/broadcast)");
-      }
-    }
-  } else {
-    const std::string& table_name =
-        stmt.kind == sql::Statement::Kind::kInsert   ? stmt.insert->table
-        : stmt.kind == sql::Statement::Kind::kUpdate ? stmt.update->table
-                                                     : stmt.del->table;
-    const CitusTable* t = ext->metadata().Find(table_name);
-    if (t != nullptr && t->is_reference) {
-      add(StrFormat("Custom Scan (Citus Router)  Task Count: %zu (all "
-                    "replicas)",
-                    t->replica_nodes.size()));
-    } else if (t != nullptr) {
-      add(StrFormat("Custom Scan (Citus Adaptive)  Modify on %s (up to %zu "
-                    "shard tasks)%s",
-                    table_name.c_str(), t->shards.size(), cached_tag));
-    }
+// The Custom Scan label of a tier's plans.
+const char* ScanLabel(PlannerTier tier) {
+  switch (tier) {
+    case PlannerTier::kFastPath:
+      return "Fast Path Router";
+    case PlannerTier::kRouter:
+      return "Router";
+    default:
+      return "Adaptive";
   }
+}
+
+// EXPLAIN's rendering of a plan: a Custom Scan line with the tier's label
+// and the task count, then the tasks and the coordinator step.
+void ExplainPlan(const DistributedPlan& plan, const char* cached_tag,
+                 const std::vector<sql::Datum>& params,
+                 std::vector<std::string>* lines) {
+  auto add = [&](const std::string& s) { lines->push_back(s); };
+  if (plan.source != nullptr) {
+    add("Custom Scan (Citus INSERT ... SELECT)  Modify on " + plan.modifies +
+        " (pull to coordinator)");
+    std::vector<std::string> source;
+    ExplainPlan(*plan.source, "", params, &source);
+    for (size_t i = 0; i < source.size(); i++) {
+      add((i == 0 ? "  ->  " : "      ") + source[i]);
+    }
+    return;
+  }
+  if (plan.join_order != nullptr) {
+    add("Custom Scan (Citus Adaptive)  via logical join-order planner "
+        "(repartition/broadcast)");
+    for (const MovePlan& mp : plan.join_order->moves) {
+      add(mp.target == nullptr
+              ? "  Broadcast: " + mp.table->name
+              : StrFormat("  Repartition: %s on %s along %s",
+                          mp.table->name.c_str(), mp.join_col.c_str(),
+                          mp.target->name.c_str()));
+    }
+    return;
+  }
+  add(StrFormat("Custom Scan (Citus %s)  Task Count: %zu%s",
+                ScanLabel(plan.tier), plan.tasks.size(), cached_tag));
+  if (!plan.modifies.empty()) add("  Modify on " + plan.modifies);
+  if (plan.tasks.size() == 1) {
+    add("  Task: " + plan.tasks[0].sql);
+    add("  Placement: " + plan.tasks[0].worker);
+  } else if (!plan.tasks.empty()) {
+    add("  Sample Task: " + plan.tasks[0].sql);
+  }
+  if (plan.merge != nullptr) {
+    sql::DeparseOptions opts;
+    opts.params = &params;
+    add("  Merge: " + sql::DeparseSelect(*plan.merge, opts));
+  }
+}
+
+engine::QueryResult QueryPlanResult(const std::vector<std::string>& lines) {
   engine::QueryResult out;
   out.column_names = {"QUERY PLAN"};
   out.column_types = {sql::TypeId::kText};
   for (const auto& l : lines) out.rows.push_back({sql::Datum::Text(l)});
   out.command_tag = "EXPLAIN";
   return out;
-}
-
-// Snapshot of the tier counters plus the executor's task counter; the delta
-// across an execution identifies the tier taken and the shards touched.
-struct TierSnapshot {
-  int64_t fast_path = 0;
-  int64_t router = 0;
-  int64_t pushdown = 0;
-  int64_t join_order = 0;
-  int64_t tasks = 0;
-};
-
-TierSnapshot SnapshotTiers(CitusExtension* ext) {
-  TierSnapshot s;
-  s.fast_path = DistributedPlanner::fast_path_count;
-  s.router = DistributedPlanner::router_count;
-  s.pushdown = DistributedPlanner::pushdown_count;
-  s.join_order = DistributedPlanner::join_order_count;
-  s.tasks = ext->metric_tasks->value();
-  return s;
-}
-
-std::string TierName(const TierSnapshot& before, const TierSnapshot& after,
-                     const sql::Statement& stmt) {
-  // Most-complex tier first: a join-order (repartition) plan internally
-  // fans out pushdown-style scan tasks, so its counter wins over nested
-  // increments of the simpler tiers.
-  if (after.join_order > before.join_order) return "join-order";
-  if (after.pushdown > before.pushdown) return "pushdown";
-  if (after.router > before.router) return "router";
-  if (after.fast_path > before.fast_path) return "fast path";
-  return stmt.kind == sql::Statement::Kind::kSelect ? "other" : "modify";
 }
 
 double MsOf(sim::Time t) { return static_cast<double>(t) / 1e6; }
@@ -807,50 +768,49 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
         "joining distributed tables with local tables is not supported");
   }
   if (stmt.is_explain) {
+    // Plan the statement with the EXPLAIN flags stripped: DML deparsing
+    // would otherwise carry the EXPLAIN prefix into the task SQL.
+    sql::Statement inner = stmt;
+    inner.is_explain = false;
+    inner.is_analyze = false;
     if (stmt.is_analyze) {
       CITUSX_ASSIGN_OR_RETURN(engine::QueryResult r,
-                              ExplainAnalyze(session, stmt, params, analysis));
+                              ExplainAnalyze(session, inner, params, analysis));
       return std::optional<engine::QueryResult>(std::move(r));
     }
-    CITUSX_ASSIGN_OR_RETURN(
-        engine::QueryResult r,
-        ExplainDistributed(
-            ext_, stmt, params, analysis,
-            PlanCacheContains(ext_, session, stmt, params, analysis)));
-    return std::optional<engine::QueryResult>(std::move(r));
+    // EXPLAIN plans through the tiers and dispatches nothing. "(cached)"
+    // marks shapes the session's plan cache would serve without planning
+    // (mirrors EXPLAIN's "(cached plan)" note).
+    bool cached = PlanCacheContains(ext_, session, inner, params, analysis);
+    CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
+                            Plan(session, inner, params, analysis));
+    std::vector<std::string> lines;
+    ExplainPlan(plan, cached ? " (cached)" : "", params, &lines);
+    return std::optional<engine::QueryResult>(QueryPlanResult(lines));
   }
-  TierSnapshot before = SnapshotTiers(ext_);
   sim::Time started = ext_->node()->sim()->now();
-  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    // Single-shard CRUD statements go through the distributed plan cache:
-    // a hit skips planning (binary-search pruning + template splice), a
-    // miss plans once and caches; other shapes fall through to the tiers.
-    if (ext_->config().enable_plan_cache) {
-      CITUSX_ASSIGN_OR_RETURN(
-          std::optional<engine::QueryResult> cached,
-          TryPlanCacheExecution(ext_, session, stmt, params, analysis));
-      if (cached.has_value()) return std::move(*cached);
-    }
-    switch (stmt.kind) {
-      case sql::Statement::Kind::kSelect:
-        return ExecuteSelect(session, *stmt.select, params, analysis);
-      case sql::Statement::Kind::kInsert:
-      case sql::Statement::Kind::kUpdate:
-      case sql::Statement::Kind::kDelete:
-        return ExecuteDml(session, stmt, params, analysis);
-      default:
-        return Status::Internal("unexpected statement in distributed planner");
-    }
-  }();
-  if (!result.ok()) return result.status();
-  TierSnapshot after = SnapshotTiers(ext_);
+  const int64_t dispatched = ext_->SessionState(session).tasks_dispatched;
+  // Single-shard CRUD statements go through the distributed plan cache: a
+  // hit skips planning (binary-search pruning + template splice), a miss
+  // plans once and caches; other shapes plan through the tiers.
+  std::optional<DistributedPlan> plan;
+  if (ext_->config().enable_plan_cache) {
+    CITUSX_ASSIGN_OR_RETURN(
+        plan, PlanFromCache(ext_, session, stmt, params, analysis));
+  }
+  if (!plan.has_value()) {
+    CITUSX_ASSIGN_OR_RETURN(plan, Plan(session, stmt, params, analysis));
+  }
+  const PlannerTier tier = plan->tier;
+  CITUSX_ASSIGN_OR_RETURN(engine::QueryResult result,
+                          Execute(session, std::move(*plan), params));
   sql::DeparseOptions nopts;
   nopts.normalize = true;
-  ext_->RecordStatement(sql::DeparseStatement(stmt, nopts),
-                        TierName(before, after, stmt),
-                        ext_->node()->sim()->now() - started,
-                        after.tasks - before.tasks);
-  return std::optional<engine::QueryResult>(std::move(result).value());
+  ext_->RecordStatement(
+      sql::DeparseStatement(stmt, nopts), TierLabel(tier),
+      ext_->node()->sim()->now() - started,
+      ext_->SessionState(session).tasks_dispatched - dispatched);
+  return std::optional<engine::QueryResult>(std::move(result));
 }
 
 Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
@@ -858,18 +818,11 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
   sim::Simulation* sim = ext_->node()->sim();
   obs::TraceCollector* tracer = ext_->node()->tracer();
-  TierSnapshot before = SnapshotTiers(ext_);
+  const int64_t dispatched = ext_->SessionState(session).tasks_dispatched;
 
   // Root span: the whole distributed query on the coordinator. Its context
   // is planted in the session variable so the adaptive executor parents its
   // task spans under it and propagates them to the workers.
-  // Execute the statement with the EXPLAIN flags stripped: DML deparsing
-  // would otherwise propagate the EXPLAIN ANALYZE prefix into the worker
-  // task SQL.
-  sql::Statement inner = stmt;
-  inner.is_explain = false;
-  inner.is_analyze = false;
-
   obs::TraceId trace = 0;
   obs::SpanId root = 0;
   std::string saved_ctx;
@@ -879,23 +832,18 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
                              ext_->node()->name(), sim->now());
     sql::DeparseOptions sopts;
     sopts.params = &params;
-    tracer->SetAttr(root, "sql", sql::DeparseStatement(inner, sopts));
+    tracer->SetAttr(root, "sql", sql::DeparseStatement(stmt, sopts));
     saved_ctx = session.GetVar("citusx.trace_ctx");
     session.SetVar("citusx.trace_ctx", obs::FormatTraceContext(trace, root));
   }
 
   sim::Time started = sim->now();
+  PlannerTier tier = PlannerTier::kFastPath;
   Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    switch (inner.kind) {
-      case sql::Statement::Kind::kSelect:
-        return ExecuteSelect(session, *inner.select, params, analysis);
-      case sql::Statement::Kind::kInsert:
-      case sql::Statement::Kind::kUpdate:
-      case sql::Statement::Kind::kDelete:
-        return ExecuteDml(session, inner, params, analysis);
-      default:
-        return Status::Internal("unexpected statement in EXPLAIN ANALYZE");
-    }
+    CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
+                            Plan(session, stmt, params, analysis));
+    tier = plan.tier;
+    return Execute(session, std::move(plan), params);
   }();
   sim::Time elapsed = sim->now() - started;
   if (tracer != nullptr) {
@@ -909,31 +857,22 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
   }
   if (!result.ok()) return result.status();
 
-  TierSnapshot after = SnapshotTiers(ext_);
-  std::string tier = TierName(before, after, stmt);
   int64_t root_rows = result->rows.empty()
                           ? result->rows_affected
                           : static_cast<int64_t>(result->rows.size());
-
-  engine::QueryResult out;
-  out.column_names = {"QUERY PLAN"};
-  out.column_types = {sql::TypeId::kText};
-  auto add = [&](const std::string& s) {
-    out.rows.push_back({sql::Datum::Text(s)});
-  };
-  const char* label = tier == "fast path" ? "Fast Path Router"
-                      : tier == "router"  ? "Router"
-                                          : "Adaptive";
+  std::vector<std::string> lines;
+  auto add = [&](const std::string& s) { lines.push_back(s); };
   add(StrFormat("Custom Scan (Citus %s)  (actual time=%.3f ms, rows=%lld)",
-                label, MsOf(elapsed),
+                ScanLabel(tier), MsOf(elapsed),
                 static_cast<long long>(root_rows)));
-  add("  Planner Tier: " + tier);
+  add(std::string("  Planner Tier: ") + TierLabel(tier));
   if (tracer == nullptr) {
     add(StrFormat("  Task Count: %lld (tracing disabled: node not in a "
                   "cluster)",
-                  static_cast<long long>(after.tasks - before.tasks)));
-    out.command_tag = "EXPLAIN";
-    return out;
+                  static_cast<long long>(
+                      ext_->SessionState(session).tasks_dispatched -
+                      dispatched)));
+    return QueryPlanResult(lines);
   }
 
   // Render the span tree: task spans are children of the root, worker
@@ -990,14 +929,101 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
       }
     }
   }
-  out.command_tag = "EXPLAIN";
+  return QueryPlanResult(lines);
+}
+
+Result<DistributedPlan> DistributedPlanner::Plan(
+    engine::Session& session, const sql::Statement& stmt,
+    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
+  switch (stmt.kind) {
+    case sql::Statement::Kind::kSelect:
+      return PlanSelect(session, *stmt.select, params, analysis);
+    case sql::Statement::Kind::kInsert:
+      return stmt.insert->select != nullptr
+                 ? PlanInsertSelect(session, *stmt.insert, params)
+                 : PlanInsert(*stmt.insert, params);
+    case sql::Statement::Kind::kUpdate:
+    case sql::Statement::Kind::kDelete:
+      return PlanModify(stmt, params);
+    default:
+      return Status::Internal("unexpected statement in distributed planner");
+  }
+}
+
+Result<engine::QueryResult> DistributedPlanner::Execute(
+    engine::Session& session, DistributedPlan plan,
+    const std::vector<sql::Datum>& params) {
+  if (plan.join_order != nullptr) {
+    return ExecuteJoinOrder(session, *plan.join_order, params);
+  }
+  std::vector<engine::QueryResult> results;
+  if (plan.source != nullptr) {
+    // INSERT .. SELECT through the coordinator (§3.8): run the SELECT, then
+    // COPY its rows into the target table.
+    CITUSX_ASSIGN_OR_RETURN(
+        engine::QueryResult rows,
+        Execute(session, std::move(*plan.source), params));
+    std::vector<std::vector<std::string>> text_rows;
+    text_rows.reserve(rows.rows.size());
+    for (const auto& row : rows.rows) text_rows.push_back(RowToCopyFields(row));
+    sql::CopyStmt copy;
+    copy.table = plan.modifies;
+    copy.columns = plan.copy_columns;
+    CITUSX_ASSIGN_OR_RETURN(
+        std::optional<engine::QueryResult> copied,
+        ProcessDistributedCopy(ext_, session, copy, text_rows));
+    if (!copied.has_value()) {
+      return Status::Internal("distributed COPY did not handle the target");
+    }
+    results.push_back(std::move(*copied));
+  } else {
+    AdaptiveExecutor executor(ext_);
+    CITUSX_ASSIGN_OR_RETURN(results,
+                            executor.Execute(session, std::move(plan.tasks)));
+  }
+  engine::QueryResult out;
+  switch (plan.step) {
+    case CoordinatorStep::kFirstResult:
+      out = std::move(results[0]);
+      break;
+    case CoordinatorStep::kSumRowsAffected:
+      for (const auto& r : results) out.rows_affected += r.rows_affected;
+      out.command_tag = StrFormat("%s %lld", plan.command.c_str(),
+                                  static_cast<long long>(out.rows_affected));
+      break;
+    case CoordinatorStep::kMerge: {
+      engine::TempRelation temp;
+      if (!results.empty()) {
+        temp.column_types = results[0].column_types;
+        for (size_t i = 0; i < results[0].column_names.size(); i++) {
+          temp.column_names.push_back(StrFormat("c%zu", i));
+        }
+      }
+      for (auto& r : results) {
+        for (auto& row : r.rows) temp.rows.push_back(std::move(row));
+      }
+      CITUSX_ASSIGN_OR_RETURN(out, RunMasterQuery(session, *plan.merge,
+                                                  kIntermediateName, temp,
+                                                  params));
+      const std::vector<std::string>& names =
+          plan.column_names.empty() && !results.empty()
+              ? results[0].column_names
+              : plan.column_names;
+      for (size_t i = 0; i < out.column_names.size() && i < names.size();
+           i++) {
+        if (!names[i].empty()) out.column_names[i] = names[i];
+      }
+      break;
+    }
+  }
+  if (plan.grows != nullptr) plan.grows->approx_rows += out.rows_affected;
   return out;
 }
 
-Result<engine::QueryResult> DistributedPlanner::ExecuteSelect(
+Result<DistributedPlan> DistributedPlanner::PlanSelect(
     engine::Session& session, const sql::SelectStmt& sel,
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
-  const auto& cost = ext_->node()->cost();
+  DistributedPlan plan;
   sql::DeparseOptions opts;
   opts.params = &params;
 
@@ -1055,18 +1081,10 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteSelect(
                         analysis.reference.empty() && sel.from.size() == 1 &&
                         sel.from[0]->kind == sql::TableRef::Kind::kTable &&
                         sel.group_by.empty() && sel.having == nullptr;
-    if (!ext_->node()->cpu().Consume(is_fast_path ? cost.plan_fast_path
-                                                  : cost.plan_router)) {
-      return Status::Cancelled("simulation stopping");
-    }
-    (is_fast_path ? fast_path_count : router_count)++;
-    (is_fast_path ? ext_->metric_fast_path : ext_->metric_router)->Inc();
+    plan.tier = is_fast_path ? PlannerTier::kFastPath : PlannerTier::kRouter;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
     auto map = ShardGroupTableMap(analysis, shard_index);
     opts.table_map = &map;
-    sql::Statement stmt;
-    stmt.kind = sql::Statement::Kind::kSelect;
-    stmt.select = std::const_pointer_cast<sql::SelectStmt>(
-        std::shared_ptr<const sql::SelectStmt>(&sel, [](const SelectStmt*) {}));
     Task task;
     task.worker = target_worker;
     task.colocation_id = analysis.distributed.empty()
@@ -1086,16 +1104,11 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteSelect(
         }
       }
     }
-    AdaptiveExecutor executor(ext_);
-    CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                            executor.Execute(session, {task}));
-    return std::move(results[0]);
+    plan.tasks.push_back(std::move(task));
+    return plan;
   }
 
   // ---- Tier 3: logical pushdown ----
-  if (!ext_->node()->cpu().Consume(cost.plan_pushdown)) {
-    return Status::Cancelled("simulation stopping");
-  }
   std::string reason;
   bool colocated = CheckColocatedJoins(sel, analysis, ext_->metadata(), &reason);
   bool subqueries_safe = true;
@@ -1105,78 +1118,50 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteSelect(
           SubqueryPushdownSafe(*f->subquery, ext_->metadata(), &reason);
     }
   }
-  if (colocated && subqueries_safe && !analysis.distributed.empty()) {
-    // Determine merge requirements of the top level.
-    bool has_agg = !sel.group_by.empty() || sel.having != nullptr;
-    for (const auto& t : sel.targets) has_agg |= sql::ContainsAggregate(t.expr);
-    bool group_has_dist = false;
-    for (const auto& g : sel.group_by) {
-      ExprPtr expr = g;
-      if (g->kind == ExprKind::kConst && sql::IsIntegral(g->value.type())) {
-        int pos = static_cast<int>(g->value.int_value());
-        if (pos >= 1 && pos <= static_cast<int>(sel.targets.size())) {
-          expr = sel.targets[static_cast<size_t>(pos - 1)].expr;
-        }
-      }
-      group_has_dist |= AnyDistColRef(*expr, analysis) != nullptr;
+  if (!colocated || !subqueries_safe || analysis.distributed.empty()) {
+    // ---- Tier 4: logical join order (repartition/broadcast) ----
+    CITUSX_ASSIGN_OR_RETURN(std::optional<JoinOrderPlan> join,
+                            PlanJoinOrder(session, sel, analysis));
+    if (!join.has_value()) {
+      return Status::NotSupported(
+          "cannot plan distributed query: " +
+          (reason.empty() ? std::string("unsupported query shape") : reason));
     }
-    const CitusTable* rep = analysis.distributed[0];
-    int num_groups = static_cast<int>(rep->shards.size());
-    pushdown_count++;
-    ext_->metric_pushdown->Inc();
-    AdaptiveExecutor executor(ext_);
-
-    if (has_agg && !group_has_dist) {
-      // Partial aggregation with a coordinator merge step.
-      auto split_result = SplitAggregates(sel);
-      if (split_result.ok()) {
-        AggSplit& split = *split_result;
-        std::vector<Task> tasks;
-        for (int i = 0; i < num_groups; i++) {
-          auto map = ShardGroupTableMap(analysis, i);
-          sql::DeparseOptions topts;
-          topts.params = &params;
-          topts.table_map = &map;
-          Task task;
-          task.index = i;
-          task.worker = rep->shards[static_cast<size_t>(i)].placement;
-          task.colocation_id = rep->colocation_id;
-          task.shard_group = i;
-          task.sql = sql::DeparseSelect(split.worker, topts);
-          tasks.push_back(std::move(task));
-        }
-        CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                                executor.Execute(session, std::move(tasks)));
-        engine::TempRelation temp;
-        if (!results.empty()) {
-          temp.column_types = results[0].column_types;
-          for (size_t i = 0; i < results[0].column_names.size(); i++) {
-            temp.column_names.push_back(StrFormat("c%zu", i));
-          }
-          for (auto& r : results) {
-            for (auto& row : r.rows) temp.rows.push_back(std::move(row));
-          }
-        }
-        CITUSX_ASSIGN_OR_RETURN(
-            engine::QueryResult merged,
-            RunMasterQuery(session, split.master, kIntermediateName, temp,
-                           params));
-        // Restore original output names.
-        for (size_t i = 0;
-             i < merged.column_names.size() && i < split.final_names.size();
-             i++) {
-          if (!split.final_names[i].empty()) {
-            merged.column_names[i] = split.final_names[i];
-          }
-        }
-        return merged;
+    plan.tier = PlannerTier::kJoinOrder;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+    plan.join_order = std::make_unique<JoinOrderPlan>(std::move(*join));
+    return plan;
+  }
+  plan.tier = PlannerTier::kPushdown;
+  CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+  plan.step = CoordinatorStep::kMerge;
+  // Determine merge requirements of the top level.
+  bool has_agg = !sel.group_by.empty() || sel.having != nullptr;
+  for (const auto& t : sel.targets) has_agg |= sql::ContainsAggregate(t.expr);
+  bool group_has_dist = false;
+  for (const auto& g : sel.group_by) {
+    ExprPtr expr = g;
+    if (g->kind == ExprKind::kConst && sql::IsIntegral(g->value.type())) {
+      int pos = static_cast<int>(g->value.int_value());
+      if (pos >= 1 && pos <= static_cast<int>(sel.targets.size())) {
+        expr = sel.targets[static_cast<size_t>(pos - 1)].expr;
       }
-      return split_result.status();
     }
+    group_has_dist |= AnyDistColRef(*expr, analysis) != nullptr;
+  }
 
+  SelectStmt worker;
+  const bool merge_aggregates = has_agg && !group_has_dist;
+  if (merge_aggregates) {
+    // Partial aggregation with a coordinator merge step.
+    CITUSX_ASSIGN_OR_RETURN(AggSplit split, SplitAggregates(sel));
+    worker = std::move(split.worker);
+    plan.merge = std::make_shared<SelectStmt>(std::move(split.master));
+    plan.column_names = std::move(split.final_names);
+  } else {
     // Full pushdown: the worker query is the original query (per shard
     // group); the master concatenates, re-sorts, re-applies LIMIT/DISTINCT.
-    SelectStmt worker = *sel.Clone();
+    worker = *sel.Clone();
     int visible = static_cast<int>(worker.targets.size());
     // ORDER BY must be computable from the worker output: resolve to
     // positions, appending hidden sort targets when necessary.
@@ -1224,77 +1209,34 @@ Result<engine::QueryResult> DistributedPlanner::ExecuteSelect(
         worker.limit = sql::MakeConst(sql::Datum::Int8(worker_limit));
       }
     }
-    sql::ExprPtr master_limit =
-        sel.limit != nullptr ? sel.limit->Clone() : nullptr;
-    sql::ExprPtr master_offset =
-        sel.offset != nullptr ? sel.offset->Clone() : nullptr;
     worker.offset = nullptr;
-
-    std::vector<Task> tasks;
-    for (int i = 0; i < num_groups; i++) {
-      auto map = ShardGroupTableMap(analysis, i);
-      sql::DeparseOptions topts;
-      topts.params = &params;
-      topts.table_map = &map;
-      Task task;
-      task.index = i;
-      task.worker = rep->shards[static_cast<size_t>(i)].placement;
-      task.colocation_id = rep->colocation_id;
-      task.shard_group = i;
-      task.sql = sql::DeparseSelect(worker, topts);
-      task.is_write = sel.for_update;
-      tasks.push_back(std::move(task));
-    }
-    CITUSX_ASSIGN_OR_RETURN(std::vector<engine::QueryResult> results,
-                            executor.Execute(session, std::move(tasks)));
-    engine::TempRelation temp;
-    std::vector<std::string> final_names;
-    if (!results.empty()) {
-      temp.column_types = results[0].column_types;
-      final_names = results[0].column_names;
-      for (size_t i = 0; i < results[0].column_names.size(); i++) {
-        temp.column_names.push_back(StrFormat("c%zu", i));
-      }
-      for (auto& r : results) {
-        for (auto& row : r.rows) temp.rows.push_back(std::move(row));
-      }
-    }
-    SelectStmt master;
-    master.from.push_back(std::make_shared<sql::TableRef>());
-    master.from[0]->kind = sql::TableRef::Kind::kTable;
-    master.from[0]->name = kIntermediateName;
+    auto master = std::make_shared<SelectStmt>();
+    master->from.push_back(std::make_shared<sql::TableRef>());
+    master->from[0]->kind = sql::TableRef::Kind::kTable;
+    master->from[0]->name = kIntermediateName;
     for (int i = 0; i < visible; i++) {
-      master.targets.push_back(sql::SelectItem{IntermediateCol(i), ""});
+      master->targets.push_back(sql::SelectItem{IntermediateCol(i), ""});
     }
-    master.distinct = sel.distinct;
-    master.order_by = master_order;
-    master.limit = master_limit;
-    master.offset = master_offset;
-    CITUSX_ASSIGN_OR_RETURN(
-        engine::QueryResult merged,
-        RunMasterQuery(session, master, kIntermediateName, temp, params));
-    for (size_t i = 0; i < merged.column_names.size() && i < final_names.size();
-         i++) {
-      merged.column_names[i] = final_names[i];
-    }
-    return merged;
+    master->distinct = sel.distinct;
+    master->order_by = master_order;
+    master->limit = sel.limit != nullptr ? sel.limit->Clone() : nullptr;
+    master->offset = sel.offset != nullptr ? sel.offset->Clone() : nullptr;
+    plan.merge = std::move(master);
   }
-
-  // ---- Tier 4: logical join order (repartition/broadcast) ----
-  if (!ext_->node()->cpu().Consume(cost.plan_join_order)) {
-    return Status::Cancelled("simulation stopping");
+  const CitusTable* rep = analysis.distributed[0];
+  for (size_t i = 0; i < rep->shards.size(); i++) {
+    auto map = ShardGroupTableMap(analysis, static_cast<int>(i));
+    opts.table_map = &map;
+    Task task;
+    task.index = static_cast<int>(i);
+    task.worker = rep->shards[i].placement;
+    task.colocation_id = rep->colocation_id;
+    task.shard_group = static_cast<int>(i);
+    task.sql = sql::DeparseSelect(worker, opts);
+    task.is_write = !merge_aggregates && sel.for_update;
+    plan.tasks.push_back(std::move(task));
   }
-  CITUSX_ASSIGN_OR_RETURN(
-      std::optional<engine::QueryResult> join_result,
-      TryJoinOrderPlan(session, sel, params, analysis));
-  if (join_result.has_value()) {
-    join_order_count++;
-    ext_->metric_join_order->Inc();
-    return std::move(*join_result);
-  }
-  return Status::NotSupported(
-      "cannot plan distributed query: " +
-      (reason.empty() ? std::string("unsupported query shape") : reason));
+  return plan;
 }
 
 }  // namespace citusx::citus

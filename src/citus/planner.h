@@ -1,11 +1,17 @@
 // The distributed query planner (paper §3.5): four planner tiers tried from
 // cheapest to most expensive — fast path, router, logical pushdown, logical
 // join-order — plus distributed DML, COPY, DDL, and procedure delegation.
+//
+// Planning and execution are separate steps over one object: the tiers (or
+// the session's plan cache) build a DistributedPlan without dispatching
+// anything, and DistributedPlanner::Execute runs it through the adaptive
+// executor. Plain execution, EXPLAIN, EXPLAIN ANALYZE and
+// citus_stat_statements all read the same plan.
 #ifndef CITUSX_CITUS_PLANNER_H_
 #define CITUSX_CITUS_PLANNER_H_
 
-#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,12 +23,73 @@
 
 namespace citusx::citus {
 
-/// Which planner produced a distributed plan (for stats/ablation).
+/// Which planner produced a distributed plan.
 enum class PlannerTier {
   kFastPath,
   kRouter,
   kPushdown,
   kJoinOrder,
+};
+
+/// The tier's name in citus_stat_statements and EXPLAIN ANALYZE.
+const char* TierLabel(PlannerTier tier);
+
+/// Charge this node's CPU for a plan built at `tier` and count it in
+/// citus.planner.*. A plan-cache hit re-binds a cached fast-path plan and
+/// pays plan_cached_bind instead; a join-order plan also pays for the
+/// pushdown attempt it fell through from.
+Status ChargeTier(CitusExtension* ext, PlannerTier tier,
+                  bool cache_hit = false);
+
+/// How one distributed table the join-order tier does not keep in place
+/// reaches the kept workers: re-partitioned on `join_col` along `target`'s
+/// shard intervals, or broadcast when `target` is null.
+struct MovePlan {
+  const CitusTable* table = nullptr;
+  std::string join_col;
+  const CitusTable* target = nullptr;
+};
+
+/// The join-order tier's plan (repartition.cc). Its tasks exist only once
+/// the moved tables have landed: execution moves them, rewrites `select` to
+/// read the intermediate results, and plans the now co-located query.
+struct JoinOrderPlan {
+  sql::SelectPtr select;
+  std::vector<MovePlan> moves;
+  std::vector<std::string> kept_workers;
+};
+
+/// What the coordinator does with the task results.
+enum class CoordinatorStep {
+  kFirstResult,      // the first task's result is the statement's
+  kSumRowsAffected,  // rows affected add up under `command`
+  kMerge,            // `merge` runs over the gathered rows
+};
+
+/// One distributed plan (the CustomScan of §3.1): the tier that built it,
+/// its tasks in dispatch order, and the coordinator step.
+struct DistributedPlan {
+  PlannerTier tier = PlannerTier::kFastPath;
+  std::vector<Task> tasks;
+  CoordinatorStep step = CoordinatorStep::kFirstResult;
+  /// kSumRowsAffected: the command tag before the count ("UPDATE", ...).
+  std::string command;
+  /// kMerge: the master query over the gathered rows, and the result's
+  /// column names — the first task's when empty; an empty entry keeps the
+  /// merge query's own name.
+  sql::SelectPtr merge;
+  std::vector<std::string> column_names;
+  /// The table a modification targets (EXPLAIN), and the one whose
+  /// approx_rows grows by the rows affected (INSERTs; the join-order tier
+  /// picks broadcast or repartition from it).
+  std::string modifies;
+  CitusTable* grows = nullptr;
+  /// Multi-stage plans: a join-order plan (tasks empty), or an INSERT ..
+  /// SELECT through the coordinator, which runs `source` and COPYs its rows
+  /// into `modifies` (`copy_columns`). Both report the outer tier.
+  std::unique_ptr<JoinOrderPlan> join_order;
+  std::unique_ptr<DistributedPlan> source;
+  std::vector<std::string> copy_columns;
 };
 
 /// Analysis of the tables referenced by a statement.
@@ -59,32 +126,38 @@ class DistributedPlanner {
       engine::Session& session, const sql::Statement& stmt,
       const std::vector<sql::Datum>& params);
 
-  /// Stats: how many statements each tier has planned. Atomic so that
-  /// concurrent sessions (and TSan builds) stay clean.
-  static std::atomic<int64_t> fast_path_count;
-  static std::atomic<int64_t> router_count;
-  static std::atomic<int64_t> pushdown_count;
-  static std::atomic<int64_t> join_order_count;
-
  private:
-  Result<engine::QueryResult> ExecuteSelect(
+  // Planning through the tiers (planner.cc, dml.cc). Each charges its
+  // tier (ChargeTier) and dispatches nothing.
+  Result<DistributedPlan> Plan(engine::Session& session,
+                               const sql::Statement& stmt,
+                               const std::vector<sql::Datum>& params,
+                               const TableAnalysis& analysis);
+  Result<DistributedPlan> PlanSelect(engine::Session& session,
+                                     const sql::SelectStmt& sel,
+                                     const std::vector<sql::Datum>& params,
+                                     const TableAnalysis& analysis);
+  Result<DistributedPlan> PlanModify(const sql::Statement& stmt,
+                                     const std::vector<sql::Datum>& params);
+  Result<DistributedPlan> PlanInsert(const sql::InsertStmt& ins,
+                                     const std::vector<sql::Datum>& params);
+  Result<DistributedPlan> PlanInsertSelect(
+      engine::Session& session, const sql::InsertStmt& ins,
+      const std::vector<sql::Datum>& params);
+  /// The join-order tier (repartition.cc): nullopt when moving tables
+  /// cannot make the query co-located.
+  Result<std::optional<JoinOrderPlan>> PlanJoinOrder(
       engine::Session& session, const sql::SelectStmt& sel,
-      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
-  Result<engine::QueryResult> ExecuteDml(engine::Session& session,
-                                         const sql::Statement& stmt,
-                                         const std::vector<sql::Datum>& params,
-                                         const TableAnalysis& analysis);
-  Result<engine::QueryResult> ExecuteInsert(
-      engine::Session& session, const sql::InsertStmt& ins,
-      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
-  Result<engine::QueryResult> ExecuteInsertSelect(
-      engine::Session& session, const sql::InsertStmt& ins,
-      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
+      const TableAnalysis& analysis);
 
-  // Join-order planner (repartition.cc).
-  Result<std::optional<engine::QueryResult>> TryJoinOrderPlan(
-      engine::Session& session, const sql::SelectStmt& sel,
-      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
+  /// Run `plan` through the adaptive executor and apply its coordinator
+  /// step.
+  Result<engine::QueryResult> Execute(engine::Session& session,
+                                      DistributedPlan plan,
+                                      const std::vector<sql::Datum>& params);
+  Result<engine::QueryResult> ExecuteJoinOrder(
+      engine::Session& session, JoinOrderPlan& plan,
+      const std::vector<sql::Datum>& params);
 
   // CTE inlining / materialization pass (cte_inline.cc). Runs before table
   // analysis (a CTE name would otherwise be misread as a local table):
@@ -103,8 +176,9 @@ class DistributedPlanner {
       engine::Session& session, const sql::Statement& stmt,
       const std::vector<sql::Datum>& params, bool allow_inlining);
 
-  /// EXPLAIN ANALYZE: execute the statement under a fresh trace and render
-  /// the resulting span tree (per-task, per-shard timings and row counts).
+  /// EXPLAIN ANALYZE of `stmt` (its EXPLAIN flags stripped): execute the
+  /// tier-built plan under a fresh trace and render the resulting span tree
+  /// (per-task, per-shard timings and row counts).
   Result<engine::QueryResult> ExplainAnalyze(
       engine::Session& session, const sql::Statement& stmt,
       const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
@@ -139,12 +213,6 @@ Result<std::optional<engine::QueryResult>> ProcessDelegatedCall(
     const std::vector<sql::Datum>& args);
 
 // ---- shared helpers ----
-
-/// Find an equality restriction `<table's dist col> = <const|param>` among
-/// the statement's conjuncts. Returns the restriction value or nullopt.
-std::optional<sql::Datum> FindDistColRestriction(
-    const sql::SelectStmt& sel, const CitusTable& table,
-    const TableAnalysis& analysis, const std::vector<sql::Datum>& params);
 
 /// All conjuncts of a select: WHERE plus all JOIN ON clauses (recursive
 /// through joins, not into subqueries).

@@ -75,15 +75,6 @@ std::string QuoteAsSqlLiteral(const std::string& s) {
   return out;
 }
 
-/// How one non-kept distributed table reaches the kept workers.
-struct MovePlan {
-  const CitusTable* table = nullptr;
-  /// Moved-side column of an equality conjunct against `target`'s
-  /// distribution column. Empty = broadcast to every kept worker.
-  std::string join_col;
-  const CitusTable* target = nullptr;  // kept table whose intervals bucket
-};
-
 bool RefNamesTable(const sql::TableRef& ref, const CitusTable* t,
                    const TableAnalysis& analysis) {
   switch (ref.kind) {
@@ -342,17 +333,17 @@ void DropIntermediateResult(CitusExtension* ext, engine::Session& session,
 
 // ---- the join-order tier ----
 
-Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
+Result<std::optional<JoinOrderPlan>> DistributedPlanner::PlanJoinOrder(
     engine::Session& session, const sql::SelectStmt& sel,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
+    const TableAnalysis& analysis) {
   // Scope: two or more distributed tables at the top level of the FROM
   // clause (reference tables ride along; occurrences under subqueries bail).
   if (analysis.distributed.size() < 2 || repart_depth_ >= 3) {
-    return std::optional<engine::QueryResult>();
+    return std::optional<JoinOrderPlan>();
   }
   for (const CitusTable* t : analysis.distributed) {
     if (AppearsInSubquery(sel, t->name)) {
-      return std::optional<engine::QueryResult>();
+      return std::optional<JoinOrderPlan>();
     }
   }
   if (!GucEnabled(session, "citus.enable_repartition_joins")) {
@@ -453,7 +444,7 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
         // Broadcasting the preserved side of a LEFT JOIN would NULL-extend
         // its unmatched rows once per worker; without a repartition key the
         // join cannot be planned here.
-        return std::optional<engine::QueryResult>();
+        return std::optional<JoinOrderPlan>();
       }
       use_repartition = true;
     }
@@ -466,13 +457,21 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
   if (moves.empty()) {
     // Everything is already co-located with the anchor; whatever made the
     // pushdown tier refuse, data movement will not fix it.
-    return std::optional<engine::QueryResult>();
+    return std::optional<JoinOrderPlan>();
   }
+  JoinOrderPlan plan;
+  plan.select = sel.Clone();
+  plan.moves = std::move(moves);
+  plan.kept_workers = std::move(kept_workers);
+  return std::optional<JoinOrderPlan>(std::move(plan));
+}
 
-  // ---- execute: create temps, move data, run the co-located remainder ----
+Result<engine::QueryResult> DistributedPlanner::ExecuteJoinOrder(
+    engine::Session& session, JoinOrderPlan& plan,
+    const std::vector<sql::Datum>& params) {
+  // Create temps, move data, run the co-located remainder.
   ext_->metric_repartition_joins->Inc();
   const int64_t max_bytes = MaxIntermediateResultBytes(session);
-  sql::SelectPtr rewritten = sel.Clone();
   std::vector<IntermediateResult> temps;
   auto cleanup = [&]() {
     for (const IntermediateResult& ir : temps) {
@@ -487,14 +486,14 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
     return Status::OK();
   };
 
-  for (const MovePlan& mp : moves) {
+  for (const MovePlan& mp : plan.moves) {
     engine::TableInfo* shell = ext_->node()->catalog().Find(mp.table->name);
     if (shell == nullptr) {
       cleanup();
       return Status::NotFound("shell table missing: " + mp.table->name);
     }
-    Result<IntermediateResult> created =
-        CreateIntermediateResult(ext_, session, shell->schema(), kept_workers);
+    Result<IntermediateResult> created = CreateIntermediateResult(
+        ext_, session, shell->schema(), plan.kept_workers);
     if (!created.ok()) {
       cleanup();
       return created.status();
@@ -510,23 +509,27 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::TryJoinOrderPlan(
       cleanup();
       return step;
     }
-    for (auto& f : rewritten->from) {
+    for (auto& f : plan.select->from) {
       RewriteTableRefs(f, mp.table->name, ir.logical);
     }
   }
 
-  // Delegate the rewritten (now co-located) query to the normal tiers.
+  // Plan the rewritten (now co-located) query through the normal tiers.
   TableAnalysis new_analysis =
-      AnalyzeSelectTables(ext_->metadata(), *rewritten);
+      AnalyzeSelectTables(ext_->metadata(), *plan.select);
   repart_depth_++;
-  Result<engine::QueryResult> result =
-      ExecuteSelect(session, *rewritten, params, new_analysis);
+  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
+    CITUSX_ASSIGN_OR_RETURN(
+        DistributedPlan colocated,
+        PlanSelect(session, *plan.select, params, new_analysis));
+    return Execute(session, std::move(colocated), params);
+  }();
   repart_depth_--;
   Status late = fault(temps.front().logical, RepartitionPoint::kBeforeCleanup);
   cleanup();
   if (!result.ok()) return result.status();
   if (!late.ok()) return late;
-  return std::optional<engine::QueryResult>(std::move(result).value());
+  return result;
 }
 
 }  // namespace citusx::citus

@@ -43,17 +43,6 @@ inline std::string ToUpper(std::string_view s) {
   return out;
 }
 
-inline bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); i++) {
-    char x = a[i], y = b[i];
-    if (x >= 'A' && x <= 'Z') x = static_cast<char>(x - 'A' + 'a');
-    if (y >= 'A' && y <= 'Z') y = static_cast<char>(y - 'A' + 'a');
-    if (x != y) return false;
-  }
-  return true;
-}
-
 inline std::vector<std::string> SplitString(std::string_view s, char sep) {
   std::vector<std::string> parts;
   size_t start = 0;

@@ -28,8 +28,7 @@ Result<std::optional<engine::QueryResult>> ExecuteVectorized(
     engine::ExecNode& plan, engine::ExecContext& ctx);
 
 /// Install the vectorized executor on `node` (idempotent). Called by the
-/// Citus extension when citus.use_vectorized_executor is configured on, and
-/// directly by engine-level tests.
+/// Citus extension on every node, and directly by engine-level tests.
 void InstallVectorizedExecutor(engine::Node* node);
 
 }  // namespace citusx::exec

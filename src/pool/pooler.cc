@@ -321,8 +321,6 @@ void PooledSession::Detach() {
 
 Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
   if (closed_) return Status::ConnectionLost("pooled session is closed");
-  const bool transaction_mode =
-      pooler_->options_.mode == PoolMode::kTransaction;
   StmtClass cls = Classify(sql);
 
   // A session whose pinned connection died mid-transaction: everything
@@ -341,13 +339,13 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
     case StmtClass::kBegin: {
       Result<engine::QueryResult> r = RunAttached(sql);
       if (r.ok()) in_txn_ = true;
-      else if (!in_txn_ && transaction_mode) Detach();
+      else if (!in_txn_) Detach();
       return r;
     }
     case StmtClass::kTxnEnd: {
       Result<engine::QueryResult> r = RunAttached(sql);
       in_txn_ = false;
-      if (transaction_mode) Detach();
+      Detach();
       return r;
     }
     case StmtClass::kSet: {
@@ -360,8 +358,6 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
         // Not in a transaction: record the variable and answer locally —
         // no round trip, no attach. The value reaches whichever backend
         // the session lands on next via the replay prefix.
-        // (A session-mode pinned connection's stamp is now stale; the next
-        // statement replays onto it.)
         vars_[set.name] = set.value;
         state_version_++;
         engine::QueryResult r;
@@ -397,7 +393,7 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
           if (attached_ != nullptr) MarkApplied(attached_);
         }
       }
-      if (transaction_mode && !in_txn_) Detach();
+      if (!in_txn_) Detach();
       return r;
     }
     case StmtClass::kDeallocate: {
@@ -422,7 +418,7 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
         state_version_++;
         if (attached_ != nullptr) MarkApplied(attached_);
       }
-      if (transaction_mode && !in_txn_) Detach();
+      if (!in_txn_) Detach();
       return r;
     }
     case StmtClass::kDiscard: {
@@ -433,7 +429,7 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
         state_version_++;
         if (attached_ != nullptr) MarkApplied(attached_);
       }
-      if (transaction_mode && !in_txn_) Detach();
+      if (!in_txn_) Detach();
       return r;
     }
     case StmtClass::kPlain:
@@ -441,7 +437,7 @@ Result<engine::QueryResult> PooledSession::Query(const std::string& sql) {
   }
 
   Result<engine::QueryResult> r = RunAttached(sql);
-  if (transaction_mode && !in_txn_) Detach();
+  if (!in_txn_) Detach();
   return r;
 }
 
@@ -470,9 +466,7 @@ Result<engine::QueryResult> PooledSession::CopyIn(
         attached_ = nullptr;
       } else {
         pc->applied_session = PhysicalConn::kDirtyBackend;
-        if (pooler_->options_.mode == PoolMode::kTransaction && !in_txn_) {
-          Detach();
-        }
+        if (!in_txn_) Detach();
       }
       return replayed.status();
     }
@@ -484,7 +478,7 @@ Result<engine::QueryResult> PooledSession::CopyIn(
     pooler_->Drop(attached_);
     attached_ = nullptr;
   }
-  if (pooler_->options_.mode == PoolMode::kTransaction && !in_txn_) Detach();
+  if (!in_txn_) Detach();
   return r;
 }
 

@@ -43,20 +43,9 @@ namespace citusx::pool {
 
 class PooledSession;
 
-/// Pooling mode: when a session gives its physical connection back.
-enum class PoolMode {
-  /// Detach at every transaction boundary (default). Maximum multiplexing;
-  /// PREPARE/SET survive via state replay.
-  kTransaction,
-  /// Pin the connection from first use until the session closes (pgbouncer
-  /// "session pooling"). No replay cost, no multiplexing while idle.
-  kSession,
-};
-
 struct PoolerOptions {
   /// Physical connections to the backend node (the bounded budget).
   int pool_size = 20;
-  PoolMode mode = PoolMode::kTransaction;
   /// Max virtual time a session waits to attach before failing with a
   /// retryable ResourceExhausted. 0 = wait forever.
   sim::Time attach_timeout = 0;

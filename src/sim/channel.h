@@ -49,14 +49,6 @@ class Channel {
     }
   }
 
-  /// Non-blocking receive.
-  std::optional<T> TryReceive() {
-    if (queue_.empty() || !waiters_.empty()) return std::nullopt;
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
-  }
-
   /// Close the channel and wake all waiters; pending messages can still be
   /// received.
   void Close() {

@@ -322,14 +322,6 @@ struct Statement {
   std::shared_ptr<PrepareStmt> prepare;
   std::shared_ptr<ExecuteStmt> execute;
   std::shared_ptr<DeallocateStmt> deallocate;
-
-  /// True for statements that modify data or schema.
-  bool IsWrite() const {
-    return kind == Kind::kInsert || kind == Kind::kUpdate ||
-           kind == Kind::kDelete || kind == Kind::kCreateTable ||
-           kind == Kind::kCreateIndex || kind == Kind::kDropTable ||
-           kind == Kind::kTruncate || kind == Kind::kCopy;
-  }
 };
 
 }  // namespace citusx::sql

@@ -67,10 +67,6 @@ class BtreeIndex {
   bool Range(const sql::Datum* lo, bool lo_inclusive, const sql::Datum* hi,
              bool hi_inclusive, std::vector<RowId>* out);
 
-  /// True if a row with this key already exists among `candidates` check by
-  /// the caller. This only consults the index structure.
-  bool HasKey(const IndexKey& key) const { return map_.count(key) > 0; }
-
   int64_t num_entries() const { return static_cast<int64_t>(map_.size()); }
   int64_t size_bytes() const { return size_bytes_; }
 

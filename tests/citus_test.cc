@@ -32,6 +32,12 @@ class CitusTest : public ::testing::Test {
     return r.ok() ? std::move(r).value() : QueryResult{};
   }
 
+  /// Plans the coordinator has counted at `tier` (citus.planner.<tier>).
+  int64_t Planned(const std::string& tier) {
+    return deploy_->coordinator()->metrics().CounterValue("citus.planner." +
+                                                          tier);
+  }
+
   void TearDown() override {
     sim_.Shutdown();
     deploy_.reset();
@@ -74,7 +80,7 @@ TEST_F(CitusTest, FastPathRoutingReadsAndWrites) {
     auto conn = deploy_->Connect();
     MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
     MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
-    int64_t fast_before = DistributedPlanner::fast_path_count;
+    int64_t fast_before = Planned("fast_path");
     for (int i = 0; i < 20; i++) {
       MustQuery(**conn, StrFormat("INSERT INTO kv VALUES (%d, 'v%d')", i, i));
     }
@@ -90,7 +96,7 @@ TEST_F(CitusTest, FastPathRoutingReadsAndWrites) {
     MustQuery(**conn, "DELETE FROM kv WHERE key = 7");
     r = MustQuery(**conn, "SELECT count(*) FROM kv WHERE key = 7");
     EXPECT_EQ(r.rows[0][0].int_value(), 0);
-    EXPECT_GT(DistributedPlanner::fast_path_count, fast_before + 30);
+    EXPECT_GT(Planned("fast_path"), fast_before + 30);
     // Data is actually spread across workers.
     int64_t on_workers = 0;
     const CitusTable* t = deploy_->metadata().Find("kv");
@@ -118,7 +124,7 @@ TEST_F(CitusTest, PushdownAggregation) {
                 StrFormat("INSERT INTO events VALUES (%d, '%s', %d.5)", i % 10,
                           i % 2 == 0 ? "click" : "view", i));
     }
-    int64_t pushdown_before = DistributedPlanner::pushdown_count;
+    int64_t pushdown_before = Planned("pushdown");
     // Global aggregate without grouping: partial agg + merge.
     QueryResult r = MustQuery(**conn, "SELECT count(*), avg(value) FROM events");
     EXPECT_EQ(r.rows[0][0].int_value(), 100);
@@ -144,7 +150,7 @@ TEST_F(CitusTest, PushdownAggregation) {
     ASSERT_EQ(r.rows.size(), 3u);
     EXPECT_EQ(r.rows[0][0].float_value(), 99.5);
     EXPECT_EQ(r.rows[2][0].float_value(), 97.5);
-    EXPECT_GT(DistributedPlanner::pushdown_count, pushdown_before + 3);
+    EXPECT_GT(Planned("pushdown"), pushdown_before + 3);
   });
 }
 
@@ -467,12 +473,12 @@ TEST_F(CitusTest, ColocatedInsertSelectRollup) {
     for (int i = 0; i < 40; i++) {
       MustQuery(**conn, StrFormat("INSERT INTO raw VALUES (%d, %d)", i % 8, i));
     }
-    int64_t pushdown_before = DistributedPlanner::pushdown_count;
+    int64_t pushdown_before = Planned("pushdown");
     // Co-located INSERT..SELECT: per-shard, no coordinator merge.
     MustQuery(**conn,
               "INSERT INTO rollup SELECT device, sum(metric) FROM raw "
               "GROUP BY device");
-    EXPECT_GT(DistributedPlanner::pushdown_count, pushdown_before);
+    EXPECT_GT(Planned("pushdown"), pushdown_before);
     QueryResult r = MustQuery(
         **conn, "SELECT sum(total) FROM rollup");
     EXPECT_EQ(r.rows[0][0].int_value(), 40 * 39 / 2);
@@ -549,7 +555,7 @@ TEST_F(CitusTest, JoinOrderPlannerRepartitionJoin) {
       MustQuery(**conn,
                 StrFormat("INSERT INTO other VALUES (%d, %d)", i, i * 2));
     }
-    int64_t join_order_before = DistributedPlanner::join_order_count;
+    int64_t join_order_before = Planned("join_order");
     QueryResult r = MustQuery(
         **conn,
         "SELECT count(*), sum(other.val) FROM big JOIN other ON big.bkey = "
@@ -559,7 +565,7 @@ TEST_F(CitusTest, JoinOrderPlannerRepartitionJoin) {
     int64_t expected = 0;
     for (int i = 0; i < 50; i++) expected += 2 * (i % 10);
     EXPECT_EQ(r.rows[0][1].int_value(), expected);
-    EXPECT_GT(DistributedPlanner::join_order_count, join_order_before);
+    EXPECT_GT(Planned("join_order"), join_order_before);
   });
 }
 

@@ -3,6 +3,10 @@
 // diffing row sets. Covers NULL-heavy data, empty tables, heap and columnar
 // storage, and morsel-boundary row counts. Any mismatch prints the seed and
 // the offending SQL so failures replay deterministically.
+//
+// Environment knobs (property_env.h; the CI property job sets them):
+//   CITUSX_PROPERTY_SEED    generator seed     (default 20260809)
+//   CITUSX_PROPERTY_ROUNDS  generated queries  (default 40)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +19,7 @@
 #include "engine/node.h"
 #include "engine/session.h"
 #include "exec/vectorized.h"
+#include "property_env.h"
 #include "result_compare.h"
 #include "sim/simulation.h"
 
@@ -23,9 +28,6 @@ namespace {
 
 using engine::QueryResult;
 using engine::Session;
-
-constexpr uint64_t kSeed = 20260809;
-constexpr int kRounds = 40;
 
 /// Generates random single-table and two-table queries over a fixed schema:
 /// tN(a bigint, b bigint, c double precision, g bigint), with NULLs mixed in.
@@ -104,11 +106,15 @@ class QueryGen {
 };
 
 TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
+  const uint64_t seed =
+      static_cast<uint64_t>(test::EnvInt("CITUSX_PROPERTY_SEED", 20260809));
+  const int rounds =
+      static_cast<int>(test::EnvInt("CITUSX_PROPERTY_ROUNDS", 40));
   sim::Simulation sim;
   engine::Node node(&sim, "pg1", sim::DefaultCostModel());
   InstallVectorizedExecutor(&node);
   sim.Spawn("test", [&] {
-    Rng rng(kSeed);
+    Rng rng(seed);
     auto s = node.OpenSession();
     auto must = [&](const std::string& sql) {
       auto r = s->Execute(sql);
@@ -156,7 +162,7 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
 
     QueryGen gen(&rng);
     int checked = 0;
-    for (int round = 0; round < kRounds; round++) {
+    for (int round = 0; round < rounds; round++) {
       std::string sql;
       if (rng.Chance(0.3)) {
         const char* t1 = specs[rng.Uniform(0, 3)].name;
@@ -172,18 +178,18 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
       auto vec = s->Execute(sql);
       // Both executors must agree on errors too.
       ASSERT_EQ(oracle.ok(), vec.ok())
-          << "seed " << kSeed << " round " << round << ": " << sql;
+          << "seed " << seed << " round " << round << ": " << sql;
       if (!oracle.ok()) continue;
       // Generated queries avoid LIMIT without a total order, so multiset
       // equality is the right contract.
       EXPECT_TRUE(test::RowSetsClose(oracle->rows, vec->rows))
-          << "seed " << kSeed << " round " << round << ": " << sql
+          << "seed " << seed << " round " << round << ": " << sql
           << "\n  volcano rows: " << oracle->rows.size()
           << "\n  vectorized rows: " << vec->rows.size();
       checked++;
     }
     // The generator must not degenerate into all-error queries.
-    EXPECT_GE(checked, kRounds / 2);
+    EXPECT_GE(checked, rounds / 2);
   });
   sim.Run();
   sim.Shutdown();

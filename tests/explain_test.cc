@@ -1,6 +1,12 @@
 // Tests for EXPLAIN: local plan descriptions and distributed planner tiers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "citus/deploy.h"
 #include "common/str.h"
 
@@ -99,6 +105,78 @@ TEST_F(ExplainTest, DistributedTiers) {
     auto count = (*conn)->Query("SELECT count(*) FROM kv WHERE v = 'x'");
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(count->rows[0][0].int_value(), 0);
+  });
+}
+
+// EXPLAIN prints the plan execution runs: for every statement shape, its
+// Custom Scan label and Task Count match the tier and the shards_hit that
+// executing the statement records in citus_stat_statements.
+TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
+  citus::DeploymentOptions options;
+  options.num_workers = 2;
+  deploy_ = std::make_unique<citus::Deployment>(&sim_, options);
+  citus::Deployment& deploy = *deploy_;
+  RunSim([&] {
+    auto conn_r = deploy.Connect();
+    ASSERT_TRUE(conn_r.ok());
+    net::Connection& conn = **conn_r;
+    auto must = [&](const std::string& sql) {
+      auto r = conn.Query(sql);
+      EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      return r.ok() ? std::move(r).value() : engine::QueryResult{};
+    };
+    must("CREATE TABLE kv (key bigint PRIMARY KEY, v bigint)");
+    must("SELECT create_distributed_table('kv', 'key')");
+    must("CREATE TABLE ref (id bigint PRIMARY KEY, name text)");
+    must("SELECT create_reference_table('ref')");
+    for (int i = 0; i < 20; i++) {
+      must(StrFormat("INSERT INTO kv VALUES (%d, %d)", i, i));
+    }
+    must("INSERT INTO ref VALUES (1, 'one')");
+    const std::map<std::string, std::string> label_of_tier = {
+        {"fast path", "Fast Path Router"},
+        {"router", "Router"},
+        {"pushdown", "Adaptive"},
+        {"join-order", "Adaptive"}};
+    const std::vector<std::pair<const char*, std::string>> shapes = {
+        {"fast-path SELECT", "SELECT v FROM kv WHERE key = 1"},
+        {"single-shard HAVING",
+         "SELECT count(*) FROM kv WHERE key = 1 HAVING count(*) > 0"},
+        {"single-shard GROUP BY",
+         "SELECT key, sum(v) FROM kv WHERE key = 1 GROUP BY key"},
+        {"multi-shard count", "SELECT count(*) FROM kv"},
+        {"single-shard UPDATE", "UPDATE kv SET v = v + 1 WHERE key = 2"},
+        {"multi-shard UPDATE", "UPDATE kv SET v = v + 1"},
+        {"single-shard DELETE", "DELETE FROM kv WHERE key = 3"},
+        {"one-row INSERT", "INSERT INTO kv VALUES (100, 1)"},
+        {"two-row INSERT", "INSERT INTO kv VALUES (101, 1), (102, 2)"},
+        {"reference read", "SELECT name FROM ref WHERE id = 1"},
+    };
+    for (const auto& [name, sql] : shapes) {
+      std::string text = ExplainText(must("EXPLAIN " + sql));
+      const std::string scan = "Custom Scan (Citus ";
+      const std::string count = "Task Count: ";
+      size_t at = text.find(scan);
+      size_t count_at = text.find(count);
+      EXPECT_NE(at, std::string::npos) << name << "\n" << text;
+      EXPECT_NE(count_at, std::string::npos) << name << "\n" << text;
+      if (at == std::string::npos || count_at == std::string::npos) continue;
+      std::string label = text.substr(
+          at + scan.size(), text.find(')', at) - at - scan.size());
+      int64_t tasks = std::atoll(text.c_str() + count_at + count.size());
+
+      must("SELECT citus_stat_statements_reset()");
+      must(sql);
+      engine::QueryResult stats =
+          must("SELECT tier, calls, shards_hit FROM citus_stat_statements");
+      ASSERT_EQ(stats.rows.size(), 1u) << name;
+      EXPECT_EQ(stats.rows[0][1].int_value(), 1) << name;
+      const std::string tier = stats.rows[0][0].text_value();
+      ASSERT_EQ(label_of_tier.count(tier), 1u) << name << ": " << tier;
+      EXPECT_EQ(label, label_of_tier.at(tier))
+          << name << " executed at tier " << tier << "\n" << text;
+      EXPECT_EQ(tasks, stats.rows[0][2].int_value()) << name << "\n" << text;
+    }
   });
 }
 

@@ -28,6 +28,7 @@
 #include "common/str.h"
 #include "engine/node.h"
 #include "engine/session.h"
+#include "property_env.h"
 #include "result_compare.h"
 #include "sim/simulation.h"
 #include "sql/deparser.h"
@@ -37,11 +38,6 @@ namespace citusx {
 namespace {
 
 using engine::QueryResult;
-
-int64_t EnvInt(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? fallback : std::atoll(v);
-}
 
 std::string ResultText(const Result<QueryResult>& r) {
   if (!r.ok()) return "<error: " + r.status().ToString() + ">";
@@ -160,8 +156,8 @@ class QueryGen {
 
 TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
   const uint64_t seed =
-      static_cast<uint64_t>(EnvInt("CITUSX_PROPERTY_SEED", 20260810));
-  const int rounds = static_cast<int>(EnvInt("CITUSX_PROPERTY_ROUNDS", 40));
+      static_cast<uint64_t>(test::EnvInt("CITUSX_PROPERTY_SEED", 20260810));
+  const int rounds = static_cast<int>(test::EnvInt("CITUSX_PROPERTY_ROUNDS", 40));
   const char* repro_env = std::getenv("CITUSX_PROPERTY_REPRO_DIR");
   const std::string repro_dir = repro_env == nullptr ? "" : repro_env;
 
@@ -229,8 +225,8 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
       both("INSERT INTO rf VALUES " + values);
     }
 
-    int64_t join_order_before = citus::DistributedPlanner::join_order_count;
     citus::CitusExtension* ext = deploy->extension(deploy->coordinator());
+    int64_t join_order_before = ext->metric_join_order->value();
     int64_t inlined_before = ext->metric_cte_inlined->value();
     int64_t materialized_before = ext->metric_cte_materialized->value();
 
@@ -288,7 +284,7 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
 
     // Anti-degeneracy: the generator must actually exercise the join-order
     // tier and both CTE paths, else the harness silently tests nothing.
-    EXPECT_GE(citus::DistributedPlanner::join_order_count - join_order_before,
+    EXPECT_GE(ext->metric_join_order->value() - join_order_before,
               rounds / 4)
         << "generated queries stopped reaching the join-order tier";
     EXPECT_GT(ext->metric_cte_inlined->value(), inlined_before)

@@ -345,6 +345,56 @@ TEST_F(ObsTest, StatStatementsAggregatesNormalizedQueries) {
   });
 }
 
+// Each entry records the tier its own plan took and the tasks its own calls
+// dispatched: a concurrent session looping a 32-shard count(*) must not leak
+// into the fast-path entry, nor the fast-path tasks into the count(*) entry.
+TEST_F(ObsTest, StatStatementsIgnoreConcurrentSessions) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    ASSERT_TRUE(conn.ok());
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    for (int i = 0; i < 32; i++) {
+      MustQuery(**conn, StrFormat("INSERT INTO kv VALUES (%d, 'v%d')", i, i));
+    }
+    MustQuery(**conn, "SELECT citus_stat_statements_reset()");
+    bool scanning = true;
+    bool scanner_done = false;
+    sim_.Spawn("scanner", [&] {
+      auto scan = deploy_->Connect();
+      ASSERT_TRUE(scan.ok());
+      while (scanning) {
+        QueryResult r = MustQuery(**scan, "SELECT count(*) FROM kv");
+        EXPECT_EQ(r.rows[0][0].int_value(), 32);
+      }
+      scanner_done = true;
+    });
+    for (int i = 1; i <= 40; i++) {
+      MustQuery(**conn, StrFormat("SELECT v FROM kv WHERE key = %d", i % 32));
+      QueryResult r = MustQuery(
+          **conn,
+          "SELECT tier, calls, shards_hit FROM citus_stat_statements "
+          "WHERE query LIKE 'SELECT v FROM kv WHERE%'");
+      EXPECT_EQ(r.rows.size(), 1u) << "call " << i;
+      if (r.rows.size() != 1u) break;
+      EXPECT_EQ(r.rows[0][0].text_value(), "fast path") << "call " << i;
+      EXPECT_EQ(r.rows[0][1].int_value(), i);
+      EXPECT_EQ(r.rows[0][2].int_value(), i) << "call " << i;
+    }
+    scanning = false;
+    while (!scanner_done) sim_.WaitFor(sim::kMillisecond);
+    QueryResult r = MustQuery(
+        **conn,
+        "SELECT tier, calls, shards_hit FROM citus_stat_statements "
+        "WHERE query LIKE 'SELECT count(*) FROM kv%'");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].text_value(), "pushdown");
+    EXPECT_GT(r.rows[0][1].int_value(), 1);  // the loops overlapped
+    EXPECT_EQ(r.rows[0][2].int_value(), 32 * r.rows[0][1].int_value());
+  });
+}
+
 TEST_F(ObsTest, StatActivityShowsDistributedTransactions) {
   MakeDeployment(2);
   RunSim([&] {

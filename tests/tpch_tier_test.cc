@@ -25,11 +25,13 @@ struct TierCounts {
   int64_t fast_path, router, pushdown, join_order;
 };
 
-TierCounts Snapshot() {
-  return {citus::DistributedPlanner::fast_path_count,
-          citus::DistributedPlanner::router_count,
-          citus::DistributedPlanner::pushdown_count,
-          citus::DistributedPlanner::join_order_count};
+// The coordinator's citus.planner.* counters.
+TierCounts Snapshot(citus::Deployment& deploy) {
+  obs::Metrics& m = deploy.coordinator()->metrics();
+  return {m.CounterValue("citus.planner.fast_path"),
+          m.CounterValue("citus.planner.router"),
+          m.CounterValue("citus.planner.pushdown"),
+          m.CounterValue("citus.planner.join_order")};
 }
 
 class TpchTierTest : public ::testing::Test {
@@ -67,10 +69,10 @@ TEST_F(TpchTierTest, Fig8QueriesPlanAtExpectedTier) {
     // on one shard and drop rows) and never join-order (it would
     // repartition needlessly).
     for (const auto& [name, sql] : workload::TpchQueries()) {
-      TierCounts before = Snapshot();
+      TierCounts before = Snapshot(deploy);
       auto r = conn.Query(sql);
       ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
-      TierCounts after = Snapshot();
+      TierCounts after = Snapshot(deploy);
       EXPECT_GT(after.pushdown, before.pushdown)
           << name << " did not plan at the pushdown tier";
       EXPECT_EQ(after.join_order, before.join_order)
@@ -84,11 +86,11 @@ TEST_F(TpchTierTest, Fig8QueriesPlanAtExpectedTier) {
     // A single-order lookup must stay on the fast path; demoting it to the
     // pushdown tier would fan a point query out to every shard.
     {
-      TierCounts before = Snapshot();
+      TierCounts before = Snapshot(deploy);
       auto r = conn.Query("SELECT o_totalprice FROM orders "
                           "WHERE o_orderkey = 42");
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      TierCounts after = Snapshot();
+      TierCounts after = Snapshot(deploy);
       EXPECT_GT(after.fast_path, before.fast_path);
       EXPECT_EQ(after.pushdown, before.pushdown);
     }
@@ -109,12 +111,12 @@ TEST_F(TpchTierTest, Fig8QueriesPlanAtExpectedTier) {
         "p_partkey % 100 FROM part");
     ASSERT_TRUE(ins.ok()) << ins.status().ToString();
     {
-      TierCounts before = Snapshot();
+      TierCounts before = Snapshot(deploy);
       auto r = conn.Query(
           "SELECT count(*), sum(ps_availqty) FROM lineitem JOIN partsupp "
           "ON l_partkey = ps_partkey");
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      TierCounts after = Snapshot();
+      TierCounts after = Snapshot(deploy);
       EXPECT_GT(after.join_order, before.join_order)
           << "non-co-located join did not use the join-order tier";
       ASSERT_EQ(r->rows.size(), 1u);
@@ -251,15 +253,15 @@ TEST_F(TpchTierTest, RepartitionJoinsMatchColocatedFormulation) {
 
     citus::CitusExtension* ext = deploy.extension(deploy.coordinator());
     for (const auto& c : cases) {
-      TierCounts before = Snapshot();
+      TierCounts before = Snapshot(deploy);
       auto dist = conn.Query(c.dist);
       ASSERT_TRUE(dist.ok()) << c.name << ": " << dist.status().ToString();
-      TierCounts mid = Snapshot();
+      TierCounts mid = Snapshot(deploy);
       EXPECT_GT(mid.join_order, before.join_order)
           << c.name << " did not plan at the join-order tier";
       auto oracle = conn.Query(c.oracle);
       ASSERT_TRUE(oracle.ok()) << c.name << ": " << oracle.status().ToString();
-      TierCounts after = Snapshot();
+      TierCounts after = Snapshot(deploy);
       EXPECT_EQ(after.join_order, mid.join_order)
           << c.name << " oracle unexpectedly used the join-order tier";
       EXPECT_GT(dist->rows.size(), 0u) << c.name << " returned no rows";
