@@ -3,12 +3,12 @@
 //  - inlinable WITH entries fold into the outer query as subqueries before
 //    tier selection (pg12 rules for a dialect without volatile functions:
 //    NOT MATERIALIZED always folds, MATERIALIZED never does, and by default
-//    a CTE referenced at most once folds when citus.enable_cte_inlining is
-//    on);
-//  - the rest materialize, in declaration order, to intermediate results
-//    that are pruned-broadcast only to the workers referencing them (a CTE
-//    used solely by other CTEs or a coordinator-local outer query never
-//    touches a worker);
+//    a CTE referenced at most once folds);
+//  - the rest become stages of the statement's one plan, in declaration
+//    order: each body is planned up front, and at execution its rows land
+//    in an intermediate result placed only on the workers whose tasks read
+//    it (a CTE read solely by coordinator-local steps never touches a
+//    worker);
 //  - trivial FROM subqueries (`(SELECT * FROM t) x`) are pulled up first so
 //    mechanically generated queries still reach the router/pushdown tiers.
 //
@@ -19,13 +19,10 @@
 
 #include "citus/planner.h"
 #include "engine/hooks.h"
-#include "sql/deparser.h"
 
 namespace citusx::citus {
 
 namespace {
-
-uint64_t g_cte_counter = 0;
 
 // Count base-table references to `name` in the FROM trees of `sel`,
 // recursively through joins, subqueries, and nested CTE bodies. A nested
@@ -139,41 +136,6 @@ bool HasNestedCtes(const sql::SelectStmt& sel) {
   return false;
 }
 
-// Workers a materialized CTE must reach: the shard placements / replica
-// nodes of every Citus table appearing in a query that references the CTE
-// (the outer query or a later CTE body). The coordinator's own copy is kept
-// in memory, not as a shard.
-std::set<std::string> PrunedWorkersFor(CitusExtension* ext,
-                                       const std::string& cte_name,
-                                       const sql::SelectStmt& outer,
-                                       const std::vector<sql::CteDef>& later) {
-  std::set<std::string> workers;
-  auto add_query = [&](const sql::SelectStmt& q) {
-    if (CountTableRefs(q, cte_name) == 0) return;
-    std::set<std::string> names;
-    CollectTableNames(q, {}, &names);
-    for (const std::string& n : names) {
-      const CitusTable* t = ext->metadata().Find(n);
-      if (t == nullptr) continue;
-      if (t->is_reference) {
-        for (const auto& w : t->replica_nodes) workers.insert(w);
-      } else {
-        for (const auto& s : t->shards) workers.insert(s.placement);
-      }
-    }
-  };
-  // The outer query, with the CTE list masked off (its bodies are scanned
-  // separately below as "later" definitions).
-  sql::SelectStmt outer_no_ctes = outer;
-  outer_no_ctes.ctes.clear();
-  add_query(outer_no_ctes);
-  for (const auto& c : later) {
-    if (c.query) add_query(*c.query);
-  }
-  workers.erase(ext->node()->name());
-  return workers;
-}
-
 }  // namespace
 
 bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel) {
@@ -186,29 +148,28 @@ bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel) 
   return false;
 }
 
-Result<std::optional<engine::QueryResult>>
-DistributedPlanner::ExecuteSelectWithCtes(engine::Session& session,
-                                          const sql::Statement& stmt,
-                                          const std::vector<sql::Datum>& params) {
-  Result<std::optional<engine::QueryResult>> r =
-      ExecuteSelectWithCtesImpl(session, stmt, params, /*allow_inlining=*/true);
+Result<DistributedPlan> DistributedPlanner::PlanWithCtes(
+    engine::Session& session, const sql::SelectStmt& sel,
+    const std::vector<sql::Datum>& params, int* inlined) {
+  Result<DistributedPlan> plan =
+      PlanCteAttempt(session, sel, params, /*allow_inlining=*/true, inlined);
   // Citus pg12 semantics: inlining hints (including NOT MATERIALIZED) are
   // advisory. If folding the CTEs produced a tree the distributed planner
   // cannot handle — e.g. a GROUP BY subquery joined against a non-co-located
-  // table — re-plan with every top-level CTE materialized instead.
-  if (!r.ok() && r.status().IsNotSupported() && stmt.select != nullptr &&
-      engine::HasCtes(*stmt.select) && !(stmt.is_explain && !stmt.is_analyze)) {
-    return ExecuteSelectWithCtesImpl(session, stmt, params,
-                                     /*allow_inlining=*/false);
+  // table — plan again with every top-level CTE materialized. Decided here,
+  // before anything runs.
+  if (!plan.ok() && plan.status().IsNotSupported() && engine::HasCtes(sel)) {
+    return PlanCteAttempt(session, sel, params, /*allow_inlining=*/false,
+                          inlined);
   }
-  return r;
+  return plan;
 }
 
-Result<std::optional<engine::QueryResult>>
-DistributedPlanner::ExecuteSelectWithCtesImpl(
-    engine::Session& session, const sql::Statement& stmt,
-    const std::vector<sql::Datum>& params, bool allow_inlining) {
-  sql::SelectPtr work = stmt.select->Clone();
+Result<DistributedPlan> DistributedPlanner::PlanCteAttempt(
+    engine::Session& session, const sql::SelectStmt& sel,
+    const std::vector<sql::Datum>& params, bool allow_inlining,
+    int* inlined) {
+  sql::SelectPtr work = sel.Clone();
   engine::PullUpTrivialSubqueries(work.get());
 
   // Inlining decisions need reference counts of each top-level CTE across
@@ -230,22 +191,15 @@ DistributedPlanner::ExecuteSelectWithCtesImpl(
     }
   }
 
-  const bool explain_only = stmt.is_explain && !stmt.is_analyze;
-  const bool inlining_on = GucEnabled(session, "citus.enable_cte_inlining");
-  int inlined = engine::InlineCtes(work.get(), [&](const sql::CteDef& c) {
-    // EXPLAIN (without ANALYZE) must not materialize anything: fold the
-    // whole tree so the displayed plan is the executable shape.
-    if (explain_only) return true;
+  *inlined = engine::InlineCtes(work.get(), [&](const sql::CteDef& c) {
     if (!allow_inlining) return false;
     if (c.hint == sql::CteDef::Hint::kNotMaterialized) return true;
     if (c.hint == sql::CteDef::Hint::kMaterialized) return false;
-    if (!inlining_on) return false;
     auto it = ref_counts.find(c.name);
     // Nested CTEs (no top-level refcount entry) always fold — they cannot
     // materialize from inside a subquery.
     return it == ref_counts.end() || it->second <= 1;
   });
-  if (inlined > 0) ext_->metric_cte_inlined->Inc(inlined);
 
   if (HasNestedCtes(*work)) {
     return Status::NotSupported(
@@ -253,160 +207,71 @@ DistributedPlanner::ExecuteSelectWithCtesImpl(
         "distributed query");
   }
 
-  // Materialize the surviving definitions in declaration order. Each body
-  // runs through the full planner (it may itself be distributed), lands in
-  // a coordinator-side buffer, and — when a distributed query references it
-  // — becomes a temporary reference relation on exactly the workers that
-  // need it.
-  std::vector<IntermediateResult> temps;
-  std::map<std::string, engine::TempRelation> local_store;
-  auto cleanup = [&]() {
-    for (const IntermediateResult& ir : temps) {
-      DropIntermediateResult(ext_, session, ir);
+  // Each surviving definition becomes a stage, in declaration order: its
+  // body is planned over the stages before it, and its references in the
+  // later bodies and the final query are rewritten to the stage relation.
+  // A stage is placed where the tasks that read it run (Citus's
+  // intermediate-result pruning); with no such task its rows stay on the
+  // coordinator. A task reading a stage cannot fail over to a replica that
+  // lacks it.
+  std::vector<Stage> stages;
+  auto place = [&](const sql::SelectStmt& reader, DistributedPlan& plan) {
+    for (Stage& stage : stages) {
+      if (CountTableRefs(reader, stage.result.logical) == 0) continue;
+      std::set<std::string> workers(stage.result.workers.begin(),
+                                    stage.result.workers.end());
+      for (Task& t : plan.tasks) {
+        workers.insert(t.worker);
+        t.fallback_workers.clear();
+      }
+      stage.result.workers.assign(workers.begin(), workers.end());
     }
-    temps.clear();
   };
-  const int64_t max_bytes = MaxIntermediateResultBytes(session);
-
   std::vector<sql::CteDef> defs = std::move(work->ctes);
   work->ctes.clear();
   for (size_t i = 0; i < defs.size(); i++) {
-    sql::CteDef& cte = defs[i];
-    Result<engine::QueryResult> body_result = [&]() -> Result<engine::QueryResult> {
-      sql::Statement body;
-      body.kind = sql::Statement::Kind::kSelect;
-      body.select = cte.query;
-      CITUSX_ASSIGN_OR_RETURN(std::optional<engine::QueryResult> dist,
-                              PlanAndExecute(session, body, params));
-      if (dist.has_value()) return std::move(*dist);
-      // Coordinator-local body (references no Citus tables — possibly
-      // earlier coordinator-only CTE results).
-      std::map<std::string, const engine::TempRelation*> tr;
-      for (const auto& [n, t] : local_store) tr[n] = &t;
-      return engine::RunLocalSelect(session, *cte.query, params, &tr);
-    }();
-    if (!body_result.ok()) {
-      cleanup();
-      return body_result.status();
-    }
-    engine::QueryResult rows = std::move(body_result).value();
-
-    // Enforce the session's intermediate-result cap in COPY-text bytes (the
-    // unit the data would occupy on the wire).
-    std::vector<std::vector<std::string>> copy_rows;
-    copy_rows.reserve(rows.rows.size());
-    for (const auto& row : rows.rows) copy_rows.push_back(RowToCopyFields(row));
-    if (max_bytes >= 0 && CopyRowsBytes(copy_rows) > max_bytes) {
-      cleanup();
-      return Status::ResourceExhausted(StrFormat(
-          "materialized CTE \"%s\" exceeds citus.max_intermediate_result_size",
-          cte.name.c_str()));
-    }
-
-    sql::Schema schema;
-    for (size_t c = 0; c < rows.column_names.size(); c++) {
-      sql::ColumnDef col;
-      col.name = rows.column_names[c].empty()
-                     ? StrFormat("c%d", static_cast<int>(c))
-                     : rows.column_names[c];
-      col.type = rows.column_types[c] == sql::TypeId::kNull
-                     ? sql::TypeId::kText
-                     : rows.column_types[c];
-      schema.columns.push_back(std::move(col));
-    }
-
-    std::vector<sql::CteDef> later(defs.begin() + static_cast<long>(i) + 1,
-                                   defs.end());
-    std::set<std::string> workers =
-        PrunedWorkersFor(ext_, cte.name, *work, later);
-
-    std::string logical;
-    if (workers.empty()) {
-      // Referenced only by coordinator-local queries: keep the rows in
-      // memory, no worker ever sees them.
-      logical = StrFormat("citusx_cte_%llu",
-                          static_cast<unsigned long long>(++g_cte_counter));
-    } else {
-      Result<IntermediateResult> created = CreateIntermediateResult(
-          ext_, session, schema,
-          std::vector<std::string>(workers.begin(), workers.end()));
-      if (!created.ok()) {
-        cleanup();
-        return created.status();
-      }
-      temps.push_back(std::move(created).value());
-      const IntermediateResult& ir = temps.back();
-      logical = ir.logical;
-      AdaptiveExecutor executor(ext_);
-      std::vector<Task> copy_tasks;
-      int index = 0;
-      for (const std::string& w : ir.workers) {
-        Task t;
-        t.index = index++;
-        t.worker = w;
-        t.is_copy = true;
-        t.copy_table = ir.shard;
-        t.copy_rows = copy_rows;
-        copy_tasks.push_back(std::move(t));
-      }
-      auto shipped = executor.Execute(session, std::move(copy_tasks));
-      if (!shipped.ok()) {
-        cleanup();
-        return shipped.status();
-      }
-    }
-    ext_->metric_cte_materialized->Inc();
-
-    // Coordinator copy: later bodies or the outer query may still run
-    // locally (nullopt fall-through) and resolve the name from memory.
-    engine::TempRelation temp;
-    temp.column_names.reserve(schema.columns.size());
-    for (const auto& col : schema.columns) temp.column_names.push_back(col.name);
-    for (const auto& col : schema.columns) temp.column_types.push_back(col.type);
-    temp.rows = rows.rows;
-    local_store[logical] = std::move(temp);
-
-    // Rewrite every reference in the later definitions and the outer query.
+    CITUSX_ASSIGN_OR_RETURN(DistributedPlan body,
+                            PlanStageQuery(session, *defs[i].query, params));
+    place(*defs[i].query, body);
+    Stage stage;
+    stage.result = AddStageRelation();
+    stage.cte = defs[i].name;
+    stage.body = std::make_unique<DistributedPlan>(std::move(body));
     for (size_t j = i + 1; j < defs.size(); j++) {
       if (defs[j].query == nullptr) continue;
       for (auto& f : defs[j].query->from) {
-        RewriteTableRefs(f, cte.name, logical);
+        RewriteTableRefs(f, stage.cte, stage.result.logical);
       }
     }
-    for (auto& f : work->from) RewriteTableRefs(f, cte.name, logical);
+    for (auto& f : work->from) {
+      RewriteTableRefs(f, stage.cte, stage.result.logical);
+    }
+    stages.push_back(std::move(stage));
   }
+  CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
+                          PlanStageQuery(session, *work, params));
+  place(*work, plan);
+  // The CTEs run first, then the final query's own moves (join order).
+  for (Stage& stage : plan.stages) stages.push_back(std::move(stage));
+  plan.stages = std::move(stages);
+  return plan;
+}
 
-  // Execute the rewritten outer query through the normal tiers.
-  sql::Statement rewritten;
-  rewritten.kind = sql::Statement::Kind::kSelect;
-  rewritten.select = work;
-  rewritten.is_explain = stmt.is_explain;
-  rewritten.is_analyze = stmt.is_analyze;
-  Result<std::optional<engine::QueryResult>> outer_result =
-      PlanAndExecute(session, rewritten, params);
-  if (!outer_result.ok()) {
-    cleanup();
-    return outer_result.status();
-  }
-  if (outer_result->has_value()) {
-    cleanup();
-    return outer_result;
-  }
-  // The rewritten query references no Citus tables. Without materialized
-  // results the session's local fall-through handles the original statement
-  // (the engine inlines CTEs itself); with them, run over the in-memory
-  // copies here.
-  if (local_store.empty()) {
-    cleanup();
-    return std::optional<engine::QueryResult>();
-  }
-  std::map<std::string, const engine::TempRelation*> tr;
-  for (const auto& [n, t] : local_store) tr[n] = &t;
-  Result<engine::QueryResult> local =
-      engine::RunLocalSelect(session, *work, params, &tr);
-  cleanup();
-  if (!local.ok()) return local.status();
-  return std::optional<engine::QueryResult>(std::move(local).value());
+Result<DistributedPlan> DistributedPlanner::PlanStageQuery(
+    engine::Session& session, const sql::SelectStmt& sel,
+    const std::vector<sql::Datum>& params) {
+  TableAnalysis analysis =
+      AnalyzeSelectTables(ext_->metadata(), sel, &stage_relations_);
+  CITUSX_ASSIGN_OR_RETURN(bool distributed, CheckRelations(analysis));
+  if (distributed) return PlanSelect(session, sel, params, analysis);
+  // No Citus table: the router plans it onto the coordinator, a merge step
+  // over the kept rows of the stages it reads and no tasks.
+  DistributedPlan plan;
+  plan.tier = PlannerTier::kRouter;
+  CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
+  plan.step = CoordinatorStep::kMerge;
+  plan.merge = sel.Clone();
+  return plan;
 }
 
 }  // namespace citusx::citus

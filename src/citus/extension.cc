@@ -54,6 +54,7 @@ CitusExtension::CitusExtension(engine::Node* node,
   metric_pushdown = m.counter("citus.planner.pushdown");
   metric_join_order = m.counter("citus.planner.join_order");
   metric_repartition_joins = m.counter("citus.repartition.joins");
+  metric_repartition_moves = m.counter("citus.repartition.moves");
   metric_repartition_shuffled_bytes =
       m.counter("citus.repartition.shuffled_bytes");
   metric_cte_inlined = m.counter("citus.cte.inlined");

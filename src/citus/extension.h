@@ -141,14 +141,14 @@ inline bool IsStaleMetadataStatus(const Status& status) {
          status.message().rfind(kStaleMetadataError, 0) == 0;
 }
 
-/// Repartition-join stage boundaries where the fault hook fires (crash
-/// testing: worker loss mid-shuffle must never leak temporary shards or
-/// return wrong rows). The string argument is the temporary relation's
-/// logical name.
+/// Stage boundaries of a multi-stage plan (join-order moves, materialized
+/// CTEs) where the fault hook fires (crash testing: worker loss mid-shuffle
+/// must never leak temporary shards or return wrong rows). The string
+/// argument is the intermediate result's relation name.
 enum class RepartitionPoint {
   kAfterCreate,    // intermediate shards created, no data shipped yet
-  kAfterShuffle,   // all fragments shipped, final join not yet dispatched
-  kBeforeCleanup,  // final join done (or failed), shards not yet dropped
+  kAfterShuffle,   // all fragments shipped, final tasks not yet dispatched
+  kBeforeCleanup,  // final tasks done (or failed), shards not yet dropped
 };
 
 /// 2PC phase boundaries where the fault hook fires (crash testing §3.7).
@@ -334,9 +334,9 @@ class CitusExtension {
   std::function<Status(const std::string&, MetadataSyncPoint)>
       metadata_sync_fault_hook;
 
-  /// Test/chaos hook fired at repartition-join stage boundaries; a non-OK
-  /// return models the coordinator failing at that point (the join-order
-  /// planner surfaces the error after dropping what it already created).
+  /// Test/chaos hook fired at multi-stage plan boundaries; a non-OK return
+  /// models the coordinator failing at that point (execution surfaces the
+  /// error after dropping what it already created).
   std::function<Status(const std::string&, RepartitionPoint)>
       repartition_fault_hook;
 
@@ -384,6 +384,7 @@ class CitusExtension {
   obs::Counter* metric_join_order = nullptr;     // citus.planner.join_order
   // Join-order tier data movement + CTE processing counters (abl_joins).
   obs::Counter* metric_repartition_joins = nullptr;  // citus.repartition.joins
+  obs::Counter* metric_repartition_moves = nullptr;  // citus.repartition.moves
   obs::Counter* metric_repartition_shuffled_bytes =
       nullptr;  // citus.repartition.shuffled_bytes
   obs::Counter* metric_cte_inlined = nullptr;       // citus.cte.inlined

@@ -34,7 +34,6 @@ struct GucSpec {
 
 inline constexpr GucSpec kCitusGucs[] = {
     {"citus.distributed_txid", "", true},
-    {"citus.enable_cte_inlining", "on", false},
     {"citus.enable_repartition_joins", "on", false},
     {"citus.max_intermediate_result_size", "1048576", true},
     {"citus.metadata_peer_version", "0", true},

@@ -21,11 +21,17 @@ using sql::SelectStmt;
 
 constexpr const char* kIntermediateName = "citusx_intermediate";
 
-void CollectTableRefs(const sql::TableRef& ref,
-                      const CitusMetadata& metadata, TableAnalysis* out) {
+void CollectTableRefs(const sql::TableRef& ref, const CitusMetadata& metadata,
+                      const StageRelations* stages, TableAnalysis* out) {
   switch (ref.kind) {
     case sql::TableRef::Kind::kTable: {
-      const CitusTable* t = metadata.Find(ref.name);
+      const CitusTable* t = nullptr;
+      if (stages != nullptr) {
+        auto stage = stages->find(ref.name);
+        if (stage != stages->end()) t = &stage->second;
+      }
+      const bool is_stage = t != nullptr;
+      if (!is_stage) t = metadata.Find(ref.name);
       std::string alias = ref.alias.empty() ? ref.name : ref.alias;
       if (t == nullptr) {
         out->local.push_back(ref.name);
@@ -34,19 +40,22 @@ void CollectTableRefs(const sql::TableRef& ref,
         auto& vec = t->is_reference ? out->reference : out->distributed;
         bool present = false;
         for (const auto* existing : vec) present |= existing == t;
-        if (!present) vec.push_back(t);
+        if (!present) {
+          vec.push_back(t);
+          if (is_stage) out->stages++;
+        }
       }
       return;
     }
     case sql::TableRef::Kind::kSubquery: {
       for (const auto& f : ref.subquery->from) {
-        CollectTableRefs(*f, metadata, out);
+        CollectTableRefs(*f, metadata, stages, out);
       }
       return;
     }
     case sql::TableRef::Kind::kJoin:
-      CollectTableRefs(*ref.left, metadata, out);
-      CollectTableRefs(*ref.right, metadata, out);
+      CollectTableRefs(*ref.left, metadata, stages, out);
+      CollectTableRefs(*ref.right, metadata, stages, out);
       return;
   }
 }
@@ -54,9 +63,10 @@ void CollectTableRefs(const sql::TableRef& ref,
 }  // namespace
 
 TableAnalysis AnalyzeSelectTables(const CitusMetadata& metadata,
-                                  const sql::SelectStmt& sel) {
+                                  const sql::SelectStmt& sel,
+                                  const StageRelations* stages) {
   TableAnalysis out;
-  for (const auto& f : sel.from) CollectTableRefs(*f, metadata, &out);
+  for (const auto& f : sel.from) CollectTableRefs(*f, metadata, stages, &out);
   return out;
 }
 
@@ -221,15 +231,6 @@ std::map<const CitusTable*, sql::Datum> ComputeDistRestrictions(
   return out;
 }
 
-Result<engine::QueryResult> RunMasterQuery(
-    engine::Session& session, const sql::SelectStmt& master,
-    const std::string& temp_name, const engine::TempRelation& temp,
-    const std::vector<sql::Datum>& params) {
-  std::map<std::string, const engine::TempRelation*> temps = {
-      {temp_name, &temp}};
-  return engine::RunLocalSelect(session, master, params, &temps);
-}
-
 Result<std::vector<std::string>> ShardCreationDdl(engine::Node* node,
                                                   const CitusTable& table,
                                                   uint64_t shard_id) {
@@ -274,6 +275,33 @@ Result<std::vector<std::string>> ShardCreationDdl(engine::Node* node,
 // SELECT planning
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// SubqueryPushdownSafe over every FROM subquery of `sel`, at the top level
+// or under a JOIN.
+bool FromSubqueriesPushdownSafe(const SelectStmt& sel,
+                                const CitusMetadata& metadata,
+                                std::string* reason) {
+  std::function<bool(const sql::TableRef&)> walk =
+      [&](const sql::TableRef& ref) -> bool {
+    switch (ref.kind) {
+      case sql::TableRef::Kind::kTable:
+        return true;
+      case sql::TableRef::Kind::kSubquery:
+        return SubqueryPushdownSafe(*ref.subquery, metadata, reason);
+      case sql::TableRef::Kind::kJoin:
+        return walk(*ref.left) && walk(*ref.right);
+    }
+    return true;
+  };
+  for (const auto& f : sel.from) {
+    if (!walk(*f)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 // Can this select run entirely on each shard group without a merge step
 // beyond concatenation? True when it has no aggregates/grouping, or when the
 // GROUP BY includes a distribution column (§3.5 logical pushdown; the
@@ -307,13 +335,7 @@ bool SubqueryPushdownSafe(const SelectStmt& sel, const CitusMetadata& metadata,
     *reason = "LIMIT in a subquery cannot be pushed down";
     return false;
   }
-  for (const auto& f : sel.from) {
-    if (f->kind == sql::TableRef::Kind::kSubquery &&
-        !SubqueryPushdownSafe(*f->subquery, metadata, reason)) {
-      return false;
-    }
-  }
-  return true;
+  return FromSubqueriesPushdownSafe(sel, metadata, reason);
 }
 
 // All distributed tables must be joined on their distribution columns
@@ -662,36 +684,50 @@ const char* ScanLabel(PlannerTier tier) {
   }
 }
 
+// One stage's EXPLAIN line: what fills which intermediate result, where.
+std::string StageLine(const Stage& stage) {
+  std::string what =
+      stage.body != nullptr ? "Materialize CTE " + stage.cte
+      : stage.move.target == nullptr
+          ? "Broadcast " + stage.move.table->name
+          : StrFormat("Repartition %s on %s along %s",
+                      stage.move.table->name.c_str(),
+                      stage.move.join_col.c_str(),
+                      stage.move.target->name.c_str());
+  std::string where;
+  for (const std::string& w : stage.result.workers) {
+    where += (where.empty() ? " on " : ", ") + w;
+  }
+  return "Stage: " + what + " into " + stage.result.logical +
+         (where.empty() ? " (kept on the coordinator)" : where);
+}
+
 // EXPLAIN's rendering of a plan: a Custom Scan line with the tier's label
-// and the task count, then the tasks and the coordinator step.
+// and the task count, then the stages (a CTE's with its body's plan), the
+// tasks and the coordinator step.
 void ExplainPlan(const DistributedPlan& plan, const char* cached_tag,
                  const std::vector<sql::Datum>& params,
                  std::vector<std::string>* lines) {
   auto add = [&](const std::string& s) { lines->push_back(s); };
+  auto nest = [&](const DistributedPlan& inner, const char* indent) {
+    std::vector<std::string> sub;
+    ExplainPlan(inner, "", params, &sub);
+    for (size_t i = 0; i < sub.size(); i++) {
+      add(indent + std::string(i == 0 ? "->  " : "    ") + sub[i]);
+    }
+  };
   if (plan.source != nullptr) {
     add("Custom Scan (Citus INSERT ... SELECT)  Modify on " + plan.modifies +
         " (pull to coordinator)");
-    std::vector<std::string> source;
-    ExplainPlan(*plan.source, "", params, &source);
-    for (size_t i = 0; i < source.size(); i++) {
-      add((i == 0 ? "  ->  " : "      ") + source[i]);
-    }
-    return;
-  }
-  if (plan.join_order != nullptr) {
-    add("Custom Scan (Citus Adaptive)  via logical join-order planner "
-        "(repartition/broadcast)");
-    for (const MovePlan& mp : plan.join_order->moves) {
-      add(mp.target == nullptr
-              ? "  Broadcast: " + mp.table->name
-              : StrFormat("  Repartition: %s on %s along %s",
-                          mp.table->name.c_str(), mp.join_col.c_str(),
-                          mp.target->name.c_str()));
-    }
+    nest(*plan.source, "  ");
     return;
   }
   add(StrFormat("Custom Scan (Citus %s)  Task Count: %zu%s",
                 ScanLabel(plan.tier), plan.tasks.size(), cached_tag));
+  for (const Stage& stage : plan.stages) {
+    add("  " + StageLine(stage));
+    if (stage.body != nullptr) nest(*stage.body, "    ");
+  }
   if (!plan.modifies.empty()) add("  Modify on " + plan.modifies);
   if (plan.tasks.size() == 1) {
     add("  Task: " + plan.tasks[0].sql);
@@ -719,28 +755,7 @@ double MsOf(sim::Time t) { return static_cast<double>(t) / 1e6; }
 
 }  // namespace
 
-Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
-    engine::Session& session, const sql::Statement& stmt,
-    const std::vector<sql::Datum>& params) {
-  CITUSX_ASSIGN_OR_RETURN(std::optional<engine::QueryResult> view,
-                          MaybeExecuteStatView(ext_, session, stmt, params));
-  if (view.has_value()) return view;
-  // MX receiver guard (§3.10): statements arriving from a peer whose synced
-  // metadata is older than ours may be routed to shards we no longer hold
-  // (e.g. after a move). Reject before any analysis — shard-level SQL does
-  // not reference logical tables, so this check is its only protection.
-  CITUSX_RETURN_IF_ERROR(ext_->CheckPeerMetadataVersion(session));
-  // CTE / trivial-subquery rewrite pass. Must run before AnalyzeTables: a
-  // WITH name is not a relation, but table analysis would misread it as a
-  // local table and reject the distributed-join combination.
-  if (stmt.kind == sql::Statement::Kind::kSelect && stmt.select != nullptr &&
-      cte_depth_ < 8 && NeedsCteRewrite(ext_->metadata(), *stmt.select)) {
-    cte_depth_++;
-    auto r = ExecuteSelectWithCtes(session, stmt, params);
-    cte_depth_--;
-    return r;
-  }
-  TableAnalysis analysis = AnalyzeTables(ext_->metadata(), stmt);
+Result<bool> DistributedPlanner::CheckRelations(const TableAnalysis& analysis) {
   // MX routing gate: a non-authority node may coordinate distributed
   // queries only with a fully synced metadata copy. The shell-registry
   // check closes the wrong-answer hole where a stale copy no longer (or
@@ -762,45 +777,75 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
               ext_->metadata().known_cluster_version())));
     }
   }
-  if (!analysis.HasCitusTables()) return std::optional<engine::QueryResult>();
+  if (!analysis.HasCitusTables()) return false;
   if (!analysis.local.empty()) {
     return Status::NotSupported(
         "joining distributed tables with local tables is not supported");
   }
-  if (stmt.is_explain) {
-    // Plan the statement with the EXPLAIN flags stripped: DML deparsing
-    // would otherwise carry the EXPLAIN prefix into the task SQL.
-    sql::Statement inner = stmt;
-    inner.is_explain = false;
-    inner.is_analyze = false;
-    if (stmt.is_analyze) {
-      CITUSX_ASSIGN_OR_RETURN(engine::QueryResult r,
-                              ExplainAnalyze(session, inner, params, analysis));
-      return std::optional<engine::QueryResult>(std::move(r));
+  return true;
+}
+
+Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
+    engine::Session& session, const sql::Statement& stmt,
+    const std::vector<sql::Datum>& params) {
+  CITUSX_ASSIGN_OR_RETURN(std::optional<engine::QueryResult> view,
+                          MaybeExecuteStatView(ext_, session, stmt, params));
+  if (view.has_value()) return view;
+  // MX receiver guard (§3.10): statements arriving from a peer whose synced
+  // metadata is older than ours may be routed to shards we no longer hold
+  // (e.g. after a move). Reject before any analysis — shard-level SQL does
+  // not reference logical tables, so this check is its only protection.
+  CITUSX_RETURN_IF_ERROR(ext_->CheckPeerMetadataVersion(session));
+  // Plan with the EXPLAIN flags stripped: DML deparsing would otherwise
+  // carry the EXPLAIN prefix into the task SQL.
+  sql::Statement inner = stmt;
+  inner.is_explain = false;
+  inner.is_analyze = false;
+  const bool explain_only = stmt.is_explain && !stmt.is_analyze;
+  std::optional<DistributedPlan> plan;
+  int inlined = 0;
+  bool cached = false;
+  if (stmt.kind == sql::Statement::Kind::kSelect && stmt.select != nullptr &&
+      NeedsCteRewrite(ext_->metadata(), *stmt.select)) {
+    // CTE / trivial-subquery pass. Must run before AnalyzeTables: a WITH
+    // name is not a relation, but table analysis would misread it as a
+    // local table and reject the distributed-join combination.
+    CITUSX_ASSIGN_OR_RETURN(
+        plan, PlanWithCtes(session, *stmt.select, params, &inlined));
+  } else {
+    TableAnalysis analysis = AnalyzeTables(ext_->metadata(), stmt);
+    CITUSX_ASSIGN_OR_RETURN(bool distributed, CheckRelations(analysis));
+    if (!distributed) return std::optional<engine::QueryResult>();
+    if (explain_only) {
+      // "(cached)" marks shapes the session's plan cache would serve
+      // without planning (mirrors EXPLAIN's "(cached plan)" note).
+      cached = PlanCacheContains(ext_, session, inner, params, analysis);
+    } else if (!stmt.is_explain && ext_->config().enable_plan_cache) {
+      // Single-shard CRUD statements go through the distributed plan cache:
+      // a hit skips planning (binary-search pruning + template splice), a
+      // miss plans once and caches; other shapes plan through the tiers.
+      CITUSX_ASSIGN_OR_RETURN(
+          plan, PlanFromCache(ext_, session, stmt, params, analysis));
     }
-    // EXPLAIN plans through the tiers and dispatches nothing. "(cached)"
-    // marks shapes the session's plan cache would serve without planning
-    // (mirrors EXPLAIN's "(cached plan)" note).
-    bool cached = PlanCacheContains(ext_, session, inner, params, analysis);
-    CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
-                            Plan(session, inner, params, analysis));
+    if (!plan.has_value()) {
+      CITUSX_ASSIGN_OR_RETURN(plan, Plan(session, inner, params, analysis));
+    }
+  }
+  if (explain_only) {
+    // EXPLAIN renders the plan and dispatches nothing.
     std::vector<std::string> lines;
-    ExplainPlan(plan, cached ? " (cached)" : "", params, &lines);
+    ExplainPlan(*plan, cached ? " (cached)" : "", params, &lines);
     return std::optional<engine::QueryResult>(QueryPlanResult(lines));
+  }
+  if (inlined > 0) ext_->metric_cte_inlined->Inc(inlined);
+  if (stmt.is_analyze) {
+    CITUSX_ASSIGN_OR_RETURN(
+        engine::QueryResult r,
+        ExplainAnalyze(session, inner, params, std::move(*plan)));
+    return std::optional<engine::QueryResult>(std::move(r));
   }
   sim::Time started = ext_->node()->sim()->now();
   const int64_t dispatched = ext_->SessionState(session).tasks_dispatched;
-  // Single-shard CRUD statements go through the distributed plan cache: a
-  // hit skips planning (binary-search pruning + template splice), a miss
-  // plans once and caches; other shapes plan through the tiers.
-  std::optional<DistributedPlan> plan;
-  if (ext_->config().enable_plan_cache) {
-    CITUSX_ASSIGN_OR_RETURN(
-        plan, PlanFromCache(ext_, session, stmt, params, analysis));
-  }
-  if (!plan.has_value()) {
-    CITUSX_ASSIGN_OR_RETURN(plan, Plan(session, stmt, params, analysis));
-  }
   const PlannerTier tier = plan->tier;
   CITUSX_ASSIGN_OR_RETURN(engine::QueryResult result,
                           Execute(session, std::move(*plan), params));
@@ -815,7 +860,7 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
 
 Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
     engine::Session& session, const sql::Statement& stmt,
-    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
+    const std::vector<sql::Datum>& params, DistributedPlan plan) {
   sim::Simulation* sim = ext_->node()->sim();
   obs::TraceCollector* tracer = ext_->node()->tracer();
   const int64_t dispatched = ext_->SessionState(session).tasks_dispatched;
@@ -838,13 +883,12 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
   }
 
   sim::Time started = sim->now();
-  PlannerTier tier = PlannerTier::kFastPath;
-  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
-                            Plan(session, stmt, params, analysis));
-    tier = plan.tier;
-    return Execute(session, std::move(plan), params);
-  }();
+  const PlannerTier tier = plan.tier;
+  std::vector<std::string> stage_lines;
+  for (const Stage& stage : plan.stages) {
+    stage_lines.push_back("  " + StageLine(stage));
+  }
+  Result<engine::QueryResult> result = Execute(session, std::move(plan), params);
   sim::Time elapsed = sim->now() - started;
   if (tracer != nullptr) {
     session.SetVar("citusx.trace_ctx", saved_ctx);
@@ -866,6 +910,7 @@ Result<engine::QueryResult> DistributedPlanner::ExplainAnalyze(
                 ScanLabel(tier), MsOf(elapsed),
                 static_cast<long long>(root_rows)));
   add(std::string("  Planner Tier: ") + TierLabel(tier));
+  for (const std::string& l : stage_lines) add(l);
   if (tracer == nullptr) {
     add(StrFormat("  Task Count: %lld (tracing disabled: node not in a "
                   "cluster)",
@@ -953,9 +998,31 @@ Result<DistributedPlan> DistributedPlanner::Plan(
 Result<engine::QueryResult> DistributedPlanner::Execute(
     engine::Session& session, DistributedPlan plan,
     const std::vector<sql::Datum>& params) {
-  if (plan.join_order != nullptr) {
-    return ExecuteJoinOrder(session, *plan.join_order, params);
+  if (plan.tier == PlannerTier::kJoinOrder && !plan.stages.empty()) {
+    ext_->metric_repartition_joins->Inc();
   }
+  std::vector<const IntermediateResult*> created;
+  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
+    for (Stage& stage : plan.stages) {
+      CITUSX_RETURN_IF_ERROR(RunStage(session, stage, params, &created));
+    }
+    Result<engine::QueryResult> out = ExecuteTasks(session, plan, params);
+    if (!created.empty() && ext_->repartition_fault_hook) {
+      Status late = ext_->repartition_fault_hook(
+          created.front()->logical, RepartitionPoint::kBeforeCleanup);
+      if (out.ok() && !late.ok()) return late;
+    }
+    return out;
+  }();
+  for (const IntermediateResult* ir : created) {
+    DropIntermediateResult(ext_, session, *ir);
+  }
+  return result;
+}
+
+Result<engine::QueryResult> DistributedPlanner::ExecuteTasks(
+    engine::Session& session, DistributedPlan& plan,
+    const std::vector<sql::Datum>& params) {
   std::vector<engine::QueryResult> results;
   if (plan.source != nullptr) {
     // INSERT .. SELECT through the coordinator (§3.8): run the SELECT, then
@@ -1002,9 +1069,12 @@ Result<engine::QueryResult> DistributedPlanner::Execute(
       for (auto& r : results) {
         for (auto& row : r.rows) temp.rows.push_back(std::move(row));
       }
-      CITUSX_ASSIGN_OR_RETURN(out, RunMasterQuery(session, *plan.merge,
-                                                  kIntermediateName, temp,
-                                                  params));
+      std::map<std::string, const engine::TempRelation*> relations = {
+          {kIntermediateName, &temp}};
+      for (const auto& [name, rows] : stage_rows_) relations[name] = &rows;
+      CITUSX_ASSIGN_OR_RETURN(
+          out, engine::RunLocalSelect(session, *plan.merge, params,
+                                      &relations));
       const std::vector<std::string>& names =
           plan.column_names.empty() && !results.empty()
               ? results[0].column_names
@@ -1060,20 +1130,23 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
     shard_index = idx;
     target_worker = t->shards[static_cast<size_t>(idx)].placement;
   }
+  // Reference-table-only query: prefer the local replica; when this node
+  // holds none (replicas trimmed), route to the first replica holder. Stage
+  // relations have no replicas: they are placed where the task runs.
+  const std::vector<std::string>* replicas = nullptr;
+  for (const auto* t : analysis.reference) {
+    if (replicas == nullptr && !t->replica_nodes.empty()) {
+      replicas = &t->replica_nodes;
+    }
+  }
   if (analysis.distributed.empty()) {
-    // Reference-table-only query: prefer the local replica; when this node
-    // holds none (replicas trimmed), route to the first replica holder.
     routable = true;
     shard_index = 0;
     target_worker = ext_->node()->name();
-    if (!analysis.reference.empty()) {
-      const auto& replicas = analysis.reference[0]->replica_nodes;
-      bool local_replica =
-          std::find(replicas.begin(), replicas.end(), target_worker) !=
-          replicas.end();
-      if (!local_replica && !replicas.empty()) {
-        target_worker = replicas.front();
-      }
+    if (replicas != nullptr &&
+        std::find(replicas->begin(), replicas->end(), target_worker) ==
+            replicas->end()) {
+      target_worker = replicas->front();
     }
   }
   if (routable) {
@@ -1095,10 +1168,9 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
     task.is_write = sel.for_update;
     // Reference-table reads can run against any replica: list the other
     // holders as failover targets in case the routed node is down.
-    if (analysis.distributed.empty() && !analysis.reference.empty() &&
+    if (analysis.distributed.empty() && replicas != nullptr &&
         !sel.for_update) {
-      for (const std::string& replica :
-           analysis.reference[0]->replica_nodes) {
+      for (const std::string& replica : *replicas) {
         if (replica != target_worker) {
           task.fallback_workers.push_back(replica);
         }
@@ -1111,26 +1183,20 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
   // ---- Tier 3: logical pushdown ----
   std::string reason;
   bool colocated = CheckColocatedJoins(sel, analysis, ext_->metadata(), &reason);
-  bool subqueries_safe = true;
-  for (const auto& f : sel.from) {
-    if (f->kind == sql::TableRef::Kind::kSubquery) {
-      subqueries_safe &=
-          SubqueryPushdownSafe(*f->subquery, ext_->metadata(), &reason);
-    }
-  }
+  bool subqueries_safe =
+      FromSubqueriesPushdownSafe(sel, ext_->metadata(), &reason);
   if (!colocated || !subqueries_safe || analysis.distributed.empty()) {
     // ---- Tier 4: logical join order (repartition/broadcast) ----
-    CITUSX_ASSIGN_OR_RETURN(std::optional<JoinOrderPlan> join,
-                            PlanJoinOrder(session, sel, analysis));
+    CITUSX_ASSIGN_OR_RETURN(std::optional<DistributedPlan> join,
+                            PlanJoinOrder(session, sel, params, analysis));
     if (!join.has_value()) {
       return Status::NotSupported(
           "cannot plan distributed query: " +
           (reason.empty() ? std::string("unsupported query shape") : reason));
     }
-    plan.tier = PlannerTier::kJoinOrder;
-    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
-    plan.join_order = std::make_unique<JoinOrderPlan>(std::move(*join));
-    return plan;
+    join->tier = PlannerTier::kJoinOrder;
+    CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, join->tier));
+    return std::move(*join);
   }
   plan.tier = PlannerTier::kPushdown;
   CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
@@ -1190,8 +1256,11 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
         worker.targets.push_back(sql::SelectItem{o.expr->Clone(), ""});
         slot = static_cast<int>(worker.targets.size()) - 1;
       }
+      // A visible slot sorts by output position; a hidden one is not an
+      // output column, so the merge sorts by the gathered column itself.
       sql::OrderByItem item;
-      item.expr = sql::MakeConst(sql::Datum::Int8(slot + 1));
+      item.expr = slot < visible ? sql::MakeConst(sql::Datum::Int8(slot + 1))
+                                 : IntermediateCol(slot);
       item.desc = o.desc;
       master_order.push_back(item);
     }

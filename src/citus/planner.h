@@ -50,13 +50,26 @@ struct MovePlan {
   const CitusTable* target = nullptr;
 };
 
-/// The join-order tier's plan (repartition.cc). Its tasks exist only once
-/// the moved tables have landed: execution moves them, rewrites `select` to
-/// read the intermediate results, and plans the now co-located query.
-struct JoinOrderPlan {
-  sql::SelectPtr select;
-  std::vector<MovePlan> moves;
-  std::vector<std::string> kept_workers;
+/// A statement-local intermediate result: one full-range shard placed on
+/// `workers` (none: its rows stay on the coordinator), read as a reference
+/// relation named `logical` that never enters CitusMetadata.
+struct IntermediateResult {
+  std::string logical;  // the relation name the rewritten queries read
+  std::string shard;    // physical shard table name on every worker
+  std::vector<std::string> workers;
+};
+
+struct DistributedPlan;
+
+/// One stage of a multi-stage plan: fills `result` before the plan's own
+/// tasks run. Either a table the join-order tier moves (`move`: the
+/// worker-to-worker shuffle), or a materialized CTE (`cte`) whose `body`
+/// plan runs and whose rows are COPYed to the result's workers.
+struct Stage {
+  IntermediateResult result;
+  MovePlan move;
+  std::string cte;
+  std::unique_ptr<DistributedPlan> body;
 };
 
 /// What the coordinator does with the task results.
@@ -74,9 +87,9 @@ struct DistributedPlan {
   CoordinatorStep step = CoordinatorStep::kFirstResult;
   /// kSumRowsAffected: the command tag before the count ("UPDATE", ...).
   std::string command;
-  /// kMerge: the master query over the gathered rows, and the result's
-  /// column names — the first task's when empty; an empty entry keeps the
-  /// merge query's own name.
+  /// kMerge: the master query over the gathered rows (and the statement's
+  /// materialized CTEs), and the result's column names — the first task's
+  /// when empty; an empty entry keeps the merge query's own name.
   sql::SelectPtr merge;
   std::vector<std::string> column_names;
   /// The table a modification targets (EXPLAIN), and the one whose
@@ -84,10 +97,11 @@ struct DistributedPlan {
   /// picks broadcast or repartition from it).
   std::string modifies;
   CitusTable* grows = nullptr;
-  /// Multi-stage plans: a join-order plan (tasks empty), or an INSERT ..
-  /// SELECT through the coordinator, which runs `source` and COPYs its rows
-  /// into `modifies` (`copy_columns`). Both report the outer tier.
-  std::unique_ptr<JoinOrderPlan> join_order;
+  /// Multi-stage plans: `stages` run in order before the tasks (join-order
+  /// moves, materialized CTEs). An INSERT .. SELECT through the coordinator
+  /// runs `source` and COPYs its rows into `modifies` (`copy_columns`), and
+  /// reports the source's tier.
+  std::vector<Stage> stages;
   std::unique_ptr<DistributedPlan> source;
   std::vector<std::string> copy_columns;
 };
@@ -97,19 +111,25 @@ struct TableAnalysis {
   std::vector<const CitusTable*> distributed;  // distinct dist tables
   std::vector<const CitusTable*> reference;
   std::vector<std::string> local;  // plain tables (non-Citus)
+  size_t stages = 0;  // how many of `reference` are stage relations
   /// alias (or table name) -> citus table, for column-qualifier resolution.
   std::map<std::string, const CitusTable*> alias_map;
 
+  /// True when a table of the Citus metadata is read.
   bool HasCitusTables() const {
-    return !distributed.empty() || !reference.empty();
+    return !distributed.empty() || reference.size() > stages;
   }
 };
+
+/// A statement's stage relations by name, resolved before the metadata.
+using StageRelations = std::map<std::string, CitusTable>;
 
 /// Collect referenced tables (recursively through joins and subqueries).
 TableAnalysis AnalyzeTables(const CitusMetadata& metadata,
                             const sql::Statement& stmt);
 TableAnalysis AnalyzeSelectTables(const CitusMetadata& metadata,
-                                  const sql::SelectStmt& sel);
+                                  const sql::SelectStmt& sel,
+                                  const StageRelations* stages = nullptr);
 
 /// The per-shard-group table map: logical name -> shard name at `index`,
 /// reference tables -> their single shard name.
@@ -120,13 +140,18 @@ class DistributedPlanner {
  public:
   explicit DistributedPlanner(CitusExtension* ext) : ext_(ext) {}
 
-  /// Entry point from the planner hook. Returns nullopt when the statement
-  /// involves no Citus tables (falls through to local planning).
+  /// Entry point from the planner hook, once per client statement. Returns
+  /// nullopt when the statement involves no Citus tables (falls through to
+  /// local planning).
   Result<std::optional<engine::QueryResult>> PlanAndExecute(
       engine::Session& session, const sql::Statement& stmt,
       const std::vector<sql::Datum>& params);
 
  private:
+  /// The MX routing gate and the local-table check over the relations one
+  /// query reads. Returns whether it reads a Citus table.
+  Result<bool> CheckRelations(const TableAnalysis& analysis);
+
   // Planning through the tiers (planner.cc, dml.cc). Each charges its
   // tier (ChargeTier) and dispatches nothing.
   Result<DistributedPlan> Plan(engine::Session& session,
@@ -144,51 +169,60 @@ class DistributedPlanner {
   Result<DistributedPlan> PlanInsertSelect(
       engine::Session& session, const sql::InsertStmt& ins,
       const std::vector<sql::Datum>& params);
-  /// The join-order tier (repartition.cc): nullopt when moving tables
-  /// cannot make the query co-located.
-  Result<std::optional<JoinOrderPlan>> PlanJoinOrder(
+  /// The join-order tier (repartition.cc): the co-located remainder's plan
+  /// with one stage per moved table, or nullopt when moving tables cannot
+  /// make the query co-located.
+  Result<std::optional<DistributedPlan>> PlanJoinOrder(
       engine::Session& session, const sql::SelectStmt& sel,
-      const TableAnalysis& analysis);
+      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
 
-  /// Run `plan` through the adaptive executor and apply its coordinator
-  /// step.
+  // CTE inlining / materialization (cte_inline.cc), before table analysis:
+  // inlinable CTEs and trivial subqueries fold into the outer query, the
+  // rest become stages; `inlined` receives the number of CTEs folded. One
+  // attempt per inlining rule (PlanCteAttempt).
+  Result<DistributedPlan> PlanWithCtes(engine::Session& session,
+                                       const sql::SelectStmt& sel,
+                                       const std::vector<sql::Datum>& params,
+                                       int* inlined);
+  Result<DistributedPlan> PlanCteAttempt(engine::Session& session,
+                                         const sql::SelectStmt& sel,
+                                         const std::vector<sql::Datum>& params,
+                                         bool allow_inlining, int* inlined);
+  /// Plan a CTE body or the final query over the metadata and the stage
+  /// relations planned so far.
+  Result<DistributedPlan> PlanStageQuery(engine::Session& session,
+                                         const sql::SelectStmt& sel,
+                                         const std::vector<sql::Datum>& params);
+  /// A new stage relation, in this statement's scope only (repartition.cc).
+  IntermediateResult AddStageRelation();
+
+  /// Run `plan`'s stages in order, then its own tasks; drop what the
+  /// stages created on every exit path.
   Result<engine::QueryResult> Execute(engine::Session& session,
                                       DistributedPlan plan,
                                       const std::vector<sql::Datum>& params);
-  Result<engine::QueryResult> ExecuteJoinOrder(
-      engine::Session& session, JoinOrderPlan& plan,
+  /// Run the plan's tasks (or its INSERT .. SELECT source) through the
+  /// adaptive executor and apply the coordinator step.
+  Result<engine::QueryResult> ExecuteTasks(
+      engine::Session& session, DistributedPlan& plan,
       const std::vector<sql::Datum>& params);
+  /// Fill one stage's intermediate result (repartition.cc).
+  Status RunStage(engine::Session& session, Stage& stage,
+                  const std::vector<sql::Datum>& params,
+                  std::vector<const IntermediateResult*>* created);
 
-  // CTE inlining / materialization pass (cte_inline.cc). Runs before table
-  // analysis (a CTE name would otherwise be misread as a local table):
-  // inlinable CTEs and trivial subqueries fold into the outer query, the
-  // rest materialize to intermediate results pruned-broadcast only to the
-  // workers that reference them, then the rewritten statement re-enters
-  // PlanAndExecute.
-  Result<std::optional<engine::QueryResult>> ExecuteSelectWithCtes(
-      engine::Session& session, const sql::Statement& stmt,
-      const std::vector<sql::Datum>& params);
-  // One inlining attempt. When the inlined tree turns out not to be
-  // distributable (NotSupported), ExecuteSelectWithCtes retries with
-  // allow_inlining=false — pg12/Citus semantics where NOT MATERIALIZED is a
-  // hint the planner may override rather than a guarantee.
-  Result<std::optional<engine::QueryResult>> ExecuteSelectWithCtesImpl(
-      engine::Session& session, const sql::Statement& stmt,
-      const std::vector<sql::Datum>& params, bool allow_inlining);
-
-  /// EXPLAIN ANALYZE of `stmt` (its EXPLAIN flags stripped): execute the
-  /// tier-built plan under a fresh trace and render the resulting span tree
-  /// (per-task, per-shard timings and row counts).
+  /// EXPLAIN ANALYZE of `stmt` (its EXPLAIN flags stripped): execute `plan`
+  /// under a fresh trace and render the resulting span tree (per-task,
+  /// per-shard timings and row counts).
   Result<engine::QueryResult> ExplainAnalyze(
       engine::Session& session, const sql::Statement& stmt,
-      const std::vector<sql::Datum>& params, const TableAnalysis& analysis);
+      const std::vector<sql::Datum>& params, DistributedPlan plan);
 
   CitusExtension* ext_;
-  /// Rewrite/repartition recursion depth for this statement (the planner
-  /// object lives for one top-level hook call; rewritten queries re-enter
-  /// through the same object). Bounds pathological self-feeding rewrites.
-  int cte_depth_ = 0;
-  int repart_depth_ = 0;
+  StageRelations stage_relations_;
+  /// The coordinator's copy of each materialized CTE's rows, by relation
+  /// name, for coordinator-local merge steps.
+  std::map<std::string, engine::TempRelation> stage_rows_;
 };
 
 // ---- observability views (stat_views.cc) ----
@@ -233,12 +267,6 @@ bool CheckColocatedJoins(const sql::SelectStmt& sel,
 const CitusTable* AnyDistColRef(const sql::Expr& e,
                                 const TableAnalysis& analysis);
 
-/// Execute a SELECT locally over intermediate results (the "master query").
-Result<engine::QueryResult> RunMasterQuery(
-    engine::Session& session, const sql::SelectStmt& master,
-    const std::string& temp_name, const engine::TempRelation& temp,
-    const std::vector<sql::Datum>& params);
-
 /// Reconstruct a CREATE TABLE statement for a shard from the coordinator's
 /// catalog shell, plus recorded post-creation DDL.
 Result<std::vector<std::string>> ShardCreationDdl(engine::Node* node,
@@ -249,8 +277,7 @@ Result<std::vector<std::string>> ShardCreationDdl(engine::Node* node,
 
 /// True when `sel` carries a WITH clause (anywhere) or a pullable trivial
 /// subquery, and references at least one Citus table — i.e. the statement
-/// must go through DistributedPlanner::ExecuteSelectWithCtes before table
-/// analysis.
+/// must go through DistributedPlanner::PlanWithCtes before table analysis.
 bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel);
 
 // ---- intermediate-result management (repartition.cc) ----
@@ -261,30 +288,13 @@ bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel);
 void RewriteTableRefs(sql::TableRefPtr& ref, const std::string& from_name,
                       const std::string& to_name);
 
-/// Convenience GUC readers over Session::GetVar with registry defaults.
-bool GucEnabled(engine::Session& session, const char* name);
 /// citus.max_intermediate_result_size is registered in kB (pg semantics);
 /// returns the session's cap in bytes.
 int64_t MaxIntermediateResultBytes(engine::Session& session);
 
-/// A temporary reference relation backing a repartitioned table or a
-/// materialized CTE: one full-range shard replicated on `workers`.
-struct IntermediateResult {
-  std::string logical;  // registered logical (metadata) name
-  std::string shard;    // physical shard table name on every worker
-  std::vector<std::string> workers;
-};
-
-/// Register the relation in metadata and CREATE its shard on every worker.
-/// On any creation failure the already-created shards are dropped again
-/// before the error returns.
-Result<IntermediateResult> CreateIntermediateResult(
-    CitusExtension* ext, engine::Session& session, const sql::Schema& schema,
-    const std::vector<std::string>& workers);
-
 /// Drop the shards everywhere (unreachable workers go to the deferred
-/// cleanup queue the maintenance daemon retries) and unregister the
-/// relation. Never fails — cleanup must run on success and error paths.
+/// cleanup queue the maintenance daemon retries). Never fails — cleanup
+/// must run on success and error paths.
 void DropIntermediateResult(CitusExtension* ext, engine::Session& session,
                             const IntermediateResult& ir);
 

@@ -11,10 +11,13 @@
 // rows and ships every bucket directly to its destination worker, so the
 // coordinator never touches tuple data.
 //
-// Moved tables land in intermediate results: temporary reference relations
-// with one full-range shard replicated on the kept workers, dropped again
-// on every exit path (success, planning error, worker crash — unreachable
-// workers go to the deferred-cleanup queue the maintenance daemon drains).
+// Each moved table becomes a stage of the plan: an intermediate result (a
+// statement-local reference relation with one full-range shard on the kept
+// workers) that the co-located remainder, planned up front, reads. The
+// shards are dropped again on every exit path (success, error, worker
+// crash — unreachable workers go to the deferred-cleanup queue the
+// maintenance daemon drains). The stage runner here serves materialized
+// CTEs too (cte_inline.cc).
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -185,6 +188,43 @@ Status ShuffleWorkerToWorker(CitusExtension* ext, engine::Session& session,
   return Status::OK();
 }
 
+// A boolean GUC: the session's value, else the registry default.
+bool GucEnabled(engine::Session& session, const char* name) {
+  std::string v = session.GetVar(name);
+  if (v.empty()) v = std::string(GucDefault(name));
+  return v == "on" || v == "true" || v == "1";
+}
+
+// CREATE the result's shard on each of its workers. On any failure the
+// already-created shards are dropped again before the error returns.
+Status CreateIntermediateResult(CitusExtension* ext, engine::Session& session,
+                                const sql::Schema& schema,
+                                const IntermediateResult& ir) {
+  sql::Statement create;
+  create.kind = sql::Statement::Kind::kCreateTable;
+  create.create_table = std::make_shared<sql::CreateTableStmt>();
+  create.create_table->table = ir.shard;
+  create.create_table->schema = schema;
+  std::string create_sql = sql::DeparseStatement(create);
+
+  AdaptiveExecutor executor(ext);
+  std::vector<Task> tasks;
+  int index = 0;
+  for (const std::string& w : ir.workers) {
+    Task t;
+    t.index = index++;
+    t.worker = w;
+    t.sql = create_sql;
+    tasks.push_back(std::move(t));
+  }
+  auto created = executor.Execute(session, std::move(tasks));
+  if (!created.ok()) {
+    DropIntermediateResult(ext, session, ir);
+    return created.status();
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---- shared intermediate-result helpers (also used by cte_inline.cc) ----
@@ -209,12 +249,6 @@ void RewriteTableRefs(sql::TableRefPtr& ref, const std::string& from_name,
       RewriteTableRefs(ref->right, from_name, to_name);
       return;
   }
-}
-
-bool GucEnabled(engine::Session& session, const char* name) {
-  std::string v = session.GetVar(name);
-  if (v.empty()) v = std::string(GucDefault(name));
-  return v == "on" || v == "true" || v == "1";
 }
 
 int64_t MaxIntermediateResultBytes(engine::Session& session) {
@@ -243,56 +277,28 @@ int64_t CopyRowsBytes(const std::vector<std::vector<std::string>>& rows) {
   return bytes;
 }
 
-Result<IntermediateResult> CreateIntermediateResult(
-    CitusExtension* ext, engine::Session& session, const sql::Schema& schema,
-    const std::vector<std::string>& workers) {
-  IntermediateResult ir;
-  ir.logical = StrFormat(
+IntermediateResult DistributedPlanner::AddStageRelation() {
+  // A reference relation (one full-range shard) so the co-located pushdown
+  // planner treats the rewritten query as a plain reference join. When it
+  // holds repartitioned fragments the replicas are NOT identical — each
+  // worker's shard holds only its bucket — which stays correct because the
+  // rewritten query only ever joins the fragment against the co-located
+  // shard whose interval produced it. Only the shard name comes from the
+  // metadata's id sequence.
+  CitusTable relation;
+  relation.name = StrFormat(
       "citusx_repart_%llu",
       static_cast<unsigned long long>(++g_repart_counter));
-  ir.workers = workers;
-
-  // Register as a temporary reference table (one full-range shard,
-  // replicated on `workers`) so the co-located pushdown planner can treat
-  // the rewritten query as a plain reference join. When the relation holds
-  // repartitioned fragments the replicas are NOT identical — each worker's
-  // shard holds only its bucket — which stays correct because the rewritten
-  // query only ever joins the fragment against the co-located shard whose
-  // interval produced it.
-  CitusTable tmp;
-  tmp.name = ir.logical;
-  tmp.is_reference = true;
+  relation.is_reference = true;
   ShardInterval si;
-  si.shard_id = ext->metadata().NextShardId();
+  si.shard_id = ext_->metadata().NextShardId();
   si.min_hash = INT32_MIN;
   si.max_hash = INT32_MAX;
-  tmp.shards.push_back(si);
-  tmp.replica_nodes = workers;
-  ir.shard = tmp.ShardName(si.shard_id);
-  ext->metadata().Add(tmp);
-
-  sql::Statement create;
-  create.kind = sql::Statement::Kind::kCreateTable;
-  create.create_table = std::make_shared<sql::CreateTableStmt>();
-  create.create_table->table = ir.shard;
-  create.create_table->schema = schema;
-  std::string create_sql = sql::DeparseStatement(create);
-
-  AdaptiveExecutor executor(ext);
-  std::vector<Task> tasks;
-  int index = 0;
-  for (const std::string& w : workers) {
-    Task t;
-    t.index = index++;
-    t.worker = w;
-    t.sql = create_sql;
-    tasks.push_back(std::move(t));
-  }
-  auto created = executor.Execute(session, std::move(tasks));
-  if (!created.ok()) {
-    DropIntermediateResult(ext, session, ir);
-    return created.status();
-  }
+  relation.shards.push_back(si);
+  IntermediateResult ir;
+  ir.logical = relation.name;
+  ir.shard = relation.ShardName(si.shard_id);
+  stage_relations_[relation.name] = std::move(relation);
   return ir;
 }
 
@@ -327,23 +333,21 @@ void DropIntermediateResult(CitusExtension* ext, engine::Session& session,
   for (size_t i = 0; i < ir.workers.size(); i++) {
     if (!done->Receive().has_value()) break;  // simulation stopping
   }
-  ext->metadata().Remove(ir.logical);
-  ext->metadata().RecordTableDrop(ir.logical);
 }
 
 // ---- the join-order tier ----
 
-Result<std::optional<JoinOrderPlan>> DistributedPlanner::PlanJoinOrder(
+Result<std::optional<DistributedPlan>> DistributedPlanner::PlanJoinOrder(
     engine::Session& session, const sql::SelectStmt& sel,
-    const TableAnalysis& analysis) {
+    const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
   // Scope: two or more distributed tables at the top level of the FROM
   // clause (reference tables ride along; occurrences under subqueries bail).
-  if (analysis.distributed.size() < 2 || repart_depth_ >= 3) {
-    return std::optional<JoinOrderPlan>();
+  if (analysis.distributed.size() < 2) {
+    return std::optional<DistributedPlan>();
   }
   for (const CitusTable* t : analysis.distributed) {
     if (AppearsInSubquery(sel, t->name)) {
-      return std::optional<JoinOrderPlan>();
+      return std::optional<DistributedPlan>();
     }
   }
   if (!GucEnabled(session, "citus.enable_repartition_joins")) {
@@ -444,7 +448,7 @@ Result<std::optional<JoinOrderPlan>> DistributedPlanner::PlanJoinOrder(
         // Broadcasting the preserved side of a LEFT JOIN would NULL-extend
         // its unmatched rows once per worker; without a repartition key the
         // join cannot be planned here.
-        return std::optional<JoinOrderPlan>();
+        return std::optional<DistributedPlan>();
       }
       use_repartition = true;
     }
@@ -457,79 +461,111 @@ Result<std::optional<JoinOrderPlan>> DistributedPlanner::PlanJoinOrder(
   if (moves.empty()) {
     // Everything is already co-located with the anchor; whatever made the
     // pushdown tier refuse, data movement will not fix it.
-    return std::optional<JoinOrderPlan>();
+    return std::optional<DistributedPlan>();
   }
-  JoinOrderPlan plan;
-  plan.select = sel.Clone();
-  plan.moves = std::move(moves);
-  plan.kept_workers = std::move(kept_workers);
-  return std::optional<JoinOrderPlan>(std::move(plan));
+
+  // Each moved table becomes a stage relation on the kept workers; the
+  // rewritten query reads them and plans as a co-located pushdown (every
+  // remaining distributed table is kept, so it never lands here again).
+  sql::SelectPtr rewritten = sel.Clone();
+  std::vector<Stage> stages;
+  for (MovePlan& mp : moves) {
+    Stage stage;
+    stage.result = AddStageRelation();
+    stage.result.workers = kept_workers;
+    for (auto& f : rewritten->from) {
+      RewriteTableRefs(f, mp.table->name, stage.result.logical);
+    }
+    stage.move = std::move(mp);
+    stages.push_back(std::move(stage));
+  }
+  TableAnalysis colocated =
+      AnalyzeSelectTables(ext_->metadata(), *rewritten, &stage_relations_);
+  CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,
+                          PlanSelect(session, *rewritten, params, colocated));
+  plan.stages = std::move(stages);
+  return std::optional<DistributedPlan>(std::move(plan));
 }
 
-Result<engine::QueryResult> DistributedPlanner::ExecuteJoinOrder(
-    engine::Session& session, JoinOrderPlan& plan,
-    const std::vector<sql::Datum>& params) {
-  // Create temps, move data, run the co-located remainder.
-  ext_->metric_repartition_joins->Inc();
-  const int64_t max_bytes = MaxIntermediateResultBytes(session);
-  std::vector<IntermediateResult> temps;
-  auto cleanup = [&]() {
-    for (const IntermediateResult& ir : temps) {
-      DropIntermediateResult(ext_, session, ir);
-    }
-    temps.clear();
-  };
-  auto fault = [&](const std::string& name, RepartitionPoint p) -> Status {
+Status DistributedPlanner::RunStage(
+    engine::Session& session, Stage& stage,
+    const std::vector<sql::Datum>& params,
+    std::vector<const IntermediateResult*>* created) {
+  auto fault = [&](RepartitionPoint p) -> Status {
     if (ext_->repartition_fault_hook) {
-      return ext_->repartition_fault_hook(name, p);
+      return ext_->repartition_fault_hook(stage.result.logical, p);
     }
     return Status::OK();
   };
-
-  for (const MovePlan& mp : plan.moves) {
-    engine::TableInfo* shell = ext_->node()->catalog().Find(mp.table->name);
+  const int64_t max_bytes = MaxIntermediateResultBytes(session);
+  sql::Schema schema;
+  std::vector<std::vector<std::string>> copy_rows;
+  if (stage.body != nullptr) {
+    // A materialized CTE: run its body, enforce the session's cap in
+    // COPY-text bytes (the unit the rows occupy on the wire), and keep the
+    // coordinator's copy for coordinator-local steps.
+    CITUSX_ASSIGN_OR_RETURN(engine::QueryResult rows,
+                            Execute(session, std::move(*stage.body), params));
+    copy_rows.reserve(rows.rows.size());
+    for (const auto& row : rows.rows) copy_rows.push_back(RowToCopyFields(row));
+    if (max_bytes >= 0 && CopyRowsBytes(copy_rows) > max_bytes) {
+      return Status::ResourceExhausted(StrFormat(
+          "materialized CTE \"%s\" exceeds citus.max_intermediate_result_size",
+          stage.cte.c_str()));
+    }
+    engine::TempRelation kept;
+    for (size_t c = 0; c < rows.column_names.size(); c++) {
+      sql::ColumnDef col;
+      col.name = rows.column_names[c].empty()
+                     ? StrFormat("c%d", static_cast<int>(c))
+                     : rows.column_names[c];
+      col.type = rows.column_types[c] == sql::TypeId::kNull
+                     ? sql::TypeId::kText
+                     : rows.column_types[c];
+      kept.column_names.push_back(col.name);
+      kept.column_types.push_back(col.type);
+      schema.columns.push_back(std::move(col));
+    }
+    kept.rows = std::move(rows.rows);
+    stage_rows_[stage.result.logical] = std::move(kept);
+  } else {
+    engine::TableInfo* shell =
+        ext_->node()->catalog().Find(stage.move.table->name);
     if (shell == nullptr) {
-      cleanup();
-      return Status::NotFound("shell table missing: " + mp.table->name);
+      return Status::NotFound("shell table missing: " + stage.move.table->name);
     }
-    Result<IntermediateResult> created = CreateIntermediateResult(
-        ext_, session, shell->schema(), plan.kept_workers);
-    if (!created.ok()) {
-      cleanup();
-      return created.status();
-    }
-    temps.push_back(std::move(created).value());
-    const IntermediateResult& ir = temps.back();
-    Status step = fault(ir.logical, RepartitionPoint::kAfterCreate);
-    if (step.ok()) {
-      step = ShuffleWorkerToWorker(ext_, session, mp, ir, max_bytes);
-    }
-    if (step.ok()) step = fault(ir.logical, RepartitionPoint::kAfterShuffle);
-    if (!step.ok()) {
-      cleanup();
-      return step;
-    }
-    for (auto& f : plan.select->from) {
-      RewriteTableRefs(f, mp.table->name, ir.logical);
-    }
+    schema = shell->schema();
   }
 
-  // Plan the rewritten (now co-located) query through the normal tiers.
-  TableAnalysis new_analysis =
-      AnalyzeSelectTables(ext_->metadata(), *plan.select);
-  repart_depth_++;
-  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    CITUSX_ASSIGN_OR_RETURN(
-        DistributedPlan colocated,
-        PlanSelect(session, *plan.select, params, new_analysis));
-    return Execute(session, std::move(colocated), params);
-  }();
-  repart_depth_--;
-  Status late = fault(temps.front().logical, RepartitionPoint::kBeforeCleanup);
-  cleanup();
-  if (!result.ok()) return result.status();
-  if (!late.ok()) return late;
-  return result;
+  if (!stage.result.workers.empty()) {
+    CITUSX_RETURN_IF_ERROR(
+        CreateIntermediateResult(ext_, session, schema, stage.result));
+    created->push_back(&stage.result);
+    CITUSX_RETURN_IF_ERROR(fault(RepartitionPoint::kAfterCreate));
+    if (stage.body != nullptr) {
+      AdaptiveExecutor executor(ext_);
+      std::vector<Task> copy_tasks;
+      int index = 0;
+      for (const std::string& w : stage.result.workers) {
+        Task t;
+        t.index = index++;
+        t.worker = w;
+        t.is_copy = true;
+        t.copy_table = stage.result.shard;
+        t.copy_rows = copy_rows;
+        copy_tasks.push_back(std::move(t));
+      }
+      CITUSX_RETURN_IF_ERROR(
+          executor.Execute(session, std::move(copy_tasks)).status());
+    } else {
+      CITUSX_RETURN_IF_ERROR(ShuffleWorkerToWorker(ext_, session, stage.move,
+                                                   stage.result, max_bytes));
+      ext_->metric_repartition_moves->Inc();
+    }
+    CITUSX_RETURN_IF_ERROR(fault(RepartitionPoint::kAfterShuffle));
+  }
+  if (stage.body != nullptr) ext_->metric_cte_materialized->Inc();
+  return Status::OK();
 }
 
 }  // namespace citusx::citus

@@ -59,6 +59,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "citus.planner.router",
     // citus: join-order tier data movement
     "citus.repartition.joins",
+    "citus.repartition.moves",
     "citus.repartition.shuffled_bytes",
     // engine: lock manager
     "locks.deadlock_cancels",

@@ -38,6 +38,37 @@ class CitusTest : public ::testing::Test {
                                                           tier);
   }
 
+  int64_t CoordCounter(const std::string& name) {
+    return deploy_->coordinator()->metrics().CounterValue(name);
+  }
+
+  /// kv: 40 rows with v = key % 7; ref: a 7-row reference table keyed by
+  /// v's values; other: 10 rows keyed 0..9, distributed but not co-located
+  /// with kv.
+  void LoadStageTables(net::Connection& conn) {
+    MustQuery(conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v bigint)");
+    MustQuery(conn, "SELECT create_distributed_table('kv', 'key')");
+    MustQuery(conn, "CREATE TABLE ref (id bigint PRIMARY KEY, name text)");
+    MustQuery(conn, "SELECT create_reference_table('ref')");
+    MustQuery(conn, "CREATE TABLE other (id bigint, w bigint)");
+    MustQuery(conn,
+              "SELECT create_distributed_table('other', 'id', "
+              "colocate_with := 'none')");
+    std::string kv, ref, other;
+    for (int i = 0; i < 40; i++) {
+      kv += StrFormat("%s(%d, %d)", kv.empty() ? "" : ", ", i, i % 7);
+    }
+    for (int i = 0; i < 7; i++) {
+      ref += StrFormat("%s(%d, 'r%d')", ref.empty() ? "" : ", ", i, i);
+    }
+    for (int i = 0; i < 10; i++) {
+      other += StrFormat("%s(%d, %d)", other.empty() ? "" : ", ", i, i);
+    }
+    MustQuery(conn, "INSERT INTO kv VALUES " + kv);
+    MustQuery(conn, "INSERT INTO ref VALUES " + ref);
+    MustQuery(conn, "INSERT INTO other VALUES " + other);
+  }
+
   void TearDown() override {
     sim_.Shutdown();
     deploy_.reset();
@@ -566,6 +597,169 @@ TEST_F(CitusTest, JoinOrderPlannerRepartitionJoin) {
     for (int i = 0; i < 50; i++) expected += 2 * (i % 10);
     EXPECT_EQ(r.rows[0][1].int_value(), expected);
     EXPECT_GT(Planned("join_order"), join_order_before);
+  });
+}
+
+// A FROM subquery that needs a merge step (GROUP BY a non-distribution
+// column, or LIMIT) must not run per shard when it sits under an explicit
+// JOIN: the plain shapes are refused or answered exactly, and the CTE
+// spelling, whose inlined tree is the first shape, falls back to
+// materializing the CTE.
+TEST_F(CitusTest, SubqueryUnderJoinIsCheckedForPushdown) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    const std::vector<std::pair<std::string, int64_t>> plain = {
+        {"SELECT count(*) FROM ref JOIN (SELECT v, count(*) AS n FROM kv "
+         "GROUP BY v) g ON ref.id = g.v",
+         7},
+        {"SELECT count(*) FROM ref JOIN (SELECT key FROM kv ORDER BY key "
+         "LIMIT 3) g ON ref.id = g.key",
+         3},
+    };
+    for (const auto& [sql, oracle] : plain) {
+      auto r = (*conn)->Query(sql);
+      if (r.ok()) {
+        ASSERT_EQ(r->rows.size(), 1u) << sql;
+        EXPECT_EQ(r->rows[0][0].int_value(), oracle) << sql;
+      } else {
+        EXPECT_TRUE(r.status().IsNotSupported())
+            << sql << ": " << r.status().ToString();
+      }
+    }
+    int64_t materialized = CoordCounter("citus.cte.materialized");
+    QueryResult r = MustQuery(
+        **conn,
+        "WITH g AS (SELECT v, count(*) AS n FROM kv GROUP BY v) "
+        "SELECT count(*) FROM ref JOIN g ON ref.id = g.v");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 7);
+    EXPECT_EQ(CoordCounter("citus.cte.materialized") - materialized, 1);
+  });
+}
+
+// A pushdown ORDER BY on a column the query does not select sorts the
+// merged rows by that gathered column.
+TEST_F(CitusTest, PushdownOrdersByUnselectedColumn) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    QueryResult r =
+        MustQuery(**conn, "SELECT key FROM kv ORDER BY v, key LIMIT 3");
+    ASSERT_EQ(r.rows.size(), 3u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 0);
+    EXPECT_EQ(r.rows[1][0].int_value(), 7);
+    EXPECT_EQ(r.rows[2][0].int_value(), 14);
+  });
+}
+
+// A final query that reads only reference relations runs where its stage
+// was placed, whichever relation comes first in FROM.
+TEST_F(CitusTest, ReferenceJoinReadsMaterializedCte) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    for (const char* from : {"ref JOIN g", "g JOIN ref"}) {
+      QueryResult r = MustQuery(
+          **conn, StrFormat("WITH g AS MATERIALIZED (SELECT v, count(*) AS n "
+                            "FROM kv GROUP BY v) SELECT count(*) FROM %s "
+                            "ON ref.id = g.v",
+                            from));
+      ASSERT_EQ(r.rows.size(), 1u) << from;
+      EXPECT_EQ(r.rows[0][0].int_value(), 7) << from;
+    }
+  });
+}
+
+// A statement mixing a MATERIALIZED and an inlinable CTE is planned once:
+// the inlined tree joins a GROUP BY subquery with a non-co-located table,
+// so planning falls back to materializing both CTEs, each run exactly once.
+TEST_F(CitusTest, MixedCtesMaterializeEachCteOnce) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    int64_t materialized = CoordCounter("citus.cte.materialized");
+    QueryResult r = MustQuery(
+        **conn,
+        "WITH m AS MATERIALIZED (SELECT key, v FROM kv WHERE key < 5), "
+        "g AS (SELECT v, count(*) AS n FROM kv GROUP BY v) "
+        "SELECT count(*) FROM g JOIN other ON other.id = g.v "
+        "JOIN m ON m.v = g.v");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 5);
+    EXPECT_EQ(CoordCounter("citus.cte.materialized") - materialized, 2);
+  });
+}
+
+// citus.max_intermediate_result_size caps every stage, whichever kind, and
+// a capped statement leaves no intermediate result behind.
+TEST_F(CitusTest, IntermediateResultSizeCapsEveryStage) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    MustQuery(**conn, "SET citus.max_intermediate_result_size = 0");
+    for (const char* sql :
+         {"WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key < 3) "
+          "SELECT count(*) FROM kv JOIN c ON kv.v = c.v",
+          "SELECT count(*) FROM kv JOIN other ON other.id = kv.v"}) {
+      auto r = (*conn)->Query(sql);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_NE(r.status().message().find("max_intermediate_result_size"),
+                std::string::npos)
+          << sql << ": " << r.status().ToString();
+    }
+    for (engine::Node* w : deploy_->workers()) {
+      for (engine::TableInfo* t : w->catalog().AllTables()) {
+        EXPECT_EQ(t->name.find("citusx_"), std::string::npos)
+            << "intermediate result " << t->name << " left on " << w->name();
+      }
+    }
+  });
+}
+
+// Stage relations are statement-local: a materialized CTE, a repartition
+// join and an EXPLAIN of each leave every node's Citus metadata (table map,
+// generation, drop log) as it was, and no intermediate result behind.
+TEST_F(CitusTest, StageRelationsAreStatementLocal) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    std::vector<engine::Node*> nodes = deploy_->workers();
+    nodes.push_back(deploy_->coordinator());
+    auto snapshot = [&] {
+      std::vector<std::string> out;
+      for (engine::Node* n : nodes) {
+        CitusMetadata& md = deploy_->extension(n)->metadata();
+        std::string state = StrFormat(
+            "%s gen=%llu", n->name().c_str(),
+            static_cast<unsigned long long>(md.generation()));
+        for (const auto& [name, t] : md.tables()) state += " " + name;
+        for (const std::string& d : md.DroppedSince(0)) state += " -" + d;
+        out.push_back(state);
+      }
+      return out;
+    };
+    std::vector<std::string> before = snapshot();
+    for (const char* sql :
+         {"WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key < 3) "
+          "SELECT count(*) FROM kv JOIN c ON kv.v = c.v",
+          "SELECT count(*) FROM kv JOIN other ON other.id = kv.v"}) {
+      MustQuery(**conn, sql);
+      MustQuery(**conn, std::string("EXPLAIN ") + sql);
+    }
+    EXPECT_EQ(snapshot(), before);
+    for (engine::Node* n : nodes) {
+      for (engine::TableInfo* t : n->catalog().AllTables()) {
+        EXPECT_EQ(t->name.find("citusx_"), std::string::npos)
+            << "intermediate result " << t->name << " left on " << n->name();
+      }
+    }
   });
 }
 

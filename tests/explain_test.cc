@@ -180,5 +180,130 @@ TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
   });
 }
 
+// kv: 40 rows with v = key % 7; other: 10 rows keyed 0..9, distributed but
+// not co-located with kv.
+void LoadStageTables(net::Connection& conn) {
+  for (const char* sql :
+       {"CREATE TABLE kv (key bigint PRIMARY KEY, v bigint)",
+        "SELECT create_distributed_table('kv', 'key')",
+        "CREATE TABLE other (id bigint, w bigint)",
+        "SELECT create_distributed_table('other', 'id', "
+        "colocate_with := 'none')"}) {
+    auto r = conn.Query(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  }
+  std::string kv, other;
+  for (int i = 0; i < 40; i++) {
+    kv += StrFormat("%s(%d, %d)", kv.empty() ? "" : ", ", i, i % 7);
+  }
+  for (int i = 0; i < 10; i++) {
+    other += StrFormat("%s(%d, %d)", other.empty() ? "" : ", ", i, i);
+  }
+  ASSERT_TRUE(conn.Query("INSERT INTO kv VALUES " + kv).ok());
+  ASSERT_TRUE(conn.Query("INSERT INTO other VALUES " + other).ok());
+}
+
+const char* const kMaterializedCte =
+    "WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key = 1) "
+    "SELECT count(*) FROM kv JOIN c ON kv.v = c.v";
+// The inlined tree joins a GROUP BY subquery with a non-co-located table,
+// so both CTEs become stages.
+const char* const kMixedCtes =
+    "WITH m AS MATERIALIZED (SELECT key, v FROM kv WHERE key < 5), "
+    "g AS (SELECT v, count(*) AS n FROM kv GROUP BY v) "
+    "SELECT count(*) FROM g JOIN other ON other.id = g.v JOIN m ON m.v = g.v";
+
+int CountStageLines(const std::string& text) {
+  int n = 0;
+  for (size_t at = text.find("Stage: "); at != std::string::npos;
+       at = text.find("Stage: ", at + 1)) {
+    n++;
+  }
+  return n;
+}
+
+// EXPLAIN of a multi-stage statement prints the plan execution runs: a
+// stage per materialized CTE, with the body's own plan, and final tasks
+// that read the stage's intermediate relation.
+TEST_F(ExplainTest, ExplainShowsStages) {
+  citus::DeploymentOptions options;
+  options.num_workers = 2;
+  deploy_ = std::make_unique<citus::Deployment>(&sim_, options);
+  RunSim([&] {
+    auto conn_r = deploy_->Connect();
+    ASSERT_TRUE(conn_r.ok());
+    net::Connection& conn = **conn_r;
+    LoadStageTables(conn);
+
+    auto explain = conn.Query(std::string("EXPLAIN ") + kMaterializedCte);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    std::string text = ExplainText(*explain);
+    EXPECT_EQ(CountStageLines(text), 1) << text;
+    size_t stage = text.find("Stage: Materialize CTE c into citusx_repart_");
+    ASSERT_NE(stage, std::string::npos) << text;
+    EXPECT_NE(text.find("->  Custom Scan (Citus Fast Path Router)", stage),
+              std::string::npos)
+        << text;
+    size_t task = text.find("Sample Task: ");
+    ASSERT_NE(task, std::string::npos) << text;
+    EXPECT_NE(text.find("citusx_repart_", task), std::string::npos)
+        << "the final tasks do not read the stage\n" << text;
+
+    explain = conn.Query(std::string("EXPLAIN ") + kMixedCtes);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    text = ExplainText(*explain);
+    EXPECT_NE(text.find("Stage: Materialize CTE m"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("Stage: Materialize CTE g"), std::string::npos)
+        << text;
+    auto run = conn.Query(kMixedCtes);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->rows.size(), 1u);
+    EXPECT_EQ(run->rows[0][0].int_value(), 5);
+  });
+}
+
+// EXPLAIN dispatches nothing: no task, no relation on any node, and no
+// CTE or repartition counter moves.
+TEST_F(ExplainTest, ExplainRunsNoStage) {
+  citus::DeploymentOptions options;
+  options.num_workers = 2;
+  deploy_ = std::make_unique<citus::Deployment>(&sim_, options);
+  RunSim([&] {
+    auto conn_r = deploy_->Connect();
+    ASSERT_TRUE(conn_r.ok());
+    net::Connection& conn = **conn_r;
+    LoadStageTables(conn);
+    std::vector<engine::Node*> nodes = deploy_->workers();
+    nodes.push_back(deploy_->coordinator());
+    auto state = [&] {
+      obs::Metrics& m = deploy_->coordinator()->metrics();
+      std::vector<int64_t> out;
+      for (const char* name :
+           {"citus.cte.inlined", "citus.cte.materialized",
+            "citus.repartition.joins", "citus.repartition.moves",
+            "citus.repartition.shuffled_bytes", "citus.executor.tasks"}) {
+        out.push_back(m.CounterValue(name));
+      }
+      for (engine::Node* n : nodes) {
+        out.push_back(static_cast<int64_t>(n->catalog().AllTables().size()));
+      }
+      return out;
+    };
+    for (const char* sql :
+         {kMaterializedCte, kMixedCtes,
+          "WITH c AS (SELECT key FROM kv WHERE v = 1) "
+          "SELECT count(*) FROM c JOIN kv ON kv.key = c.key",
+          "WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key < 9) "
+          "SELECT count(*) FROM c",
+          "SELECT count(*) FROM kv JOIN other ON other.id = kv.v"}) {
+      std::vector<int64_t> before = state();
+      auto r = conn.Query(std::string("EXPLAIN ") + sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      EXPECT_EQ(state(), before) << sql << "\n" << ExplainText(*r);
+    }
+  });
+}
+
 }  // namespace
 }  // namespace citusx

@@ -3,8 +3,11 @@
 // subquery queries over deliberately NON-co-located distributed tables are
 //   1. round-tripped through the deparser (parse -> deparse -> re-parse ->
 //      deparse must reach a fixpoint — the same property the planner relies
-//      on when it deparses worker fragments and temp-table DDL), and
-//   2. executed on a 4-worker Citus deployment AND a single-node volcano
+//      on when it deparses worker fragments and temp-table DDL),
+//   2. EXPLAINed: EXPLAIN dispatches nothing, moves no CTE or repartition
+//      counter, and names one stage per CTE the execution then
+//      materializes and per table it moves, and
+//   3. executed on a 4-worker Citus deployment AND a single-node volcano
 //      oracle loaded with identical data, diffing row multisets.
 //
 // Environment knobs (the CI job sets them; defaults replay locally):
@@ -64,13 +67,17 @@ class QueryGen {
  public:
   explicit QueryGen(Rng* rng) : rng_(rng) {}
 
-  std::string Query() {
-    switch (rng_->Uniform(0, 5)) {
+  // `may_refuse` is set for shapes the planner may refuse (NotSupported)
+  // instead of answering; a refusal is never a wrong answer.
+  std::string Query(bool* may_refuse) {
+    *may_refuse = false;
+    switch (rng_->Uniform(0, 6)) {
       case 0: return Join();
       case 1: return CteOverJoin();
       case 2: return MultiCte();
       case 3: return SubqueryPullup();
       case 4: return RepartitionOnNullableKey();
+      case 5: return MergeStepUnderJoin(may_refuse);
       default: return ThreeWay();
     }
   }
@@ -142,6 +149,30 @@ class QueryGen {
         "SELECT agg.g, agg.n, count(*) FROM agg JOIN tc ON tc.g = agg.g "
         "GROUP BY agg.g, agg.n ORDER BY agg.g, agg.n",
         Hint(), Filter("a").c_str(), Hint());
+  }
+
+  // A CTE or FROM subquery that needs a merge step (GROUP BY a
+  // non-distribution column, or LIMIT) joined to the reference table with
+  // JOIN syntax: it must never run per shard. The CTE plans, materialized
+  // when inlining cannot be distributed; the plain subquery may be refused.
+  std::string MergeStepUnderJoin(bool* may_refuse) {
+    std::string body =
+        rng_->Chance(0.5)
+            ? StrFormat("SELECT g, count(*) AS n FROM ta WHERE %s GROUP BY g",
+                        Filter("a").c_str())
+            : StrFormat("SELECT g, va AS n FROM ta WHERE %s ORDER BY a "
+                        "LIMIT %lld",
+                        Filter("va").c_str(),
+                        static_cast<long long>(rng_->Uniform(1, 40)));
+    const char* outer =
+        "SELECT rf.nm, count(*), sum(s.n) FROM rf JOIN %s s ON rf.r = s.g "
+        "GROUP BY rf.nm ORDER BY rf.nm";
+    if (rng_->Chance(0.25)) {
+      *may_refuse = true;
+      return StrFormat(outer, ("(" + body + ")").c_str());
+    }
+    return StrFormat("WITH s AS %s(%s) ", Hint(), body.c_str()) +
+           StrFormat(outer, "s");
   }
 
   std::string SubqueryPullup() {
@@ -226,6 +257,15 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
     }
 
     citus::CitusExtension* ext = deploy->extension(deploy->coordinator());
+    // The counters EXPLAIN must leave alone.
+    auto counters = [&] {
+      return std::vector<int64_t>{ext->metric_tasks->value(),
+                                  ext->metric_cte_inlined->value(),
+                                  ext->metric_cte_materialized->value(),
+                                  ext->metric_repartition_moves->value(),
+                                  ext->metric_repartition_shuffled_bytes
+                                      ->value()};
+    };
     int64_t join_order_before = ext->metric_join_order->value();
     int64_t inlined_before = ext->metric_cte_inlined->value();
     int64_t materialized_before = ext->metric_cte_materialized->value();
@@ -245,7 +285,8 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
     Rng rng(seed);
     QueryGen gen(&rng);
     for (int round = 0; round < rounds; round++) {
-      const std::string sql = gen.Query();
+      bool may_refuse = false;
+      const std::string sql = gen.Query(&may_refuse);
 
       // Property 1: deparse fixpoint. The planner re-parses its own
       // deparsed fragments, so deparse(parse(deparse(parse(q)))) must be
@@ -262,17 +303,45 @@ TEST(JoinsPropertyTest, DeparseReplanMatchesVolcanoOracle) {
       if (d1 != d2) write_repro(sql, "deparse did not reach a fixpoint");
       ASSERT_EQ(d1, d2) << "round " << round << " seed " << seed;
 
-      // Property 2: the re-deparsed text executes identically on the
+      // Property 2: EXPLAIN plans what executes, and runs none of it.
+      std::vector<int64_t> before = counters();
+      auto explain = conn.Query("EXPLAIN " + d1);
+      std::vector<int64_t> explained = counters();
+      EXPECT_EQ(explained, before)
+          << "round " << round << " seed " << seed
+          << ": EXPLAIN dispatched or counted\n  " << d1;
+
+      // Property 3: the re-deparsed text executes identically on the
       // distributed deployment and the single-node volcano oracle.
       auto dist = conn.Query(d1);
       auto orac = osession->Execute(d1);
       ASSERT_TRUE(orac.ok())
           << "round " << round << " seed " << seed << "\n  " << d1 << "\n  "
           << orac.status().ToString();
+      if (may_refuse && !dist.ok() && dist.status().IsNotSupported()) {
+        EXPECT_FALSE(explain.ok())
+            << "round " << round << " seed " << seed
+            << ": EXPLAIN planned what execution refused\n  " << d1;
+        continue;
+      }
+      if (!explain.ok()) write_repro(sql, explain.status().ToString());
+      ASSERT_TRUE(explain.ok())
+          << "round " << round << " seed " << seed << "\n  " << d1 << "\n  "
+          << explain.status().ToString();
       if (!dist.ok()) write_repro(sql, dist.status().ToString());
       ASSERT_TRUE(dist.ok())
           << "round " << round << " seed " << seed << "\n  " << d1 << "\n  "
           << dist.status().ToString();
+      std::vector<int64_t> executed = counters();
+      int64_t stages = 0;
+      for (const auto& row : explain->rows) {
+        stages += row[0].text_value().find("Stage: ") != std::string::npos;
+      }
+      EXPECT_EQ(stages, (executed[2] - explained[2]) +
+                            (executed[3] - explained[3]))
+          << "round " << round << " seed " << seed
+          << ": EXPLAIN's stages differ from the executed ones\n  " << d1
+          << "\n" << ResultText(explain);
       if (!test::RowSetsClose(dist->rows, orac->rows)) {
         write_repro(sql, "distributed and oracle row sets diverge");
       }

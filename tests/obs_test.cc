@@ -395,6 +395,54 @@ TEST_F(ObsTest, StatStatementsIgnoreConcurrentSessions) {
   });
 }
 
+// A multi-stage statement is recorded once, under its own text: its CTE
+// bodies and the rewritten final query (which names per-execution
+// intermediate relations) never get rows of their own.
+TEST_F(ObsTest, StatStatementsRecordMultiStageStatementsOnce) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    ASSERT_TRUE(conn.ok());
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v bigint)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    MustQuery(**conn, "CREATE TABLE other (id bigint, w bigint)");
+    MustQuery(**conn,
+              "SELECT create_distributed_table('other', 'id', "
+              "colocate_with := 'none')");
+    for (int i = 0; i < 20; i++) {
+      MustQuery(**conn,
+                StrFormat("INSERT INTO kv VALUES (%d, %d)", i, i % 7));
+      MustQuery(**conn, StrFormat("INSERT INTO other VALUES (%d, %d)", i, i));
+    }
+    MustQuery(**conn, "SELECT citus_stat_statements_reset()");
+    for (int i = 0; i < 3; i++) {
+      MustQuery(**conn,
+                "WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key = 1) "
+                "SELECT count(*) FROM kv JOIN c ON kv.v = c.v");
+    }
+    QueryResult r =
+        MustQuery(**conn, "SELECT query, calls FROM citus_stat_statements");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].text_value(),
+              "WITH c AS MATERIALIZED (SELECT v FROM kv WHERE (key = ?)) "
+              "SELECT count(*) FROM kv JOIN c ON (kv.v = c.v)");
+    EXPECT_EQ(r.rows[0][1].int_value(), 3);
+
+    MustQuery(**conn, "SELECT count(*) FROM kv JOIN other ON other.id = kv.v");
+    r = MustQuery(**conn,
+                  "SELECT query, tier FROM citus_stat_statements ORDER BY "
+                  "query");
+    ASSERT_EQ(r.rows.size(), 2u);
+    for (const auto& row : r.rows) {
+      EXPECT_EQ(row[0].text_value().find("citusx_"), std::string::npos)
+          << row[0].text_value();
+    }
+    EXPECT_EQ(r.rows[0][0].text_value(),
+              "SELECT count(*) FROM kv JOIN other ON (other.id = kv.v)");
+    EXPECT_EQ(r.rows[0][1].text_value(), "join-order");
+  });
+}
+
 TEST_F(ObsTest, StatActivityShowsDistributedTransactions) {
   MakeDeployment(2);
   RunSim([&] {

@@ -242,6 +242,41 @@ TEST_F(PlanCacheTest, CachedPlanInvalidatedByShardMoveRebalanceRemoveNode) {
   });
 }
 
+// Multi-stage statements keep their intermediate results out of the
+// metadata, so they invalidate no cached plan: another session's cached
+// fast-path read still hits after a materialized CTE and after a
+// repartition join.
+TEST_F(PlanCacheTest, StagesKeepOtherSessionsPlansCached) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    auto reader = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v bigint)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    MustQuery(**conn, "CREATE TABLE other (id bigint, w bigint)");
+    MustQuery(**conn,
+              "SELECT create_distributed_table('other', 'id', "
+              "colocate_with := 'none')");
+    for (int i = 0; i < 20; i++) {
+      MustQuery(**conn,
+                StrFormat("INSERT INTO kv VALUES (%d, %d)", i, i % 7));
+      MustQuery(**conn, StrFormat("INSERT INTO other VALUES (%d, %d)", i, i));
+    }
+    MustQuery(**reader, "SELECT v FROM kv WHERE key = 1");  // cache it
+    int64_t invalidations = CoordCounter("citus.plancache.invalidation");
+    for (const char* sql :
+         {"WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key < 4) "
+          "SELECT count(*) FROM kv JOIN c ON kv.v = c.v",
+          "SELECT count(*) FROM kv JOIN other ON other.id = kv.v"}) {
+      MustQuery(**conn, sql);
+      int64_t hits = CoordCounter("citus.plancache.hit");
+      MustQuery(**reader, "SELECT v FROM kv WHERE key = 2");
+      EXPECT_EQ(CoordCounter("citus.plancache.hit") - hits, 1) << sql;
+    }
+    EXPECT_EQ(CoordCounter("citus.plancache.invalidation") - invalidations, 0);
+  });
+}
+
 TEST_F(PlanCacheTest, ExplainMarksCachedShapes) {
   MakeDeployment(2);
   RunSim([&] {
