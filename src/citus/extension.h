@@ -457,8 +457,8 @@ class CitusExtension {
   mutable OrderedMutex pool_mu_{LockRank::kConnectionPool};
   /// Shared connection counters.
   std::map<std::string, int> outgoing_ GUARDED_BY(pool_mu_);
-  /// Single-writer (the session assigning a txn id holds the baton under
-  /// cooperative scheduling), so deliberately not GUARDED_BY — matching
+  /// Single-writer (the session assigning a txn id is the one running
+  /// simulated process), so deliberately not GUARDED_BY — matching
   /// stat_statements_ / shell_tables_ below.
   uint64_t dist_txn_counter_ = 0;
   /// Distributed transactions this node initiated that are still in flight;

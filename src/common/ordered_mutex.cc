@@ -27,10 +27,14 @@ const char* LockRankName(LockRank rank) {
       return "MetricsRegistry";
     case LockRank::kTraceCollector:
       return "TraceCollector";
-    case LockRank::kSimScheduler:
-      return "SimScheduler";
   }
   return "Unknown";
+}
+
+int HeldLockDepth() { return tl_held_depth; }
+
+LockRank InnermostHeldRank() {
+  return static_cast<LockRank>(tl_held_ranks[tl_held_depth - 1]);
 }
 
 void OrderedMutex::lock() {
@@ -71,9 +75,8 @@ bool OrderedMutex::try_lock() {
 }
 
 void OrderedMutex::unlock() {
-  // Guards release LIFO; condition_variable_any also unlocks/relocks the
-  // most recently acquired lock. Releasing out of order would desync the
-  // stack, so enforce it.
+  // Guards release LIFO. Releasing out of order would desync the stack, so
+  // enforce it.
   const int rank = static_cast<int>(rank_);
   if (tl_held_depth <= 0 || tl_held_ranks[tl_held_depth - 1] != rank) {
     std::fprintf(stderr,

@@ -10,14 +10,16 @@
 // This is the static/structural complement to the *distributed* deadlock
 // detector, which handles data locks held across nodes (paper §3.7.3).
 //
-// Mutexes here protect in-process registries and scheduler state. Simulated
-// processes are cooperatively scheduled (one runs at a time), so the hard
-// rule is: never hold an OrderedMutex across a simulation yield
-// (sim::Simulation::Block/WaitFor/WaitUntil) — a parked owner would wedge
-// the next process that touches the same mutex. Keep critical sections to
-// pure memory manipulation. cituslint's interprocedural `blocking-under-lock`
-// rule enforces this statically; Clang's -Wthread-safety verifies the
-// GUARDED_BY/REQUIRES discipline (see common/thread_annotations.h).
+// Mutexes here protect in-process registries. Simulated processes are
+// fibers on one OS thread (one runs at a time), so the hard rule is: never
+// hold an OrderedMutex across a simulation yield
+// (sim::Simulation::Block/WaitFor/WaitUntil) — the next fiber to take the
+// same mutex would re-lock a std::mutex its own thread already owns. Keep
+// critical sections to pure memory manipulation. cituslint's
+// interprocedural `blocking-under-lock` rule enforces this statically, and
+// the simulation kernel aborts any fiber switch made while HeldLockDepth()
+// is nonzero; Clang's -Wthread-safety verifies the GUARDED_BY/REQUIRES
+// discipline (see common/thread_annotations.h).
 #ifndef CITUSX_COMMON_ORDERED_MUTEX_H_
 #define CITUSX_COMMON_ORDERED_MUTEX_H_
 
@@ -39,11 +41,17 @@ enum class LockRank : int {
   kLockTable = 40,        // engine lock manager's lock table
   kMetricsRegistry = 50,  // obs metrics name -> handle maps
   kTraceCollector = 60,   // obs distributed trace span buffer
-  kSimScheduler = 70,     // simulation kernel: event queue + baton handoff
 };
 
 /// Short human-readable name ("ConnectionPool", ...).
 const char* LockRankName(LockRank rank);
+
+/// How many OrderedMutexes the calling thread holds.
+int HeldLockDepth();
+
+/// The rank of the calling thread's most recently acquired OrderedMutex.
+/// Pre: HeldLockDepth() > 0.
+LockRank InnermostHeldRank();
 
 /// A std::mutex that participates in the global rank order and in Clang's
 /// thread-safety analysis. Satisfies Lockable, but do NOT wrap it in
@@ -90,9 +98,7 @@ class SCOPED_CAPABILITY MutexLock {
 };
 
 /// Scoped lock that can be dropped and re-taken, equivalent to
-/// std::unique_lock<OrderedMutex>. Satisfies BasicLockable, so it composes
-/// with std::condition_variable_any — the simulation kernel's baton handoff
-/// waits on the scheduler mutex through one of these.
+/// std::unique_lock<OrderedMutex>.
 class SCOPED_CAPABILITY UniqueMutexLock {
  public:
   explicit UniqueMutexLock(OrderedMutex& mu) ACQUIRE(mu) : mu_(mu) {

@@ -1,202 +1,295 @@
 #include "sim/simulation.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
+#include "common/ordered_mutex.h"
 #include "sim/fault.h"
+
+// Sanitizers must be told about every stack switch: ASan to track each
+// fiber's stack bounds and fake stack, TSan to keep a shadow state per fiber.
+#if defined(__SANITIZE_ADDRESS__)
+#define CITUSX_ASAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CITUSX_TSAN_FIBERS 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CITUSX_ASAN_FIBERS 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define CITUSX_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef CITUSX_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#endif
+#ifdef CITUSX_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace citusx::sim {
 
 namespace {
+
 thread_local Process* g_current_process = nullptr;
+
+// A fiber's usable stack: glibc's default for a thread. Mapped with
+// MAP_NORESERVE, so only the pages a process touches cost memory.
+constexpr size_t kStackSize = size_t{8} << 20;
+
+size_t GuardSize() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+// Maps a stack with a PROT_NONE guard page below it, so running off its end
+// faults instead of writing into a neighbouring mapping. Returns the lowest
+// usable byte.
+char* MapStack() {
+  const size_t guard = GuardSize();
+  void* base = mmap(nullptr, guard + kStackSize, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                    -1, 0);
+  if (base == MAP_FAILED || mprotect(base, guard, PROT_NONE) != 0) {
+    std::perror("[sim] mapping a process stack");
+    std::abort();
+  }
+  return static_cast<char*>(base) + guard;
+}
+
+void UnmapStack(char* stack) {
+  const size_t guard = GuardSize();
+  munmap(stack - guard, guard + kStackSize);
+}
+
+// ASan: called on the stack just entered; reports the stack that was left.
+void FinishSwitch(void* fake_stack, const void** from_bottom,
+                  size_t* from_size) {
+#ifdef CITUSX_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake_stack, from_bottom, from_size);
+#endif
+}
+
+// TSan: each process is a fiber; a switch orders everything before it on
+// the old fiber before everything after it on the new one.
+void* CurrentTsanFiber() {
+#ifdef CITUSX_TSAN_FIBERS
+  return __tsan_get_current_fiber();
+#else
+  return nullptr;
+#endif
+}
+
+void* CreateTsanFiber() {
+#ifdef CITUSX_TSAN_FIBERS
+  return __tsan_create_fiber(0);
+#else
+  return nullptr;
+#endif
+}
+
+void DestroyTsanFiber(void* fiber) {
+#ifdef CITUSX_TSAN_FIBERS
+  __tsan_destroy_fiber(fiber);
+#endif
+}
+
+// Every switch between the driver and a process goes through here. Saves
+// the running context in `from` and resumes `to`, whose stack starts at
+// `to_bottom` and whose TSan fiber is `to_fiber`; `p` is the process being
+// entered or left. `fake_stack` keeps ASan's fake frames of the stack being
+// left, or is null when that stack is never resumed. Returns when something
+// switches back to `from`; the caller then calls FinishSwitch.
+void SwitchFiber(const Process* p, ucontext_t* from, const ucontext_t* to,
+                 const void* to_bottom, size_t to_size, void* to_fiber,
+                 void** fake_stack) {
+  if (HeldLockDepth() > 0) {
+    const LockRank rank = InnermostHeldRank();
+    std::fprintf(stderr,
+                 "[sim] fiber switch of process '%s' while holding "
+                 "OrderedMutex rank %s(%d): no lock may be held across a "
+                 "simulation yield\n",
+                 p->name().c_str(), LockRankName(rank),
+                 static_cast<int>(rank));
+    std::abort();
+  }
+#ifdef CITUSX_ASAN_FIBERS
+  // A stack left for good returns to the pool: unpoison the frames it
+  // abandons, so the next process on it starts from clean shadow.
+  if (fake_stack == nullptr) __asan_handle_no_return();
+  __sanitizer_start_switch_fiber(fake_stack, to_bottom, to_size);
+#endif
+#ifdef CITUSX_TSAN_FIBERS
+  __tsan_switch_to_fiber(to_fiber, 0);
+#endif
+  if (swapcontext(from, to) != 0) {
+    std::perror("[sim] swapcontext");
+    std::abort();
+  }
+}
+
 }  // namespace
 
 Process* Simulation::Current() { return g_current_process; }
 
 Simulation::Simulation() = default;
 
-Simulation::~Simulation() { Shutdown(); }
+Simulation::~Simulation() {
+  Shutdown();
+  for (char* stack : stacks_) UnmapStack(stack);
+}
 
 FaultInjector& Simulation::faults() {
   if (faults_ == nullptr) faults_ = std::make_unique<FaultInjector>(this);
   return *faults_;
 }
 
-Time Simulation::now() const {
-  MutexLock lock(sched_mu_);
-  return now_;
-}
-
 Process* Simulation::Spawn(std::string name, std::function<void()> fn,
                            bool daemon) {
-  MutexLock lock(sched_mu_);
   assert(!shutdown_done_ && "Spawn after Shutdown");
-  // Reap finished processes: their threads have exited (or are about to);
-  // joining here bounds thread and memory usage for workloads that spawn a
-  // process per operation (parallel 2PC phases, executor runners).
-  for (auto it = processes_.begin(); it != processes_.end();) {
-    Process* p = it->get();
-    if (p->state_ == Process::State::kDone && p->thread_.joinable()) {
-      p->thread_.join();
-      it = processes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  finished_.clear();
   auto owned = std::unique_ptr<Process>(
       new Process(this, next_id_++, std::move(name), daemon));
   Process* p = owned.get();
-  processes_.push_back(std::move(owned));
-  EnqueueLocked(p, now_);
-  p->thread_ = std::thread([this, p, fn = std::move(fn)]() mutable {
-    ProcessMain(p, std::move(fn));
-  });
+  p->fn_ = std::move(fn);
+  if (free_stacks_.empty()) {
+    p->stack_ = MapStack();
+    stacks_.push_back(p->stack_);
+  } else {
+    p->stack_ = free_stacks_.back();
+    free_stacks_.pop_back();
+  }
+  if (getcontext(&p->context_) != 0) {
+    std::perror("[sim] getcontext");
+    std::abort();
+  }
+  p->context_.uc_stack.ss_sp = p->stack_;
+  p->context_.uc_stack.ss_size = kStackSize;
+  p->context_.uc_link = nullptr;
+  makecontext(&p->context_, &Simulation::FiberMain, 0);
+  p->tsan_fiber_ = CreateTsanFiber();
+  p->entry_ = processes_.insert(processes_.end(), std::move(owned));
+  if (!daemon) live_workers_++;
+  Enqueue(p, now_);
   return p;
 }
 
-void Simulation::ProcessMain(Process* p, std::function<void()> fn) {
-  g_current_process = p;
-  {
-    UniqueMutexLock lock(sched_mu_);
-    while (running_ != p) p->cv_.wait(lock);
-  }
-  if (!p->cancelled_) fn();
-  // Process exit: hand the baton onward.
-  UniqueMutexLock lock(sched_mu_);
-  p->state_ = Process::State::kDone;
-  running_ = nullptr;
-  bool stop_dispatch = !stopping_ && AllWorkersDoneLocked();
-  if (stop_dispatch || !DispatchNextLocked()) driver_cv_.notify_all();
+void Simulation::FiberMain() {
+  Process* self = g_current_process;
+  Simulation* sim = self->sim_;
+  FinishSwitch(nullptr, &sim->driver_stack_bottom_, &sim->driver_stack_size_);
+  if (!self->cancelled_) self->fn_();
+  self->fn_ = nullptr;
+  self->state_ = Process::State::kDone;
+  if (!self->daemon_) sim->live_workers_--;
+  sim->Yield(self);
+  std::abort();  // the driver never resumes a finished process
 }
 
-void Simulation::EnqueueLocked(Process* p, Time t) {
+void Simulation::Enqueue(Process* p, Time t) {
   assert(t >= now_);
   events_.push(Event{t, next_seq_++, p});
 }
 
-bool Simulation::AllWorkersDoneLocked() const {
-  for (const auto& p : processes_) {
-    if (!p->daemon_ && p->state_ != Process::State::kDone) return false;
-  }
-  return true;
-}
-
-bool Simulation::DispatchNextLocked() {
-  if (events_.empty()) return false;
+void Simulation::DispatchNext() {
   Event e = events_.top();
   events_.pop();
   events_processed_++;
   if (e.time > now_) now_ = e.time;
-  running_ = e.process;
-  e.process->state_ = Process::State::kRunning;
-  e.process->cv_.notify_one();
-  return true;
+  Process* p = e.process;
+  p->state_ = Process::State::kRunning;
+  Process* const outer = g_current_process;
+  g_current_process = p;
+  driver_tsan_fiber_ = CurrentTsanFiber();
+  void* fake_stack = nullptr;
+  SwitchFiber(p, &driver_context_, &p->context_, p->stack_, kStackSize,
+              p->tsan_fiber_, &fake_stack);
+  FinishSwitch(fake_stack, nullptr, nullptr);
+  g_current_process = outer;
+  if (p->state_ != Process::State::kDone) return;
+  // The finished fiber is off its stack for good: recycle the stack now and
+  // free the Process at the next Spawn.
+  DestroyTsanFiber(p->tsan_fiber_);
+  free_stacks_.push_back(p->stack_);
+  finished_.splice(finished_.end(), processes_, p->entry_);
 }
 
-bool Simulation::YieldLocked(UniqueMutexLock& lock,
-                             Process* self) {
-  running_ = nullptr;
-  bool stop_dispatch = !stopping_ && AllWorkersDoneLocked();
-  if (stop_dispatch || !DispatchNextLocked()) driver_cv_.notify_all();
-  while (running_ != self) self->cv_.wait(lock);
-  self->state_ = Process::State::kRunning;
+bool Simulation::Yield(Process* self) {
+  const bool done = self->state_ == Process::State::kDone;
+  SwitchFiber(self, &self->context_, &driver_context_, driver_stack_bottom_,
+              driver_stack_size_, driver_tsan_fiber_,
+              done ? nullptr : &self->asan_fake_stack_);
+  FinishSwitch(self->asan_fake_stack_, &driver_stack_bottom_,
+               &driver_stack_size_);
   return !self->cancelled_;
 }
 
 bool Simulation::WaitUntil(Time t) {
   Process* self = Current();
   assert(self != nullptr && "WaitUntil outside a simulated process");
-  UniqueMutexLock lock(sched_mu_);
   if (self->cancelled_) return false;
   self->state_ = Process::State::kReady;
-  EnqueueLocked(self, t < now_ ? now_ : t);
-  return YieldLocked(lock, self);
+  Enqueue(self, t < now_ ? now_ : t);
+  return Yield(self);
 }
 
 bool Simulation::WaitFor(Time d) {
-  UniqueMutexLock lock(sched_mu_);
   Process* self = Current();
   assert(self != nullptr && "WaitFor outside a simulated process");
   if (self->cancelled_) return false;
   self->state_ = Process::State::kReady;
-  EnqueueLocked(self, now_ + (d < 0 ? 0 : d));
-  return YieldLocked(lock, self);
+  Enqueue(self, now_ + (d < 0 ? 0 : d));
+  return Yield(self);
 }
 
 bool Simulation::Block() {
   Process* self = Current();
   assert(self != nullptr && "Block outside a simulated process");
-  UniqueMutexLock lock(sched_mu_);
   if (self->cancelled_) return false;
   self->state_ = Process::State::kBlocked;
-  return YieldLocked(lock, self);
+  return Yield(self);
 }
 
 void Simulation::Wake(Process* p) {
-  MutexLock lock(sched_mu_);
   if (p->state_ != Process::State::kBlocked) return;
   p->state_ = Process::State::kReady;
-  EnqueueLocked(p, now_);
+  Enqueue(p, now_);
 }
 
 void Simulation::Run() {
-  UniqueMutexLock lock(sched_mu_);
-  for (;;) {
-    if (running_ == nullptr) {
-      if (AllWorkersDoneLocked()) return;
-      if (!DispatchNextLocked()) {
-        // Nothing runnable but workers not done: simulated deadlock.
-        int blocked = 0;
-        for (const auto& p : processes_) {
-          if (!p->daemon_ && p->state_ == Process::State::kBlocked) blocked++;
-        }
-        if (blocked > 0) {
-          std::fprintf(stderr,
-                       "[sim] Run() returning with %d blocked worker(s) -- "
-                       "simulated deadlock\n",
-                       blocked);
-        }
-        return;
-      }
+  while (live_workers_ > 0) {
+    if (events_.empty()) {
+      // Nothing runnable, so every unfinished worker is parked.
+      std::fprintf(stderr,
+                   "[sim] Run() returning with %lld blocked worker(s) -- "
+                   "simulated deadlock\n",
+                   static_cast<long long>(live_workers_));
+      return;
     }
-    driver_cv_.wait(lock);
+    DispatchNext();
   }
 }
 
 void Simulation::Shutdown() {
-  UniqueMutexLock lock(sched_mu_);
   if (shutdown_done_) return;
-  stopping_.store(true, std::memory_order_release);
+  stopping_ = true;
   for (const auto& p : processes_) {
-    if (p->state_ == Process::State::kDone) continue;
     p->cancelled_ = true;
     if (p->state_ == Process::State::kBlocked) {
       p->state_ = Process::State::kReady;
-      EnqueueLocked(p.get(), now_);
+      Enqueue(p.get(), now_);
     }
   }
-  for (;;) {
-    bool all_done = true;
-    for (const auto& p : processes_) {
-      if (p->state_ != Process::State::kDone) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    if (running_ == nullptr && !DispatchNextLocked()) break;
-    driver_cv_.wait(lock);
-  }
-  // Move the thread handles out under the lock, then join without it: a
-  // joining thread must not hold sched_mu_ while the joined process's final
-  // ProcessMain block takes it.
-  std::vector<std::thread> threads;
-  for (auto& p : processes_) {
-    if (p->thread_.joinable()) threads.push_back(std::move(p->thread_));
-  }
+  // Every queued event belongs to an unfinished process, so an empty queue
+  // means every process ran to its end (or parked again, never to wake).
+  while (!events_.empty()) DispatchNext();
   shutdown_done_ = true;
-  lock.unlock();
-  for (auto& t : threads) t.join();
 }
 
 }  // namespace citusx::sim

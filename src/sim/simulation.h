@@ -5,26 +5,33 @@
 // nodes and IOPS-limited disks can be modelled faithfully on a 1-core host and
 // benchmarks are deterministic.
 //
-// Model: simulated processes are OS threads, but exactly one runs at a time;
-// control is handed directly from the yielding process to the next scheduled
-// one ("pass the baton"). Processes block either by scheduling a timer event
-// for themselves (WaitFor / WaitUntil) or by parking until another process
-// wakes them (Wake). All ordering ties are broken by a monotonically
-// increasing sequence number, so runs are fully deterministic.
+// Model: every simulated process is a stackful fiber (a ucontext on a pooled,
+// mmap'd stack with a guard page) on the thread that calls Run or Shutdown,
+// so exactly one runs at a time by construction. That thread's driver loop
+// pops the next event from a (time, sequence) queue and switches into the
+// event's process, which runs until it waits and then switches back.
+// Processes block either by scheduling a timer event for themselves
+// (WaitFor / WaitUntil) or by parking until another process wakes them
+// (Wake). All ordering ties are broken by a monotonically increasing
+// sequence number, so runs are fully deterministic.
+//
+// Every fiber shares the driving thread's thread-local state, so no
+// OrderedMutex may be held across a switch: the next fiber to take it would
+// re-lock a std::mutex its own OS thread already owns. A switch made while
+// holding one aborts with the held rank's name.
 #ifndef CITUSX_SIM_SIMULATION_H_
 #define CITUSX_SIM_SIMULATION_H_
 
-#include <atomic>
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "common/ordered_mutex.h"
 
 namespace citusx::sim {
 
@@ -39,7 +46,8 @@ class Simulation;
 class FaultInjector;
 
 /// One simulated thread of control. Created via Simulation::Spawn; the body
-/// runs on a dedicated OS thread but only while it holds the baton.
+/// runs on its own fiber stack whenever the driver dispatches one of its
+/// events.
 class Process {
  public:
   enum class State { kReady, kRunning, kBlocked, kDone };
@@ -59,14 +67,19 @@ class Process {
   uint64_t id_;
   std::string name_;
   bool daemon_;
-  // state_/cancelled_ are mutated only under the owning simulation's
-  // sched_mu_, but a process reads its own flags lock-free between yields
-  // (cooperative schedule: flags only change while the reader is parked),
-  // so they are deliberately not GUARDED_BY.
   State state_ = State::kReady;
   bool cancelled_ = false;
-  std::condition_variable_any cv_;
-  std::thread thread_;
+  // The body; run once on the fiber and destroyed there.
+  std::function<void()> fn_;
+  // Lowest usable byte of the fiber's stack (the guard page sits below it);
+  // owned by the simulation's stack pool.
+  char* stack_ = nullptr;
+  ucontext_t context_{};
+  // Sanitizer state of the suspended fiber (unused without a sanitizer).
+  void* asan_fake_stack_ = nullptr;
+  void* tsan_fiber_ = nullptr;
+  // This process's entry in Simulation::processes_.
+  std::list<std::unique_ptr<Process>>::iterator entry_;
 };
 
 /// The simulation: virtual clock, event queue, process registry.
@@ -75,7 +88,7 @@ class Process {
 ///   Simulation sim;
 ///   sim.Spawn("client", [&] { ... sim.WaitFor(10 * kMillisecond); ... });
 ///   sim.Run();        // returns when all non-daemon processes finish
-///   sim.Shutdown();   // cancels daemons and joins all threads
+///   sim.Shutdown();   // cancels daemons and runs every process to its end
 class Simulation {
  public:
   Simulation();
@@ -85,51 +98,46 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   /// Current virtual time. Callable from anywhere.
-  Time now() const EXCLUDES(sched_mu_);
+  Time now() const { return now_; }
 
   /// Create a process scheduled to start at the current virtual time.
   /// Daemon processes do not keep Run() alive.
   Process* Spawn(std::string name, std::function<void()> fn,
-                 bool daemon = false) EXCLUDES(sched_mu_);
+                 bool daemon = false);
 
   /// Drive the simulation until every non-daemon process has finished (or
-  /// nothing is runnable). Must be called from the driving (non-sim) thread.
-  void Run() EXCLUDES(sched_mu_);
+  /// nothing is runnable). Must be called from the driving thread, outside
+  /// any process of this simulation.
+  void Run();
 
-  /// Cancel all live processes, drain them, and join their threads.
+  /// Cancel all live processes and drive each of them to its end.
   /// After Shutdown the simulation can no longer spawn processes.
-  void Shutdown() EXCLUDES(sched_mu_);
+  void Shutdown();
 
   /// True once Shutdown has begun; long-running loops should exit.
-  bool stopping() const {
-    return stopping_.load(std::memory_order_acquire);
-  }
+  bool stopping() const { return stopping_; }
 
   // ---- Calls below are only valid from within a simulated process. ----
 
   /// Sleep until virtual time `t`. Returns false if cancelled.
-  bool WaitUntil(Time t) EXCLUDES(sched_mu_);
+  bool WaitUntil(Time t);
 
   /// Sleep for `d` virtual nanoseconds. Returns false if cancelled.
-  bool WaitFor(Time d) EXCLUDES(sched_mu_);
+  bool WaitFor(Time d);
 
   /// Park the calling process until another process calls Wake on it.
   /// Returns false if cancelled instead of woken.
-  bool Block() EXCLUDES(sched_mu_);
+  bool Block();
 
   /// Make a parked process runnable at the current virtual time.
   /// May be called from a running process or (between Run calls) externally.
-  void Wake(Process* p) EXCLUDES(sched_mu_);
+  void Wake(Process* p);
 
-  /// The process currently holding the baton on this thread (null on the
-  /// driving thread).
+  /// The process running on this thread (null on the driving thread).
   static Process* Current();
 
   /// Number of events processed so far (for tests/diagnostics).
-  uint64_t events_processed() const EXCLUDES(sched_mu_) {
-    MutexLock lock(sched_mu_);
-    return events_processed_;
-  }
+  uint64_t events_processed() const { return events_processed_; }
 
   /// The simulation's fault injector (chaos testing), created lazily on
   /// first access. Callable from anywhere in the simulation domain.
@@ -149,37 +157,42 @@ class Simulation {
     }
   };
 
-  // Pre: lock held, caller is the running process and has either enqueued
-  // itself or set its state to kBlocked. Hands the baton to the next event's
-  // process (or the driving thread) and waits until this process runs again.
-  // Returns false if the process was cancelled.
-  bool YieldLocked(UniqueMutexLock& lock, Process* self) REQUIRES(sched_mu_);
+  void Enqueue(Process* p, Time t);
 
-  // Pre: lock held, running_ == nullptr. Pops the next event and hands the
-  // baton to its process. Returns false if the queue is empty.
-  bool DispatchNextLocked() REQUIRES(sched_mu_);
+  // Driver side: pops the next event, switches into its process and returns
+  // once that process waits or finishes. Pre: the queue is not empty.
+  void DispatchNext();
 
-  void EnqueueLocked(Process* p, Time t) REQUIRES(sched_mu_);
-  bool AllWorkersDoneLocked() const REQUIRES(sched_mu_);
+  // Process side: switches back to the driver once `self` has enqueued
+  // itself, parked or finished. Returns when the driver dispatches `self`
+  // again (never if it has finished): false if it was cancelled meanwhile.
+  bool Yield(Process* self);
 
-  void ProcessMain(Process* p, std::function<void()> fn);
+  // Entry point of every fiber; runs the dispatched process's body.
+  static void FiberMain();
 
-  // The baton-handoff lock: innermost rank — Wake() is called while the
-  // lock manager or a channel holds its own lock.
-  mutable OrderedMutex sched_mu_{LockRank::kSimScheduler};
-  std::condition_variable_any driver_cv_;
-  Time now_ GUARDED_BY(sched_mu_) = 0;
-  uint64_t next_seq_ GUARDED_BY(sched_mu_) = 0;
-  uint64_t next_id_ GUARDED_BY(sched_mu_) = 1;
-  uint64_t events_processed_ GUARDED_BY(sched_mu_) = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_
-      GUARDED_BY(sched_mu_);
-  std::vector<std::unique_ptr<Process>> processes_ GUARDED_BY(sched_mu_);
-  Process* running_ GUARDED_BY(sched_mu_) = nullptr;
-  std::atomic<bool> stopping_{false};
-  bool shutdown_done_ GUARDED_BY(sched_mu_) = false;
-  // Created lazily from the simulation domain (single running process);
-  // deliberately not guarded.
+  Time now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  uint64_t events_processed_ = 0;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  // Unfinished processes in spawn order, and those that finished since the
+  // last Spawn (freed there, so a Process* stays valid until then).
+  std::list<std::unique_ptr<Process>> processes_;
+  std::list<std::unique_ptr<Process>> finished_;
+  // Unfinished non-daemon processes: Run returns when this reaches zero.
+  int64_t live_workers_ = 0;
+  // Every stack this simulation mapped, and those not in use.
+  std::vector<char*> stacks_;
+  std::vector<char*> free_stacks_;
+  // The driver's context while a process runs, and the driver's stack and
+  // fiber as the sanitizers know them.
+  ucontext_t driver_context_{};
+  const void* driver_stack_bottom_ = nullptr;
+  size_t driver_stack_size_ = 0;
+  void* driver_tsan_fiber_ = nullptr;
+  bool stopping_ = false;
+  bool shutdown_done_ = false;
   std::unique_ptr<FaultInjector> faults_;
 };
 

@@ -154,8 +154,11 @@ std::string Datum::GroupKey() const {
       return "\x00N";
     case TypeId::kText:
       return "T" + s_;
-    case TypeId::kJsonb:
-      return "J" + (j_ ? j_->ToString() : "null");
+    case TypeId::kJsonb: {
+      std::string key = "J";
+      key += j_ ? j_->ToString() : "null";
+      return key;
+    }
     case TypeId::kFloat8: {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "F%.17g", d_);

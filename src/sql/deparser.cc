@@ -72,8 +72,13 @@ std::string DeparseTableRef(const TableRef& ref, const DeparseOptions& opts) {
       }
       return out;
     }
-    case TableRef::Kind::kSubquery:
-      return "(" + DeparseSelect(*ref.subquery, opts) + ") AS " + ref.alias;
+    case TableRef::Kind::kSubquery: {
+      std::string out = "(";
+      out += DeparseSelect(*ref.subquery, opts);
+      out += ") AS ";
+      out += ref.alias;
+      return out;
+    }
     case TableRef::Kind::kJoin: {
       std::string out = DeparseTableRef(*ref.left, opts);
       out += ref.join_type == JoinType::kLeft ? " LEFT JOIN " : " JOIN ";
@@ -107,9 +112,16 @@ std::string DeparseExpr(const Expr& e, const DeparseOptions& opts) {
     }
     case ExprKind::kStar:
       return e.table.empty() ? "*" : e.table + ".*";
-    case ExprKind::kBinary:
-      return "(" + DeparseExpr(*e.args[0], opts) + " " + BinOpText(e.bin_op) +
-             " " + DeparseExpr(*e.args[1], opts) + ")";
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += DeparseExpr(*e.args[0], opts);
+      out += " ";
+      out += BinOpText(e.bin_op);
+      out += " ";
+      out += DeparseExpr(*e.args[1], opts);
+      out += ")";
+      return out;
+    }
     case ExprKind::kUnary:
       if (e.un_op == UnOp::kNot) {
         return "(NOT " + DeparseExpr(*e.args[0], opts) + ")";
@@ -162,9 +174,12 @@ std::string DeparseExpr(const Expr& e, const DeparseOptions& opts) {
       }
       return "(" + out + "))";
     }
-    case ExprKind::kIsNull:
-      return "(" + DeparseExpr(*e.args[0], opts) +
-             (e.is_not_null ? " IS NOT NULL)" : " IS NULL)");
+    case ExprKind::kIsNull: {
+      std::string out = "(";
+      out += DeparseExpr(*e.args[0], opts);
+      out += e.is_not_null ? " IS NOT NULL)" : " IS NULL)";
+      return out;
+    }
   }
   return "";
 }
@@ -181,7 +196,9 @@ std::string DeparseSelect(const SelectStmt& s, const DeparseOptions& opts) {
       } else if (s.ctes[i].hint == CteDef::Hint::kNotMaterialized) {
         out += "NOT MATERIALIZED ";
       }
-      out += "(" + DeparseSelect(*s.ctes[i].query, opts) + ")";
+      out += "(";
+      out += DeparseSelect(*s.ctes[i].query, opts);
+      out += ")";
     }
     out += " ";
   }

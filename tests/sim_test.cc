@@ -3,14 +3,58 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/ordered_mutex.h"
+#include "common/rng.h"
 #include "sim/channel.h"
 #include "sim/histogram.h"
 #include "sim/resources.h"
 
 namespace citusx::sim {
 namespace {
+
+TEST(SimulationDeathTest, LockHeldAcrossYieldAborts) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        OrderedMutex mu(LockRank::kCatalog);
+        sim.Spawn("holder", [&] {
+          MutexLock lock(mu);
+          sim.WaitFor(1);
+        });
+        sim.Run();
+      },
+      "process 'holder' while holding OrderedMutex rank Catalog");
+}
+
+// Writes a volatile frame, recurses, then reads the frame back, so the
+// optimiser can neither drop the frames nor turn the recursion into a loop.
+// Frames are smaller than a page, so the first one past the stack's end
+// lands on its guard page. `limit` is never reached.
+int Recurse(int depth, int limit) {
+  volatile char frame[512];
+  for (size_t i = 0; i < sizeof(frame); i++) {
+    frame[i] = static_cast<char>(depth);
+  }
+  if (depth == limit) return frame[0];
+  return Recurse(depth + 1, limit) + frame[depth % sizeof(frame)];
+}
+
+TEST(SimulationDeathTest, StackOverflowHitsGuardPage) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        volatile int limit = -1;
+        sim.Spawn("neighbour", [&] { sim.WaitFor(1); });
+        sim.Spawn("recurse", [&] { Recurse(0, limit); });
+        sim.Run();
+      },
+      "");
+}
 
 TEST(Simulation, ClockAdvancesOnWait) {
   Simulation sim;
@@ -127,6 +171,110 @@ TEST(Simulation, SpawnFromWithinProcess) {
   sim.Run();
   EXPECT_EQ(child_ran_at, 10);
   sim.Shutdown();
+}
+
+// One seeded schedule over the kernel's whole surface: tied WaitFor and
+// WaitUntil wake times, Block/Wake from processes and from the driving thread
+// between two Run calls, Spawn from inside processes, daemons that outlive a
+// Run, and a Shutdown that cancels parked and timer-waiting daemons. Every
+// step is recorded as (now, process id, step); the trace's length and hash
+// were recorded with the thread-per-process kernel, so they pin the
+// interleaving itself.
+TEST(Simulation, SeededScheduleMatchesRecordedTrace) {
+  constexpr int kMaxChildren = 40;  // 48 workers + 3 daemons in all
+  Simulation sim;
+  Rng rng(20261019);
+  std::vector<Process*> parked;  // workers parked in Block(), oldest first
+  int children = 0;
+  uint64_t hash = 1469598103934665603ULL;  // FNV-1a over the trace
+  uint64_t length = 0;
+  const auto record = [&](int64_t step) {
+    const Process* self = Simulation::Current();
+    for (uint64_t v : {static_cast<uint64_t>(sim.now()),
+                       self == nullptr ? uint64_t{0} : self->id(),
+                       static_cast<uint64_t>(step)}) {
+      hash = (hash ^ v) * 1099511628211ULL;
+    }
+    length++;
+  };
+  const auto wake_parked = [&](size_t i) {
+    sim.Wake(parked[i]);
+    parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  std::function<void(int)> worker = [&](int steps) {
+    for (int step = 0; step < steps; step++) {
+      record(step);
+      switch (rng.Uniform(0, 5)) {
+        case 0:
+          sim.WaitFor(rng.Uniform(0, 2) * 5);
+          break;
+        case 1:
+          sim.WaitUntil((sim.now() / 10 + 1) * 10);
+          break;
+        case 2:
+          sim.WaitUntil(sim.now() - 1);
+          break;
+        case 3:
+          parked.push_back(Simulation::Current());
+          ASSERT_TRUE(sim.Block());
+          break;
+        case 4:
+          if (!parked.empty()) {
+            wake_parked(static_cast<size_t>(
+                rng.Uniform(0, static_cast<int64_t>(parked.size()) - 1)));
+          }
+          break;
+        case 5:
+          if (children < kMaxChildren) {
+            children++;
+            const int rest = (steps - step) / 2;
+            sim.Spawn("child", [&worker, rest] { worker(rest); });
+          }
+          break;
+      }
+    }
+    record(1000);
+  };
+  // Wakes the oldest parked worker every 7 ns, so the schedule never stalls.
+  sim.Spawn(
+      "ticker",
+      [&] {
+        while (sim.WaitFor(7)) {
+          record(2000);
+          if (!parked.empty()) wake_parked(0);
+        }
+        record(2001);
+      },
+      /*daemon=*/true);
+  Process* sleeper = sim.Spawn(
+      "sleeper",
+      [&] {
+        for (int64_t step = 3000; sim.Block(); step++) record(step);
+        record(3999);
+      },
+      /*daemon=*/true);
+  sim.Spawn(
+      "napper",
+      [&] {
+        record(4000);
+        record(sim.WaitFor(kSecond) ? 4001 : 4002);
+      },
+      /*daemon=*/true);
+  for (int i = 0; i < 4; i++) {
+    sim.Spawn("worker", [&worker] { worker(24); });
+  }
+  sim.Run();
+  record(static_cast<int64_t>(sim.events_processed()));
+  sim.Wake(sleeper);
+  for (int i = 0; i < 4; i++) {
+    sim.Spawn("worker", [&worker] { worker(12); });
+  }
+  sim.Run();
+  record(static_cast<int64_t>(sim.events_processed()));
+  sim.Shutdown();
+  record(static_cast<int64_t>(sim.events_processed()));
+  EXPECT_EQ(length, 401u);
+  EXPECT_EQ(hash, 16104422926653741732ULL);
 }
 
 TEST(CpuResource, SingleCoreSerializesWork) {

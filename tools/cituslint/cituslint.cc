@@ -493,7 +493,7 @@ void CheckNodiscard(const SourceFile& f, LintResult* out) {
 
 struct GuardDecl {
   std::string var;    // guard variable name ("lock")
-  std::string mutex;  // trailing identifier of the ctor argument ("sched_mu_")
+  std::string mutex;  // trailing identifier of the ctor argument ("pool_mu_")
   size_t end = 0;     // index of the closing ')' / '}' on the line
 };
 
@@ -685,9 +685,9 @@ void CheckLockRank(const SourceFile& f, const std::map<std::string, int>& decls,
 /// waits, virtual-time resource charges, FIFO admission, net round trips,
 /// and engine statement execution (which charges CPU/IO internally). The
 /// list encodes cross-file knowledge the file-local call graph cannot see.
-/// Deliberately absent: YieldLocked (the sanctioned handoff that releases
-/// the scheduler mutex while parked), Wake, Send, and the Try* family —
-/// those return without blocking.
+/// Deliberately absent: Wake, Send, and the Try* family — those return
+/// without blocking. The simulation kernel checks the same rule at run
+/// time: a fiber switch made while holding an OrderedMutex aborts.
 const std::set<std::string>& BlockingSeeds() {
   static const std::set<std::string> kSeeds = {
       // simulation kernel waits
@@ -1520,13 +1520,13 @@ int SelfTest() {
     }
     expect(chain_named, "the violation names the blocking chain");
   }
-  {  // blocking-under-lock: sanctioned primitives (YieldLocked, Try*) are
-     // not seeds, and unlock()/lock() on a UniqueMutexLock toggles liveness.
+  {  // blocking-under-lock: non-blocking primitives (Wake, Try*) are not
+     // seeds, and unlock()/lock() on a UniqueMutexLock toggles liveness.
     LintResult r = with({
-        make("src/sim/k.cc",
-             "void Kernel(Process* self) {\n"
-             "  UniqueMutexLock lock(sched_mu_);\n"
-             "  YieldLocked(lock, self);\n"
+        make("src/engine/k.cc",
+             "void Release(Process* waiter) {\n"
+             "  MutexLock lock(lock_table_mu_);\n"
+             "  sim->Wake(waiter);\n"
              "  TryAcquire();\n"
              "}\n"
              "void Toggles(Conn* c) {\n"
@@ -1538,7 +1538,7 @@ int SelfTest() {
              "}\n"),
     });
     expect(count_rule(r, "blocking-under-lock") == 1,
-           "YieldLocked/Try* are sanctioned and unlock() releases the guard");
+           "Wake/Try* are not seeds and unlock() releases the guard");
   }
   {  // blocking-under-lock: suppression with a reason works.
     LintResult r = with({
