@@ -103,12 +103,7 @@ Result<DistributedPlan> DistributedPlanner::PlanInsert(
       return Status::InvalidArgument(
           "the partition column value cannot be NULL");
     }
-    // Coerce to the declared column type so hashing matches routing of
-    // queries (e.g. an int literal inserted into a text column).
-    CITUSX_ASSIGN_OR_RETURN(
-        v, v.CastTo(table->dist_col_type));
-    int idx = table->ShardIndexForHash(v.PartitionHash());
-    if (idx < 0) return Status::Internal("no shard for hash value");
+    CITUSX_ASSIGN_OR_RETURN(int idx, table->ShardIndexForValue(v));
     by_shard[idx].push_back(&row);
   }
   plan.tier = by_shard.size() == 1 && ins.values.size() == 1
@@ -171,10 +166,7 @@ Result<DistributedPlan> DistributedPlanner::PlanModify(
       is_update ? stmt.update->where : stmt.del->where, *table, params);
   if (restriction.has_value()) {
     // Router (fast path) DML: single shard.
-    CITUSX_ASSIGN_OR_RETURN(sql::Datum coerced,
-                            restriction->CastTo(table->dist_col_type));
-    int idx = table->ShardIndexForHash(coerced.PartitionHash());
-    if (idx < 0) return Status::Internal("no shard for hash value");
+    CITUSX_ASSIGN_OR_RETURN(int idx, table->ShardIndexForValue(*restriction));
     plan.tier = PlannerTier::kFastPath;
     CITUSX_RETURN_IF_ERROR(ChargeTier(ext_, plan.tier));
     Task t;
@@ -301,9 +293,9 @@ Result<std::optional<engine::QueryResult>> ProcessDistributedCopy(
                                  " without current synced metadata");
   }
   if (table == nullptr) return std::optional<engine::QueryResult>();
-  engine::TableInfo* shell = ext->node()->catalog().Find(stmt.table);
-  if (shell == nullptr) return Status::NotFound("shell table missing");
-  const sql::Schema& schema = shell->schema();
+  if (ext->node()->catalog().Find(stmt.table) == nullptr) {
+    return Status::NotFound("shell table missing");
+  }
 
   // The coordinator parses every row on a single backend (one core): this
   // is the paper's Figure 7(a) bottleneck. Cost scales with bytes.
@@ -348,8 +340,6 @@ Result<std::optional<engine::QueryResult>> ProcessDistributedCopy(
     return Status::InvalidArgument(
         "COPY into a distributed table requires the partition column");
   }
-  sql::TypeId dist_type = schema.columns[static_cast<size_t>(
-      table->dist_col_index)].type;
   // Partition rows into per-shard batches.
   std::map<int, std::vector<std::vector<std::string>>> by_shard;
   for (const auto& row : rows) {
@@ -357,10 +347,9 @@ Result<std::optional<engine::QueryResult>> ProcessDistributedCopy(
       return Status::InvalidArgument("COPY row is missing fields");
     }
     CITUSX_ASSIGN_OR_RETURN(
-        sql::Datum v,
-        sql::Datum::FromText(dist_type, row[static_cast<size_t>(dist_pos)]));
-    int idx = table->ShardIndexForHash(v.PartitionHash());
-    if (idx < 0) return Status::Internal("no shard for hash value");
+        sql::Datum v, sql::Datum::FromText(table->dist_col_type,
+                                           row[static_cast<size_t>(dist_pos)]));
+    CITUSX_ASSIGN_OR_RETURN(int idx, table->ShardIndexForValue(v));
     by_shard[idx].push_back(row);
   }
   std::vector<Task> tasks;
@@ -412,11 +401,8 @@ Result<std::optional<engine::QueryResult>> ProcessDelegatedCall(
     return std::optional<engine::QueryResult>();
   }
   CITUSX_ASSIGN_OR_RETURN(
-      sql::Datum v,
-      args[static_cast<size_t>(proc.dist_arg_index)].CastTo(
-          table->dist_col_type));
-  int idx = table->ShardIndexForHash(v.PartitionHash());
-  if (idx < 0) return Status::Internal("no shard for hash value");
+      int idx, table->ShardIndexForValue(
+                   args[static_cast<size_t>(proc.dist_arg_index)]));
   const std::string& worker =
       table->shards[static_cast<size_t>(idx)].placement;
   if (worker == ext->node()->name()) {

@@ -36,7 +36,7 @@
 #include "common/ordered_mutex.h"
 #include "common/status.h"
 #include "common/str.h"
-#include "sql/types.h"
+#include "sql/datum.h"
 
 namespace citusx::citus {
 
@@ -106,6 +106,18 @@ struct CitusTable {
     if (lo == 0) return -1;
     const ShardInterval& s = shards[lo - 1];
     return hash <= s.max_hash ? static_cast<int>(lo - 1) : -1;
+  }
+
+  /// Index of the shard holding distribution value `v`. The value is coerced
+  /// to the column's type before it is hashed, so that it routes like the
+  /// stored rows whatever type it arrived as (an int literal for a text
+  /// column, say). Fails with the coercion's error, or when no shard covers
+  /// the hash.
+  Result<int> ShardIndexForValue(const sql::Datum& v) const {
+    CITUSX_ASSIGN_OR_RETURN(sql::Datum coerced, v.CastTo(dist_col_type));
+    int idx = ShardIndexForHash(coerced.PartitionHash());
+    if (idx < 0) return Status::Internal("no shard for hash value");
+    return idx;
   }
 };
 

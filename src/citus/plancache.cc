@@ -1,8 +1,6 @@
 #include "citus/plancache.h"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <set>
 
 #include "citus/executor.h"
@@ -22,11 +20,6 @@ using sql::ExprPtr;
 // Worker prepared-statement names must be unique per backend; a global
 // counter keeps them unique across sessions and extensions.
 std::atomic<int64_t> g_next_plan_id{1};
-
-// Template sentinels (see DeparseOptions::param_markers): \x01 marks the
-// table name, \x02<n>\x02 marks parameter n.
-constexpr char kTableSentinel = '\x01';
-constexpr char kParamSentinel = '\x02';
 
 /// A statement clone with constants lifted into parameters.
 struct Normalized {
@@ -243,65 +236,6 @@ std::set<int> CollectParamIndices(const sql::Statement& stmt) {
   return out;
 }
 
-/// Split the sentinel-marked deparse into chunks and slots. Leaves
-/// has_template false on a malformed marker sequence.
-void ParseTemplate(const std::string& s, CachedDistPlan* plan) {
-  std::vector<std::string> chunks;
-  std::vector<int> slots;
-  std::string cur;
-  for (size_t i = 0; i < s.size(); i++) {
-    char c = s[i];
-    if (c == kTableSentinel) {
-      chunks.push_back(cur);
-      cur.clear();
-      slots.push_back(-1);
-      continue;
-    }
-    if (c == kParamSentinel) {
-      size_t j = i + 1;
-      std::string digits;
-      while (j < s.size() && std::isdigit(static_cast<unsigned char>(s[j]))) {
-        digits.push_back(s[j++]);
-      }
-      if (digits.empty() || j >= s.size() || s[j] != kParamSentinel) return;
-      int idx = std::atoi(digits.c_str());
-      if (idx < 0 || idx >= plan->num_params) return;
-      chunks.push_back(cur);
-      cur.clear();
-      slots.push_back(idx);
-      i = j;
-      continue;
-    }
-    cur.push_back(c);
-  }
-  chunks.push_back(std::move(cur));
-  plan->chunks = std::move(chunks);
-  plan->slots = std::move(slots);
-  plan->has_template = true;
-}
-
-/// Interleave the template chunks with the pruned shard name and parameter
-/// values — as $n placeholders (for the worker-side PREPARE body) or as
-/// literals (direct execution).
-std::string RenderTemplate(const CachedDistPlan& plan,
-                           const std::string& shard_name,
-                           const std::vector<sql::Datum>& bound,
-                           bool params_as_dollar) {
-  std::string out = plan.chunks[0];
-  for (size_t i = 0; i < plan.slots.size(); i++) {
-    int slot = plan.slots[i];
-    if (slot < 0) {
-      out += shard_name;
-    } else if (params_as_dollar) {
-      out += StrFormat("$%d", slot + 1);
-    } else {
-      out += bound[static_cast<size_t>(slot)].ToSqlLiteral();
-    }
-    out += plan.chunks[i + 1];
-  }
-  return out;
-}
-
 std::shared_ptr<CachedDistPlan> BuildPlan(Normalized&& norm, std::string key,
                                           const CitusTable& table,
                                           uint64_t generation) {
@@ -309,8 +243,6 @@ std::shared_ptr<CachedDistPlan> BuildPlan(Normalized&& norm, std::string key,
   plan->generation = generation;
   plan->plan_id = g_next_plan_id++;
   plan->table = table.name;
-  plan->dist_col_type = table.dist_col_type;
-  plan->colocation_id = table.colocation_id;
   plan->dist_param = norm.dist_param;
   plan->kind = norm.stmt.kind;
   plan->is_write = norm.stmt.kind == sql::Statement::Kind::kSelect
@@ -319,25 +251,27 @@ std::shared_ptr<CachedDistPlan> BuildPlan(Normalized&& norm, std::string key,
   plan->base_params = norm.base_params;
   plan->num_params = norm.base_params + static_cast<int>(norm.lifted.size());
   std::set<int> used = CollectParamIndices(norm.stmt);
-  bool dense =
+  plan->use_prepared =
       static_cast<int>(used.size()) == plan->num_params &&
       (used.empty() ||
        (*used.begin() == 0 && *used.rbegin() == plan->num_params - 1));
   plan->normalized = std::make_shared<const sql::Statement>(std::move(norm.stmt));
-  // If the plain deparse already contains a sentinel byte (a pathological
-  // string literal), splicing would be ambiguous — keep the fallback path.
-  if (key.find(kTableSentinel) == std::string::npos &&
-      key.find(kParamSentinel) == std::string::npos) {
-    std::map<std::string, std::string> tmap = {
-        {plan->table, std::string(1, kTableSentinel)}};
-    sql::DeparseOptions opts;
-    opts.table_map = &tmap;
-    opts.param_markers = true;
-    ParseTemplate(sql::DeparseStatement(*plan->normalized, opts), plan.get());
-  }
-  plan->use_prepared = dense && plan->has_template;
   plan->key = std::move(key);
   return plan;
+}
+
+/// Normalize `stmt` if the session cache can serve it: its one relation is a
+/// hash-distributed table and its shape passes NormalizeStatement.
+bool NormalizeCacheable(const sql::Statement& stmt,
+                        const std::vector<sql::Datum>& params,
+                        const TableAnalysis& analysis, Normalized* out) {
+  if (analysis.distributed.size() != 1 || !analysis.reference.empty() ||
+      !analysis.local.empty()) {
+    return false;
+  }
+  const CitusTable& table = *analysis.distributed[0];
+  if (table.is_reference || table.shards.empty()) return false;
+  return NormalizeStatement(stmt, table, static_cast<int>(params.size()), out);
 }
 
 }  // namespace
@@ -351,135 +285,79 @@ Result<std::optional<DistributedPlan>> PlanFromCache(
     CitusExtension* ext, engine::Session& session, const sql::Statement& stmt,
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis) {
   std::optional<DistributedPlan> not_handled;
-  if (analysis.distributed.size() != 1 || !analysis.reference.empty() ||
-      !analysis.local.empty()) {
-    return not_handled;
-  }
-  const CitusTable* table0 = analysis.distributed[0];
-  if (table0->is_reference || table0->shards.empty()) return not_handled;
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kSelect:
-    case sql::Statement::Kind::kInsert:
-    case sql::Statement::Kind::kUpdate:
-    case sql::Statement::Kind::kDelete:
-      break;
-    default:
-      return not_handled;
-  }
+  Normalized norm;
+  if (!NormalizeCacheable(stmt, params, analysis, &norm)) return not_handled;
 
-  // MX belt-and-braces: the planner gate already rejects statements on a
-  // node without current synced metadata before the cache is consulted;
-  // re-check here so a cached plan can never route from an unsynced copy
-  // if a future caller reaches the cache directly. Cross-node
-  // invalidation needs no extra plumbing — FinishSync bumps this node's
-  // generation, so the snapshot checks below drop every pre-sync plan.
-  if (!ext->MxReady()) {
-    return ext->MxStaleRejection("cached distributed plan on node " +
-                                 ext->node()->name());
-  }
+  // The planner's MX gate (CheckRelations) has already refused statements
+  // on a node without current synced metadata. Cross-node invalidation
+  // needs no extra plumbing: FinishSync bumps this node's generation, so the
+  // snapshot check below drops every pre-sync plan.
   CitusSessionState& state = ext->SessionState(session);
   const uint64_t gen = ext->metadata().generation();
-  engine::PreparedStatement* prep = session.active_prepared();
-
-  std::shared_ptr<CachedDistPlan> plan;
-  std::vector<sql::Datum> bound;
-  bool hit = false;
-
-  // Fast lane: an EXECUTE whose prepared statement already carries the plan
-  // skips normalization and the key lookup entirely.
-  if (prep != nullptr && prep->generic_plan != nullptr) {
-    auto ref = std::static_pointer_cast<PreparedPlanRef>(prep->generic_plan);
-    if (ref->plan->generation == gen) {
-      plan = ref->plan;
-      bound = params;
-      bound.insert(bound.end(), ref->lifted.begin(), ref->lifted.end());
-      hit = true;
-    } else {
-      ext->metric_plancache_invalidation->Inc();
-      // Only drop the map entry if it is still this plan (another statement
-      // may have rebuilt the shape already).
-      auto mit = state.plan_cache.find(ref->plan->key);
-      if (mit != state.plan_cache.end() && mit->second == ref->plan) {
-        state.plan_cache.erase(mit);
-      }
-      prep->generic_plan.reset();
-    }
+  std::string key = sql::DeparseStatement(norm.stmt, {});
+  auto it = state.plan_cache.find(key);
+  if (it != state.plan_cache.end() && it->second->generation != gen) {
+    ext->metric_plancache_invalidation->Inc();
+    state.plan_cache.erase(it);
+    it = state.plan_cache.end();
   }
-
-  if (plan == nullptr) {
-    Normalized norm;
-    if (!NormalizeStatement(stmt, *table0, static_cast<int>(params.size()),
-                            &norm)) {
+  const bool hit = it != state.plan_cache.end();
+  std::vector<sql::Datum> bound = params;
+  bound.insert(bound.end(), norm.lifted.begin(), norm.lifted.end());
+  std::shared_ptr<CachedDistPlan> plan;
+  if (hit) {
+    plan = it->second;
+    // Same key but a different parameter layout (caller passed unused
+    // params): don't risk mis-binding, fall through to the planner.
+    if (plan->base_params != static_cast<int>(params.size()) ||
+        plan->num_params != static_cast<int>(bound.size())) {
       return not_handled;
     }
-    std::string key = sql::DeparseStatement(norm.stmt, {});
-    auto it = state.plan_cache.find(key);
-    if (it != state.plan_cache.end() && it->second->generation != gen) {
-      ext->metric_plancache_invalidation->Inc();
-      state.plan_cache.erase(it);
-      it = state.plan_cache.end();
-    }
-    if (it != state.plan_cache.end()) {
-      plan = it->second;
-      // Same key but a different parameter layout (caller passed unused
-      // params): don't risk mis-binding, fall through to the planner.
-      if (plan->base_params != static_cast<int>(params.size()) ||
-          plan->num_params !=
-              static_cast<int>(params.size() + norm.lifted.size())) {
-        return not_handled;
-      }
-      hit = true;
-    } else {
-      plan = BuildPlan(std::move(norm), std::move(key), *table0, gen);
-      state.plan_cache[plan->key] = plan;
-      ext->metric_plancache_miss->Inc();
-    }
-    bound = params;
-    bound.insert(bound.end(), norm.lifted.begin(), norm.lifted.end());
-    if (prep != nullptr) {
-      auto ref = std::make_shared<PreparedPlanRef>();
-      ref->plan = plan;
-      ref->lifted = std::move(norm.lifted);
-      prep->generic_plan = std::move(ref);
-    }
+  } else {
+    plan = BuildPlan(std::move(norm), std::move(key), *analysis.distributed[0],
+                     gen);
+    state.plan_cache[plan->key] = plan;
+    ext->metric_plancache_miss->Inc();
   }
 
-  if (plan->dist_param < 0 ||
-      plan->dist_param >= static_cast<int>(bound.size())) {
-    return not_handled;
-  }
+  if (plan->dist_param >= static_cast<int>(bound.size())) return not_handled;
   const sql::Datum& dist_value = bound[static_cast<size_t>(plan->dist_param)];
   if (dist_value.is_null()) return not_handled;  // not routable: full planner
-  auto coerced = dist_value.CastTo(plan->dist_col_type);
-  if (!coerced.ok()) return not_handled;
-
   CitusTable* table = ext->metadata().Find(plan->table);
   if (table == nullptr) return not_handled;  // unreachable: generation guard
-  int idx = table->ShardIndexForHash(coerced->PartitionHash());
-  if (idx < 0) return Status::Internal("no shard for hash value");
+  // A value that does not coerce, or whose hash no shard covers, goes to the
+  // tiers, which treat it as they treat the uncached statement.
+  Result<int> idx = table->ShardIndexForValue(dist_value);
+  if (!idx.ok()) return not_handled;
 
   // Every plan-cache plan is a fast-path plan. A hit re-binds in
   // O(log shards); a miss pays the fast-path planner.
   CITUSX_RETURN_IF_ERROR(ChargeTier(ext, PlannerTier::kFastPath, hit));
   if (hit) ext->metric_plancache_hit->Inc();
 
-  const ShardInterval& shard = table->shards[static_cast<size_t>(idx)];
-  std::string shard_name = table->ShardName(shard.shard_id);
+  const ShardInterval& shard = table->shards[static_cast<size_t>(*idx)];
+  // The normalized statement deparsed against the pruned shard: with $n
+  // placeholders for a worker-side PREPARE body, or with `values` as
+  // literals.
+  auto shard_sql = [&](const std::vector<sql::Datum>* values) {
+    std::map<std::string, std::string> map = {
+        {plan->table, table->ShardName(shard.shard_id)}};
+    sql::DeparseOptions opts;
+    opts.table_map = &map;
+    opts.params = values;
+    return sql::DeparseStatement(*plan->normalized, opts);
+  };
 
   Task t;
   t.worker = shard.placement;
   t.colocation_id = table->colocation_id;
-  t.shard_group = idx;
+  t.shard_group = *idx;
   t.is_write = plan->is_write;
   if (plan->use_prepared) {
-    t.prepare_name = plan->PrepareName(idx);
-    auto pit = plan->prepare_sql_by_shard.find(idx);
-    if (pit == plan->prepare_sql_by_shard.end()) {
-      pit = plan->prepare_sql_by_shard
-                .emplace(idx, "PREPARE " + t.prepare_name + " AS " +
-                                  RenderTemplate(*plan, shard_name, bound,
-                                                 /*params_as_dollar=*/true))
-                .first;
+    t.prepare_name = plan->PrepareName(*idx);
+    auto [pit, fresh] = plan->prepare_sql_by_shard.try_emplace(*idx);
+    if (fresh) {
+      pit->second = "PREPARE " + t.prepare_name + " AS " + shard_sql(nullptr);
     }
     t.prepare_sql = pit->second;
     std::string args;
@@ -489,14 +367,8 @@ Result<std::optional<DistributedPlan>> PlanFromCache(
     }
     t.execute_sql = "EXECUTE " + t.prepare_name +
                     (plan->num_params > 0 ? " (" + args + ")" : "");
-  } else if (plan->has_template) {
-    t.sql = RenderTemplate(*plan, shard_name, bound, /*params_as_dollar=*/false);
   } else {
-    std::map<std::string, std::string> map = {{plan->table, shard_name}};
-    sql::DeparseOptions opts;
-    opts.table_map = &map;
-    opts.params = &bound;
-    t.sql = sql::DeparseStatement(*plan->normalized, opts);
+    t.sql = shard_sql(&bound);
   }
 
   DistributedPlan out;
@@ -510,14 +382,9 @@ bool PlanCacheContains(CitusExtension* ext, engine::Session& session,
                        const sql::Statement& stmt,
                        const std::vector<sql::Datum>& params,
                        const TableAnalysis& analysis) {
-  if (!ext->config().enable_plan_cache) return false;
-  if (analysis.distributed.size() != 1 || !analysis.reference.empty() ||
-      !analysis.local.empty()) {
-    return false;
-  }
   Normalized norm;
-  if (!NormalizeStatement(stmt, *analysis.distributed[0],
-                          static_cast<int>(params.size()), &norm)) {
+  if (!ext->config().enable_plan_cache ||
+      !NormalizeCacheable(stmt, params, analysis, &norm)) {
     return false;
   }
   CitusSessionState& state = ext->SessionState(session);

@@ -2,12 +2,14 @@
 // (the PREPARE/EXECUTE hot path of §3.5's fast-path planner).
 //
 // Statements are normalized by lifting constants into parameters; the
-// normalized deparse is the cache key. A cached entry skips table analysis
-// and planning on later executions: the shard is re-pruned with a binary
-// search over the hash ranges, parameter values are spliced into a deparsed
-// SQL template, and — when the parameter list is dense — the shard query is
-// sent as a worker-side prepared statement (PREPARE once per connection,
-// then EXECUTE), so the worker also skips re-parse and re-plan.
+// normalized deparse is the cache key, and an EXECUTE is looked up the same
+// way as raw SQL. A cached entry skips planning on later executions: the
+// shard is re-pruned with a binary search over the hash ranges, and the
+// shard query is the normalized statement deparsed with the table mapped to
+// that shard. When the parameter list is dense it goes out as a worker-side
+// prepared statement (PREPARE once per connection, then EXECUTE with the
+// bound values), so the worker also skips re-parse and re-plan; otherwise
+// the bound values are deparsed into it as literals.
 //
 // Entries snapshot the metadata generation (metadata.h) and are discarded
 // when it moves: DDL, create_distributed_table, shard moves/rebalances, and
@@ -32,20 +34,15 @@ struct CachedDistPlan {
   uint64_t generation = 0;  // metadata generation at build time
   int64_t plan_id = 0;      // globally unique; names worker prepared stmts
   std::string table;        // the distributed table
-  sql::TypeId dist_col_type = sql::TypeId::kNull;
-  int colocation_id = 0;
   int dist_param = -1;  // bound-param index carrying the dist-column value
   bool is_write = false;
   sql::Statement::Kind kind = sql::Statement::Kind::kSelect;
   int base_params = 0;  // $n params of the original statement
   int num_params = 0;   // base_params + lifted constants
 
-  /// Deparsed SQL template: chunks.size() == slots.size() + 1. Rendering
-  /// interleaves chunks with slot values: slot -1 is the pruned shard name,
-  /// slot >= 0 the bound parameter at that index (as a literal or $n).
-  bool has_template = false;
-  std::vector<std::string> chunks;
-  std::vector<int> slots;
+  /// The statement with its constants lifted into $n parameters; every
+  /// shard query is deparsed from it.
+  std::shared_ptr<const sql::Statement> normalized;
 
   /// Worker-side prepared statements are usable (parameter indices form a
   /// dense 0..num_params-1 range, so EXECUTE can bind them positionally).
@@ -53,27 +50,16 @@ struct CachedDistPlan {
   /// PREPARE statement per shard index, built lazily on first touch.
   std::map<int, std::string> prepare_sql_by_shard;
 
-  /// The normalized statement, for the rare fallback when the template
-  /// could not be built (sentinel bytes occurring in a literal).
-  std::shared_ptr<const sql::Statement> normalized;
-
   std::string PrepareName(int shard_index) const;
 };
 
-/// Attached to engine::PreparedStatement::generic_plan: the shared cache
-/// entry plus the constants lifted from this statement's body (the entry may
-/// be shared with shapes whose constants differ).
-struct PreparedPlanRef {
-  std::shared_ptr<CachedDistPlan> plan;
-  std::vector<sql::Datum> lifted;
-};
-
 /// Plan `stmt` through the session's distributed plan cache. Returns
-/// nullopt when the statement shape is not cacheable (the caller falls
-/// through to the regular planner tiers); otherwise returns its single-task
-/// fast-path plan — building and caching the entry on a miss, re-binding it
-/// on a hit. Maintains the citus.plancache.{hit,miss,invalidation} counters
-/// and charges the fast-path tier (ChargeTier).
+/// nullopt when the statement shape is not cacheable or its distribution
+/// value does not route to a shard (the caller falls through to the regular
+/// planner tiers); otherwise returns its single-task fast-path plan —
+/// building and caching the entry on a miss, re-binding it on a hit.
+/// Maintains the citus.plancache.{hit,miss,invalidation} counters and
+/// charges the fast-path tier (ChargeTier).
 Result<std::optional<DistributedPlan>> PlanFromCache(
     CitusExtension* ext, engine::Session& session, const sql::Statement& stmt,
     const std::vector<sql::Datum>& params, const TableAnalysis& analysis);

@@ -822,8 +822,8 @@ Result<std::optional<engine::QueryResult>> DistributedPlanner::PlanAndExecute(
       cached = PlanCacheContains(ext_, session, inner, params, analysis);
     } else if (!stmt.is_explain && ext_->config().enable_plan_cache) {
       // Single-shard CRUD statements go through the distributed plan cache:
-      // a hit skips planning (binary-search pruning + template splice), a
-      // miss plans once and caches; other shapes plan through the tiers.
+      // a hit skips planning (binary-search pruning + parameter re-binding),
+      // a miss plans once and caches; other shapes plan through the tiers.
       CITUSX_ASSIGN_OR_RETURN(
           plan, PlanFromCache(ext_, session, stmt, params, analysis));
     }
@@ -1111,14 +1111,8 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
       routable = false;
       break;
     }
-    auto coerced = rit->second.CastTo(t->dist_col_type);
-    if (!coerced.ok()) {
-      routable = false;
-      break;
-    }
-    const sql::Datum* v = &*coerced;
-    int idx = t->ShardIndexForHash(v->PartitionHash());
-    if (idx < 0 || (shard_index >= 0 && idx != shard_index)) {
+    Result<int> idx = t->ShardIndexForValue(rit->second);
+    if (!idx.ok() || (shard_index >= 0 && *idx != shard_index)) {
       routable = false;
       break;
     }
@@ -1127,8 +1121,8 @@ Result<DistributedPlan> DistributedPlanner::PlanSelect(
       routable = false;
       break;
     }
-    shard_index = idx;
-    target_worker = t->shards[static_cast<size_t>(idx)].placement;
+    shard_index = *idx;
+    target_worker = t->shards[static_cast<size_t>(*idx)].placement;
   }
   // Reference-table-only query: prefer the local replica; when this node
   // holds none (replicas trimmed), route to the first replica holder. Stage

@@ -57,7 +57,7 @@ LockRank InnermostHeldRank();
 /// thread-safety analysis. Satisfies Lockable, but do NOT wrap it in
 /// std::lock_guard/std::unique_lock: libstdc++'s guards carry no
 /// thread-safety annotations, so the compiler cannot see the acquisition.
-/// Use MutexLock / UniqueMutexLock below instead (cituslint enforces this).
+/// Use MutexLock below instead (cituslint enforces this).
 class CAPABILITY("ordered_mutex") OrderedMutex {
  public:
   explicit OrderedMutex(LockRank rank) : rank_(rank) {}
@@ -95,39 +95,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   OrderedMutex& mu_;
-};
-
-/// Scoped lock that can be dropped and re-taken, equivalent to
-/// std::unique_lock<OrderedMutex>.
-class SCOPED_CAPABILITY UniqueMutexLock {
- public:
-  explicit UniqueMutexLock(OrderedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-    owned_ = true;
-  }
-
-  UniqueMutexLock(const UniqueMutexLock&) = delete;
-  UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
-
-  ~UniqueMutexLock() RELEASE() {
-    if (owned_) mu_.unlock();
-  }
-
-  void lock() ACQUIRE() {
-    mu_.lock();
-    owned_ = true;
-  }
-
-  void unlock() RELEASE() {
-    owned_ = false;
-    mu_.unlock();
-  }
-
-  bool owns_lock() const { return owned_; }
-
- private:
-  OrderedMutex& mu_;
-  bool owned_ = false;
 };
 
 }  // namespace citusx

@@ -73,11 +73,6 @@ class Catalog {
 
   std::vector<TableInfo*> AllTables();
 
-  uint64_t NextOid() {
-    MutexLock guard(catalog_mu_);
-    return next_oid_++;
-  }
-
  private:
   TableInfo* FindLocked(const std::string& name) const REQUIRES(catalog_mu_);
   Result<IndexInfo*> CreateBtreeIndexLocked(

@@ -29,7 +29,6 @@ struct LockTag {
 
   static constexpr storage::RowId kTableRid = ~storage::RowId{0};
 
-  bool is_table_lock() const { return rid == kTableRid; }
   bool operator==(const LockTag& o) const {
     return oid == o.oid && rid == o.rid;
   }

@@ -403,8 +403,8 @@ Result<QueryResult> Session::ExecutePrepared(
     }
     bound.push_back(std::move(v));
   }
-  // Expose the entry so the planner hook can attach its generic plan, and
-  // restore the previous one on exit (EXECUTE may nest via procedures).
+  // Expose the entry to the local planner, and restore the previous one on
+  // exit (EXECUTE may nest via procedures).
   PreparedStatement* saved = active_prepared_;
   active_prepared_ = &ps;
   Result<QueryResult> result = DispatchStatement(*ps.body, bound);

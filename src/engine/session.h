@@ -15,16 +15,15 @@
 
 namespace citusx::engine {
 
-/// A session-scoped prepared statement (PREPARE name AS ...). Mirrors
-/// PostgreSQL's plancache entry: the parsed body plus a generic-plan slot
-/// where the planner hook (the Citus extension) attaches its cached state.
+/// A session-scoped prepared statement (PREPARE name AS ...): the parsed
+/// body, which EXECUTE hands to the planner hook with the bound values like
+/// any other statement. The hook keeps no state here; the Citus plan cache
+/// finds an EXECUTE's plan by the body's normalized text.
 struct PreparedStatement {
   std::shared_ptr<const sql::Statement> body;
   std::vector<sql::TypeId> param_types;  // declared types; may be empty
   int num_params = 0;                    // highest $n referenced in the body
   int64_t executions = 0;
-  /// Opaque cached plan owned by the planner hook; reset by DEALLOCATE.
-  std::shared_ptr<void> generic_plan;
   /// After the first successful execution the local planner treats the body
   /// as a generic plan and charges plan_cached_bind instead of plan_local.
   bool local_plan_cached = false;
@@ -92,10 +91,6 @@ class Session {
   /// connection/transaction bookkeeping here). Destroyed with the session.
   std::shared_ptr<void> extension_state;
 
-  /// The prepared statement currently being EXECUTEd, if any. The planner
-  /// hook uses this to attach/reuse its generic plan across executions.
-  PreparedStatement* active_prepared() { return active_prepared_; }
-
   /// The session's prepared statements, keyed by name (read-only view).
   const std::map<std::string, PreparedStatement>& prepared_statements() const {
     return prepared_;
@@ -125,6 +120,8 @@ class Session {
   bool txn_wrote_ = false;
   std::map<std::string, std::string> vars_;
   std::map<std::string, PreparedStatement> prepared_;
+  /// The prepared statement being EXECUTEd, if any: the local planner reads
+  /// its local_plan_cached flag.
   PreparedStatement* active_prepared_ = nullptr;
   /// Open "worker execution" span of the statement in flight (traced
   /// statements only); execution contexts parent pipeline spans under it.

@@ -75,8 +75,6 @@ class TxnManager : public storage::TxnStatusResolver {
   /// transactions survive. Returns the aborted transaction ids.
   std::vector<TxnId> CrashRecovery();
 
-  int64_t active_count() const { return static_cast<int64_t>(active_.size()); }
-
   /// Mirror commit/abort/prepare counts into a metrics registry.
   void BindMetrics(obs::Metrics* metrics) {
     commits_metric_ = metrics->counter("txn.commits");

@@ -1088,11 +1088,6 @@ Result<std::optional<QueryResult>> RunVectorized(engine::Node* node,
 
 }  // namespace
 
-Result<std::optional<QueryResult>> ExecuteVectorized(engine::ExecNode& plan,
-                                                     engine::ExecContext& ctx) {
-  return RunVectorized(nullptr, plan, ctx);
-}
-
 void InstallVectorizedExecutor(engine::Node* node) {
   node->set_batch_executor(
       [node](engine::ExecNode& plan,

@@ -21,12 +21,6 @@
 
 namespace citusx::exec {
 
-/// The BatchExecutor entry point: translate `plan` and run it vectorized.
-/// Returns nullopt when the plan shape is not covered (caller falls back to
-/// the volcano executor).
-Result<std::optional<engine::QueryResult>> ExecuteVectorized(
-    engine::ExecNode& plan, engine::ExecContext& ctx);
-
 /// Install the vectorized executor on `node` (idempotent). Called by the
 /// Citus extension on every node, and directly by engine-level tests.
 void InstallVectorizedExecutor(engine::Node* node);

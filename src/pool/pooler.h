@@ -83,8 +83,6 @@ class TransactionPooler {
 
   /// Physical connections currently open (in use + idle).
   int physical_connections() const { return static_cast<int>(live_.size()); }
-  int idle_connections() const { return static_cast<int>(free_.size()); }
-  int queued_waiters() const { return static_cast<int>(waiters_.size()); }
 
  private:
   friend class PooledSession;

@@ -2,24 +2,6 @@
 
 namespace citusx::sim {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRestart:
-      return "restart";
-    case FaultKind::kConnectionDrop:
-      return "connection_drop";
-    case FaultKind::kDelaySpike:
-      return "delay_spike";
-    case FaultKind::kRefusal:
-      return "refusal";
-    case FaultKind::kKindCount:
-      break;
-  }
-  return "unknown";
-}
-
 bool FaultInjector::Crash(const std::string& target) {
   auto it = targets_.find(target);
   if (it == targets_.end() || !it->second.crash) return false;

@@ -30,8 +30,6 @@ enum class FaultKind {
   kKindCount,  // sentinel
 };
 
-const char* FaultKindName(FaultKind kind);
-
 class FaultInjector {
  public:
   explicit FaultInjector(Simulation* sim, uint64_t seed = 42)

@@ -67,18 +67,13 @@ class DiskResource {
     Time start = std::max(sim_->now(), *it);
     Time end = start + ops * service_time_;
     *it = end;
-    ops_total_ += ops;
     return sim_->WaitUntil(end);
   }
-
-  int64_t ops_total() const { return ops_total_; }
-  Time service_time() const { return service_time_; }
 
  private:
   Simulation* sim_;
   Time service_time_;
   std::vector<Time> chan_busy_until_;
-  int64_t ops_total_ = 0;
 };
 
 /// FIFO counting semaphore; used for connection slots and worker pools.

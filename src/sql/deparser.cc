@@ -101,7 +101,6 @@ std::string DeparseExpr(const Expr& e, const DeparseOptions& opts) {
       if (!e.table.empty()) return e.table + "." + e.column;
       return e.column;
     case ExprKind::kParam: {
-      if (opts.param_markers) return StrFormat("\x02%d\x02", e.param_index);
       if (opts.normalize) return "?";
       if (opts.params != nullptr &&
           e.param_index < static_cast<int>(opts.params->size())) {

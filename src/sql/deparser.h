@@ -23,11 +23,6 @@ struct DeparseOptions {
   /// Render every constant (and parameter) as '?', producing the normalized
   /// statement shape used as the citus_stat_statements key.
   bool normalize = false;
-  /// Render $n parameters as "\x02n\x02" sentinel markers. Combined with a
-  /// table_map that maps to "\x01", this produces the plan-cache SQL template
-  /// that parameter values and the pruned shard name are spliced into on a
-  /// cache hit without re-deparsing. Checked before `params`/`normalize`.
-  bool param_markers = false;
 };
 
 std::string DeparseExpr(const Expr& e, const DeparseOptions& opts = {});

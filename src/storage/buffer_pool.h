@@ -56,7 +56,6 @@ class BufferPool {
   /// I/O charge.
   void Forget(uint64_t object_id);
 
-  int64_t capacity_pages() const { return capacity_pages_; }
   int64_t resident_pages() const { return static_cast<int64_t>(lru_.size()); }
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }

@@ -63,7 +63,6 @@ class HeapTable {
 
   /// Logical on-disk footprint.
   int64_t data_bytes() const { return data_bytes_; }
-  int64_t num_blocks() const { return next_block_ + 1; }
   /// Dead-version count (drives autovacuum scheduling).
   int64_t dead_versions() const { return dead_versions_; }
 

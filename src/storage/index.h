@@ -67,7 +67,6 @@ class BtreeIndex {
   bool Range(const sql::Datum* lo, bool lo_inclusive, const sql::Datum* hi,
              bool hi_inclusive, std::vector<RowId>* out);
 
-  int64_t num_entries() const { return static_cast<int64_t>(map_.size()); }
   int64_t size_bytes() const { return size_bytes_; }
 
   void Truncate() {
@@ -117,7 +116,6 @@ class GinTrgmIndex {
   void Remove(const std::string& text, RowId rid);
 
   int64_t size_bytes() const { return size_bytes_; }
-  int64_t num_trigrams() const { return static_cast<int64_t>(postings_.size()); }
 
   void Truncate() {
     postings_.clear();

@@ -1,7 +1,8 @@
-// Tests for the distributed plan cache and PREPARE/EXECUTE: cache hits and
-// template splicing, worker-side prepared statements, parameter coercion,
-// shard routing per parameter, metadata-generation invalidation after shard
-// moves / rebalances / node removal, and the observability surface.
+// Tests for the distributed plan cache and PREPARE/EXECUTE: cache hits,
+// shard queries deparsed as worker-side prepared statements or with literal
+// values, parameter coercion, shard routing per parameter,
+// metadata-generation invalidation after shard moves / rebalances / node
+// removal, and the observability surface.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -166,6 +167,33 @@ TEST_F(PlanCacheTest, ExecuteInsideExplicitTransaction) {
     QueryResult committed = MustQuery(**conn, "EXECUTE sel (2)");
     ASSERT_EQ(committed.rows.size(), 1u);
     EXPECT_EQ(committed.rows[0][0].text_value(), "dos");
+  });
+}
+
+// A prepared body that leaves a parameter unused has no dense parameter
+// list, so its cached plan sends the shard query with the bound values
+// deparsed as literals rather than as a worker-side prepared statement.
+TEST_F(PlanCacheTest, SparseParametersRenderAsLiterals) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    for (int i = 0; i < 8; i++) {
+      MustQuery(**conn, StrFormat("INSERT INTO kv VALUES (%d, 'v%d')", i, i));
+    }
+    MustQuery(**conn,
+              "PREPARE p (text, bigint) AS SELECT v FROM kv WHERE key = $2");
+    int64_t hits0 = CoordCounter("citus.plancache.hit");
+    int64_t miss0 = CoordCounter("citus.plancache.miss");
+    for (int i = 0; i < 8; i++) {
+      QueryResult r =
+          MustQuery(**conn, StrFormat("EXECUTE p ('it''s %d', %d)", i, i));
+      ASSERT_EQ(r.rows.size(), 1u);
+      EXPECT_EQ(r.rows[0][0].text_value(), StrFormat("v%d", i));
+      EXPECT_EQ(CoordCounter("citus.plancache.miss") - miss0, 1);
+      EXPECT_EQ(CoordCounter("citus.plancache.hit") - hits0, i);
+    }
   });
 }
 

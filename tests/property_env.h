@@ -1,8 +1,8 @@
 // Environment knobs shared by the seeded property harnesses
-// (joins_property_test, exec_diff_test), so the CI property job can widen
-// all of them the same way:
-//   CITUSX_PROPERTY_SEED    generator seed
-//   CITUSX_PROPERTY_ROUNDS  generated queries
+// (joins_property_test, exec_diff_test, property_test), so the CI property
+// job can widen all of them the same way:
+//   CITUSX_PROPERTY_SEED    generator seed (property_test: its seed base)
+//   CITUSX_PROPERTY_ROUNDS  generated queries (not read by property_test)
 // Each harness keeps its own defaults, so a plain run replays its
 // committed seed.
 #ifndef CITUSX_TESTS_PROPERTY_ENV_H_

@@ -13,13 +13,13 @@
 //   lock-rank           - OrderedMutex acquisitions must nest in strictly
 //                         increasing LockRank order. The rank table is parsed
 //                         out of src/common/ordered_mutex.h and acquisition
-//                         sites (MutexLock/UniqueMutexLock and the std guard
-//                         templates) are extracted lexically.
+//                         sites (MutexLock and the std guard templates) are
+//                         extracted lexically.
 //   raw-mutex           - no std::mutex family outside common/ordered_mutex,
 //                         and no std::lock_guard/unique_lock/scoped_lock
 //                         anywhere: the std guards are invisible to Clang's
 //                         thread-safety analysis, so every acquisition must go
-//                         through the annotated MutexLock/UniqueMutexLock.
+//                         through the annotated MutexLock.
 //   nodiscard           - Status and Result must stay [[nodiscard]] in
 //                         common/status.h.
 //   blocking-under-lock - no blocking call (net round trip, simulated wait,
@@ -440,7 +440,7 @@ void CheckRawMutex(const SourceFile& f, LintResult* out) {
       {"std::lock_guard",
        "std guards are invisible to -Wthread-safety; use MutexLock"},
       {"std::unique_lock",
-       "std guards are invisible to -Wthread-safety; use UniqueMutexLock"},
+       "std guards are invisible to -Wthread-safety; use MutexLock"},
       {"std::scoped_lock",
        "std guards are invisible to -Wthread-safety; use MutexLock"},
   };
@@ -492,18 +492,17 @@ void CheckNodiscard(const SourceFile& f, LintResult* out) {
 // Guard declarations: shared by lock-rank and blocking-under-lock.
 
 struct GuardDecl {
-  std::string var;    // guard variable name ("lock")
   std::string mutex;  // trailing identifier of the ctor argument ("pool_mu_")
   size_t end = 0;     // index of the closing ')' / '}' on the line
 };
 
-/// Parse `MutexLock name(expr)` (or UniqueMutexLock / the std guard template
-/// spellings) starting at line[pos]. Returns false for non-declarations such
-/// as `UniqueMutexLock& lock` parameters (no variable name before '(').
+/// Parse `MutexLock name(expr)` (or the std guard template spellings)
+/// starting at line[pos]. Returns false for non-declarations such as
+/// `MutexLock& lock` parameters (no variable name before '(').
 bool TryParseGuardDecl(const std::string& line, size_t pos, GuardDecl* out) {
   static const char* kGuardTypes[] = {
       "std::lock_guard<OrderedMutex>", "std::unique_lock<OrderedMutex>",
-      "std::scoped_lock<OrderedMutex>", "UniqueMutexLock", "MutexLock"};
+      "std::scoped_lock<OrderedMutex>", "MutexLock"};
   size_t type_len = 0;
   for (const char* t : kGuardTypes) {
     size_t len = strlen(t);
@@ -519,7 +518,6 @@ bool TryParseGuardDecl(const std::string& line, size_t pos, GuardDecl* out) {
   size_t vs = p;
   while (p < line.size() && IsIdentChar(line[p])) ++p;
   if (p == vs) return false;  // reference parameter or constructor decl
-  out->var = line.substr(vs, p - vs);
   while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
   if (p >= line.size() || (line[p] != '(' && line[p] != '{')) return false;
   char close_c = line[p] == '(' ? ')' : '}';
@@ -765,18 +763,14 @@ std::string FunctionHeaderName(const std::string& buffer) {
 /// One lexical pass over the code view collecting, per call site, the callee
 /// name, the enclosing function, and the OrderedMutex guards lexically live
 /// at that point. Guard liveness is declaration-to-scope-close (the guard's
-/// destructor runs when its scope ends), with `var.unlock()` / `var.lock()`
-/// on a UniqueMutexLock toggling liveness within the scope. Lambda bodies
-/// are attributed to the enclosing function — a conservative
-/// over-approximation that keeps helpers defined inline under a guard
-/// visible to the taint pass.
+/// destructor runs when its scope ends). Lambda bodies are attributed to the
+/// enclosing function — a conservative over-approximation that keeps helpers
+/// defined inline under a guard visible to the taint pass.
 CallAnalysis AnalyzeCalls(const SourceFile& f) {
   CallAnalysis out;
   struct LiveGuard {
-    std::string var;
     std::string mutex;
     int depth;
-    bool active;
   };
   struct ActiveFn {
     int idx;
@@ -836,7 +830,7 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
       if (IsIdentStart(c) && (pos == 0 || !IsIdentChar(line[pos - 1]))) {
         GuardDecl gd;
         if (TryParseGuardDecl(line, pos, &gd)) {
-          guards.push_back({gd.var, gd.mutex, depth, true});
+          guards.push_back({gd.mutex, depth});
           buffer.append(line.substr(pos, gd.end - pos + 1));
           pos = gd.end;
           continue;
@@ -847,32 +841,12 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
         size_t after = end;
         while (after < line.size() && line[after] == ' ') ++after;
         if (after < line.size() && line[after] == '(') {
-          // `guard.unlock()` / `guard.lock()` toggles a UniqueMutexLock.
-          bool toggled = false;
-          if ((word == "unlock" || word == "lock") && pos >= 2 &&
-              line[pos - 1] == '.') {
-            size_t ve = pos - 1;
-            size_t vs = ve;
-            while (vs > 0 && IsIdentChar(line[vs - 1])) --vs;
-            std::string var = line.substr(vs, ve - vs);
-            for (auto it = guards.rbegin(); it != guards.rend(); ++it) {
-              if (it->var == var) {
-                it->active = (word == "lock");
-                toggled = true;
-                break;
-              }
-            }
-          }
-          if (!toggled) {
-            CallAnalysis::Call call;
-            call.callee = word;
-            call.line = static_cast<int>(i + 1);
-            for (const LiveGuard& g : guards) {
-              if (g.active) call.guards.push_back(g.mutex);
-            }
-            call.caller = fn_stack.empty() ? -1 : fn_stack.back().idx;
-            out.calls.push_back(std::move(call));
-          }
+          CallAnalysis::Call call;
+          call.callee = word;
+          call.line = static_cast<int>(i + 1);
+          for (const LiveGuard& g : guards) call.guards.push_back(g.mutex);
+          call.caller = fn_stack.empty() ? -1 : fn_stack.back().idx;
+          out.calls.push_back(std::move(call));
         }
         buffer.append(word);
         pos = end - 1;
@@ -1446,7 +1420,7 @@ int SelfTest() {
              "}\n"
              "void Inverted() {\n"
              "  MutexLock g1(high_mu_);\n"
-             "  UniqueMutexLock g2(low_mu_);\n"
+             "  MutexLock g2(low_mu_);\n"
              "}\n"
              "void SequentialOk() {\n"
              "  { MutexLock g(high_mu_); }\n"
@@ -1521,24 +1495,17 @@ int SelfTest() {
     expect(chain_named, "the violation names the blocking chain");
   }
   {  // blocking-under-lock: non-blocking primitives (Wake, Try*) are not
-     // seeds, and unlock()/lock() on a UniqueMutexLock toggles liveness.
+     // seeds.
     LintResult r = with({
         make("src/engine/k.cc",
              "void Release(Process* waiter) {\n"
              "  MutexLock lock(lock_table_mu_);\n"
              "  sim->Wake(waiter);\n"
              "  TryAcquire();\n"
-             "}\n"
-             "void Toggles(Conn* c) {\n"
-             "  UniqueMutexLock lock(pool_mu_);\n"
-             "  lock.unlock();\n"
-             "  c->Query(\"ok: guard released\");\n"
-             "  lock.lock();\n"
-             "  c->Query(\"bad: guard re-armed\");\n"
              "}\n"),
     });
-    expect(count_rule(r, "blocking-under-lock") == 1,
-           "Wake/Try* are not seeds and unlock() releases the guard");
+    expect(count_rule(r, "blocking-under-lock") == 0,
+           "Wake/Try* are not seeds");
   }
   {  // blocking-under-lock: suppression with a reason works.
     LintResult r = with({
