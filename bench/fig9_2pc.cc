@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
         // COPY commit over many executor connections at once, so only the
         // pgbench-style workload below has the exactly-two-participants
         // shape the invariant check relies on.
-        citus::CitusExtension* ext = deploy.extension(deploy.coordinator());
-        int64_t prepares0 = ext->two_phase_prepares;
-        int64_t commits_2pc0 = ext->two_phase_commits;
-        int64_t commits_1pc0 = ext->single_node_commits;
+        const obs::Metrics& m = deploy.coordinator()->metrics();
+        int64_t prepares0 = m.CounterValue("citus.2pc.prepares");
+        int64_t commits_2pc0 = m.CounterValue("citus.2pc.commits");
+        int64_t commits_1pc0 = m.CounterValue("citus.2pc.single_node_commits");
         DriverOptions opts;
         opts.clients = clients;
         opts.warmup = warmup;
@@ -127,9 +127,11 @@ int main(int argc, char** argv) {
         tps[mode] = r.PerSecond();
         LatencyTriple lat = Percentiles(r.latency);
 
-        int64_t prepares = ext->two_phase_prepares - prepares0;
-        int64_t commits_2pc = ext->two_phase_commits - commits_2pc0;
-        int64_t commits_1pc = ext->single_node_commits - commits_1pc0;
+        int64_t prepares = m.CounterValue("citus.2pc.prepares") - prepares0;
+        int64_t commits_2pc =
+            m.CounterValue("citus.2pc.commits") - commits_2pc0;
+        int64_t commits_1pc =
+            m.CounterValue("citus.2pc.single_node_commits") - commits_1pc0;
         // Every distributed commit touching >= 2 nodes sends exactly one
         // PREPARE TRANSACTION per participant, and a two-statement pgbench
         // transaction has exactly two.

@@ -24,128 +24,56 @@ namespace citusx::citus {
 
 namespace {
 
-// Count base-table references to `name` in the FROM trees of `sel`,
-// recursively through joins, subqueries, and nested CTE bodies. A nested
-// WITH entry of the same name shadows the outer one for everything after it.
-int CountTableRefs(const sql::SelectStmt& sel, const std::string& name);
-
-int CountRefsInFrom(const sql::TableRef& ref, const std::string& name) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable:
-      return ref.name == name ? 1 : 0;
-    case sql::TableRef::Kind::kSubquery:
-      return CountTableRefs(*ref.subquery, name);
-    case sql::TableRef::Kind::kJoin:
-      return CountRefsInFrom(*ref.left, name) +
-             CountRefsInFrom(*ref.right, name);
-  }
-  return 0;
-}
-
+// Count base-table references to `name` in `sel`, through joins, subqueries
+// and nested CTE bodies, leaving out those a nested WITH entry of the same
+// name shadows.
 int CountTableRefs(const sql::SelectStmt& sel, const std::string& name) {
   int n = 0;
-  for (const auto& c : sel.ctes) {
-    if (c.query) n += CountTableRefs(*c.query, name);
-    if (c.name == name) return n;  // shadowed from here on
-  }
-  for (const auto& f : sel.from) n += CountRefsInFrom(*f, name);
+  sql::ForEachFromItem(
+      sel, sql::Reach::kAll,
+      [&](const sql::TableRef& ref, const sql::FromScope& scope) {
+        if (ref.kind == sql::TableRef::Kind::kTable && ref.name == name &&
+            !scope.Binds(name)) {
+          n++;
+        }
+      });
   return n;
-}
-
-// Collect every base-table name referenced anywhere in `sel` (FROM trees,
-// joins, subqueries, CTE bodies), treating WITH-bound names as non-tables.
-void CollectTableNames(const sql::SelectStmt& sel, std::set<std::string> bound,
-                       std::set<std::string>* out);
-
-void CollectNamesInFrom(const sql::TableRef& ref,
-                        const std::set<std::string>& bound,
-                        std::set<std::string>* out) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable:
-      if (bound.count(ref.name) == 0) out->insert(ref.name);
-      return;
-    case sql::TableRef::Kind::kSubquery:
-      CollectTableNames(*ref.subquery, bound, out);
-      return;
-    case sql::TableRef::Kind::kJoin:
-      CollectNamesInFrom(*ref.left, bound, out);
-      CollectNamesInFrom(*ref.right, bound, out);
-      return;
-  }
-}
-
-void CollectTableNames(const sql::SelectStmt& sel, std::set<std::string> bound,
-                       std::set<std::string>* out) {
-  for (const auto& c : sel.ctes) {
-    if (c.query) CollectTableNames(*c.query, bound, out);
-    bound.insert(c.name);
-  }
-  for (const auto& f : sel.from) CollectNamesInFrom(*f, bound, out);
-}
-
-bool HasPullableSubquery(const sql::SelectStmt& sel);
-
-bool PullableInFrom(const sql::TableRef& ref) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable:
-      return false;
-    case sql::TableRef::Kind::kSubquery:
-      // The engine's own shape test: claiming a pullup the engine pass
-      // would not perform would re-enter the rewrite without progress.
-      return (!ref.alias.empty() &&
-              engine::IsTrivialWrapper(*ref.subquery)) ||
-             HasPullableSubquery(*ref.subquery);
-    case sql::TableRef::Kind::kJoin:
-      return PullableInFrom(*ref.left) || PullableInFrom(*ref.right);
-  }
-  return false;
-}
-
-bool HasPullableSubquery(const sql::SelectStmt& sel) {
-  for (const auto& c : sel.ctes) {
-    if (c.query && HasPullableSubquery(*c.query)) return true;
-  }
-  for (const auto& f : sel.from) {
-    if (PullableInFrom(*f)) return true;
-  }
-  return false;
 }
 
 // True if any non-top-level WITH clause survived inlining (a FROM subquery
 // or a remaining CTE body still carries one). Materialization only handles
 // the top level.
 bool HasNestedCtes(const sql::SelectStmt& sel) {
-  std::function<bool(const sql::TableRef&)> walk =
-      [&](const sql::TableRef& ref) -> bool {
-    switch (ref.kind) {
-      case sql::TableRef::Kind::kTable:
-        return false;
-      case sql::TableRef::Kind::kSubquery:
-        return engine::HasCtes(*ref.subquery);
-      case sql::TableRef::Kind::kJoin:
-        return walk(*ref.left) || walk(*ref.right);
-    }
-    return false;
-  };
   for (const auto& c : sel.ctes) {
     if (c.query && engine::HasCtes(*c.query)) return true;
   }
-  for (const auto& f : sel.from) {
-    if (walk(*f)) return true;
-  }
-  return false;
+  return sql::AnyFromItem(
+      sel, sql::Reach::kSubqueries, [](const sql::TableRef& ref) {
+        return ref.kind == sql::TableRef::Kind::kSubquery &&
+               !ref.subquery->ctes.empty();
+      });
 }
 
 }  // namespace
 
 bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel) {
-  if (!engine::HasCtes(sel) && !HasPullableSubquery(sel)) return false;
-  std::set<std::string> names;
-  CollectTableNames(sel, {}, &names);
-  for (const std::string& n : names) {
-    if (metadata.Find(n) != nullptr) return true;
+  // A pullable subquery passes the engine's own shape test: claiming a
+  // pullup the engine pass would not perform would re-enter the rewrite
+  // without progress.
+  if (!engine::HasCtes(sel) &&
+      !sql::AnyFromItem(sel, sql::Reach::kAll, [](const sql::TableRef& ref) {
+        return ref.kind == sql::TableRef::Kind::kSubquery &&
+               !ref.alias.empty() && engine::IsTrivialWrapper(*ref.subquery);
+      })) {
+    return false;
   }
-  return false;
+  // A WITH-bound name is not a relation.
+  return sql::AnyFromItem(
+      sel, sql::Reach::kAll,
+      [&](const sql::TableRef& ref, const sql::FromScope& scope) {
+        return ref.kind == sql::TableRef::Kind::kTable &&
+               !scope.Binds(ref.name) && metadata.Find(ref.name) != nullptr;
+      });
 }
 
 Result<DistributedPlan> DistributedPlanner::PlanWithCtes(
@@ -239,13 +167,9 @@ Result<DistributedPlan> DistributedPlanner::PlanCteAttempt(
     stage.body = std::make_unique<DistributedPlan>(std::move(body));
     for (size_t j = i + 1; j < defs.size(); j++) {
       if (defs[j].query == nullptr) continue;
-      for (auto& f : defs[j].query->from) {
-        RewriteTableRefs(f, stage.cte, stage.result.logical);
-      }
+      RewriteTableRefs(*defs[j].query, stage.cte, stage.result.logical);
     }
-    for (auto& f : work->from) {
-      RewriteTableRefs(f, stage.cte, stage.result.logical);
-    }
+    RewriteTableRefs(*work, stage.cte, stage.result.logical);
     stages.push_back(std::move(stage));
   }
   CITUSX_ASSIGN_OR_RETURN(DistributedPlan plan,

@@ -10,6 +10,10 @@
 namespace citusx::citus {
 
 namespace {
+// Upper bound on this node's total outgoing connections per worker (the
+// shared connection limit of §3.6.1, citus.max_shared_pool_size).
+constexpr int kMaxSharedPoolSize = 300;
+
 // Node -> extension registry (PostgreSQL would keep this in shared memory).
 std::unordered_map<engine::Node*, CitusExtension*>& Registry() {
   static auto* kMap = new std::unordered_map<engine::Node*, CitusExtension*>();
@@ -256,7 +260,7 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
   // the breakage through them (abort path owns the cleanup).
   if (!conns.empty()) return conns.front().get();
   // Open the session's primary connection to this worker.
-  if (outgoing_connections(worker) >= config_.max_shared_pool_size) {
+  if (outgoing_connections(worker) >= kMaxSharedPoolSize) {
     return Status::ResourceExhausted(
         "shared connection pool for " + worker + " is exhausted");
   }
@@ -269,7 +273,7 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
 Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
     const std::weak_ptr<CitusSessionState>& session_state,
     const std::string& worker) {
-  if (outgoing_connections(worker) >= config_.max_shared_pool_size) {
+  if (outgoing_connections(worker) >= kMaxSharedPoolSize) {
     return static_cast<WorkerConnection*>(nullptr);  // limit reached
   }
   auto conn = directory_->Connect(node_, worker);

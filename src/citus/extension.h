@@ -87,9 +87,6 @@ struct StatStatementEntry {
 struct CitusConfig {
   bool is_coordinator = false;
   int shard_count = 32;
-  /// Upper bound on this node's total outgoing connections per worker
-  /// (the shared connection limit of §3.6.1).
-  int max_shared_pool_size = 300;
   /// Disable slow start entirely (ablation: abl_executor). The allowance
   /// interval is sim::CostModel::executor_slow_start_interval.
   bool enable_slow_start = true;
@@ -363,12 +360,9 @@ class CitusExtension {
   /// was cancelled.
   bool DetectDistributedDeadlocks();
 
-  /// Statistics.
-  int64_t two_phase_commits = 0;
-  int64_t two_phase_prepares = 0;  // PREPARE TRANSACTION sent (2 per 2-node 2PC)
-  int64_t single_node_commits = 0;
+  /// Distributed deadlocks broken (the 2PC tallies are the citus.2pc.*
+  /// counters below).
   int64_t deadlocks_detected = 0;
-  int64_t recovered_txns = 0;
 
   /// Metric handles on this node's registry, resolved once at install.
   obs::Counter* metric_tasks = nullptr;          // citus.executor.tasks

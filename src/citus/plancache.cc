@@ -195,47 +195,6 @@ bool NormalizeStatement(const sql::Statement& stmt, const CitusTable& table,
   }
 }
 
-/// Every parameter index referenced by the (normalized) statement.
-void CollectExprParams(const ExprPtr& e, std::set<int>* out) {
-  sql::WalkExpr(e, [out](const Expr& x) {
-    if (x.kind == ExprKind::kParam) out->insert(x.param_index);
-  });
-}
-
-std::set<int> CollectParamIndices(const sql::Statement& stmt) {
-  std::set<int> out;
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kSelect: {
-      const sql::SelectStmt& s = *stmt.select;
-      for (const auto& t : s.targets) CollectExprParams(t.expr, &out);
-      CollectExprParams(s.where, &out);
-      for (const auto& g : s.group_by) CollectExprParams(g, &out);
-      CollectExprParams(s.having, &out);
-      for (const auto& o : s.order_by) CollectExprParams(o.expr, &out);
-      CollectExprParams(s.limit, &out);
-      CollectExprParams(s.offset, &out);
-      break;
-    }
-    case sql::Statement::Kind::kInsert:
-      for (const auto& row : stmt.insert->values) {
-        for (const auto& v : row) CollectExprParams(v, &out);
-      }
-      break;
-    case sql::Statement::Kind::kUpdate:
-      for (const auto& [col, e] : stmt.update->sets) {
-        CollectExprParams(e, &out);
-      }
-      CollectExprParams(stmt.update->where, &out);
-      break;
-    case sql::Statement::Kind::kDelete:
-      CollectExprParams(stmt.del->where, &out);
-      break;
-    default:
-      break;
-  }
-  return out;
-}
-
 std::shared_ptr<CachedDistPlan> BuildPlan(Normalized&& norm, std::string key,
                                           const CitusTable& table,
                                           uint64_t generation) {
@@ -248,9 +207,13 @@ std::shared_ptr<CachedDistPlan> BuildPlan(Normalized&& norm, std::string key,
   plan->is_write = norm.stmt.kind == sql::Statement::Kind::kSelect
                        ? norm.stmt.select->for_update
                        : true;
-  plan->base_params = norm.base_params;
   plan->num_params = norm.base_params + static_cast<int>(norm.lifted.size());
-  std::set<int> used = CollectParamIndices(norm.stmt);
+  std::set<int> used;
+  sql::ForEachExprSlot(norm.stmt, sql::Reach::kAll, [&](const ExprPtr& e) {
+    sql::WalkExpr(e, [&](const Expr& x) {
+      if (x.kind == ExprKind::kParam) used.insert(x.param_index);
+    });
+  });
   plan->use_prepared =
       static_cast<int>(used.size()) == plan->num_params &&
       (used.empty() ||
@@ -307,12 +270,10 @@ Result<std::optional<DistributedPlan>> PlanFromCache(
   std::shared_ptr<CachedDistPlan> plan;
   if (hit) {
     plan = it->second;
-    // Same key but a different parameter layout (caller passed unused
-    // params): don't risk mis-binding, fall through to the planner.
-    if (plan->base_params != static_cast<int>(params.size()) ||
-        plan->num_params != static_cast<int>(bound.size())) {
-      return not_handled;
-    }
+    // Equal keys put every $n in the same place, whether it came from the
+    // caller or from a lifted constant; only the count can differ (a caller
+    // passing unused params), and then the planner takes the statement.
+    if (plan->num_params != static_cast<int>(bound.size())) return not_handled;
   } else {
     plan = BuildPlan(std::move(norm), std::move(key), *analysis.distributed[0],
                      gen);

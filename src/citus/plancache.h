@@ -37,8 +37,7 @@ struct CachedDistPlan {
   int dist_param = -1;  // bound-param index carrying the dist-column value
   bool is_write = false;
   sql::Statement::Kind kind = sql::Statement::Kind::kSelect;
-  int base_params = 0;  // $n params of the original statement
-  int num_params = 0;   // base_params + lifted constants
+  int num_params = 0;  // caller's $n params + lifted constants
 
   /// The statement with its constants lifted into $n parameters; every
   /// shard query is deparsed from it.

@@ -21,52 +21,36 @@ using sql::SelectStmt;
 
 constexpr const char* kIntermediateName = "citusx_intermediate";
 
-void CollectTableRefs(const sql::TableRef& ref, const CitusMetadata& metadata,
-                      const StageRelations* stages, TableAnalysis* out) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable: {
-      const CitusTable* t = nullptr;
-      if (stages != nullptr) {
-        auto stage = stages->find(ref.name);
-        if (stage != stages->end()) t = &stage->second;
-      }
-      const bool is_stage = t != nullptr;
-      if (!is_stage) t = metadata.Find(ref.name);
-      std::string alias = ref.alias.empty() ? ref.name : ref.alias;
-      if (t == nullptr) {
-        out->local.push_back(ref.name);
-      } else {
-        out->alias_map[alias] = t;
-        auto& vec = t->is_reference ? out->reference : out->distributed;
-        bool present = false;
-        for (const auto* existing : vec) present |= existing == t;
-        if (!present) {
-          vec.push_back(t);
-          if (is_stage) out->stages++;
-        }
-      }
-      return;
-    }
-    case sql::TableRef::Kind::kSubquery: {
-      for (const auto& f : ref.subquery->from) {
-        CollectTableRefs(*f, metadata, stages, out);
-      }
-      return;
-    }
-    case sql::TableRef::Kind::kJoin:
-      CollectTableRefs(*ref.left, metadata, stages, out);
-      CollectTableRefs(*ref.right, metadata, stages, out);
-      return;
-  }
-}
-
 }  // namespace
 
 TableAnalysis AnalyzeSelectTables(const CitusMetadata& metadata,
                                   const sql::SelectStmt& sel,
                                   const StageRelations* stages) {
   TableAnalysis out;
-  for (const auto& f : sel.from) CollectTableRefs(*f, metadata, stages, &out);
+  sql::ForEachFromItem(
+      sel, sql::Reach::kSubqueries, [&](const sql::TableRef& ref) {
+        if (ref.kind != sql::TableRef::Kind::kTable) return;
+        const CitusTable* t = nullptr;
+        if (stages != nullptr) {
+          auto stage = stages->find(ref.name);
+          if (stage != stages->end()) t = &stage->second;
+        }
+        const bool is_stage = t != nullptr;
+        if (!is_stage) t = metadata.Find(ref.name);
+        std::string alias = ref.alias.empty() ? ref.name : ref.alias;
+        if (t == nullptr) {
+          out.local.push_back(ref.name);
+          return;
+        }
+        out.alias_map[alias] = t;
+        auto& vec = t->is_reference ? out.reference : out.distributed;
+        bool present = false;
+        for (const auto* existing : vec) present |= existing == t;
+        if (!present) {
+          vec.push_back(t);
+          if (is_stage) out.stages++;
+        }
+      });
   return out;
 }
 
@@ -129,15 +113,12 @@ std::map<std::string, std::string> ShardGroupTableMap(
 void CollectConjuncts(const sql::SelectStmt& sel,
                       std::vector<sql::ExprPtr>* out) {
   engine::SplitConjuncts(sel.where, out);
-  std::function<void(const sql::TableRef&)> walk =
-      [&](const sql::TableRef& ref) {
+  sql::ForEachFromItem(
+      sel, sql::Reach::kOwnLevel, [&](const sql::TableRef& ref) {
         if (ref.kind == sql::TableRef::Kind::kJoin) {
           engine::SplitConjuncts(ref.on, out);
-          walk(*ref.left);
-          walk(*ref.right);
         }
-      };
-  for (const auto& f : sel.from) walk(*f);
+      });
 }
 
 namespace {
@@ -277,37 +258,12 @@ Result<std::vector<std::string>> ShardCreationDdl(engine::Node* node,
 
 namespace {
 
-// SubqueryPushdownSafe over every FROM subquery of `sel`, at the top level
-// or under a JOIN.
-bool FromSubqueriesPushdownSafe(const SelectStmt& sel,
-                                const CitusMetadata& metadata,
-                                std::string* reason) {
-  std::function<bool(const sql::TableRef&)> walk =
-      [&](const sql::TableRef& ref) -> bool {
-    switch (ref.kind) {
-      case sql::TableRef::Kind::kTable:
-        return true;
-      case sql::TableRef::Kind::kSubquery:
-        return SubqueryPushdownSafe(*ref.subquery, metadata, reason);
-      case sql::TableRef::Kind::kJoin:
-        return walk(*ref.left) && walk(*ref.right);
-    }
-    return true;
-  };
-  for (const auto& f : sel.from) {
-    if (!walk(*f)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-// Can this select run entirely on each shard group without a merge step
-// beyond concatenation? True when it has no aggregates/grouping, or when the
-// GROUP BY includes a distribution column (§3.5 logical pushdown; the
-// VeniceDB pattern from §5). Checked recursively for FROM subqueries.
-bool SubqueryPushdownSafe(const SelectStmt& sel, const CitusMetadata& metadata,
-                          std::string* reason) {
+// Can this select, leaving aside its FROM subqueries, run entirely on each
+// shard group without a merge step beyond concatenation? True when it has no
+// aggregates/grouping, or when the GROUP BY includes a distribution column
+// (§3.5 logical pushdown; the VeniceDB pattern from §5).
+bool LevelPushdownSafe(const SelectStmt& sel, const CitusMetadata& metadata,
+                       std::string* reason) {
   TableAnalysis analysis = AnalyzeSelectTables(metadata, sel);
   if (analysis.distributed.empty()) return true;  // reference/local only
   bool has_agg = !sel.group_by.empty() || sel.having != nullptr;
@@ -335,7 +291,26 @@ bool SubqueryPushdownSafe(const SelectStmt& sel, const CitusMetadata& metadata,
     *reason = "LIMIT in a subquery cannot be pushed down";
     return false;
   }
-  return FromSubqueriesPushdownSafe(sel, metadata, reason);
+  return true;
+}
+
+// LevelPushdownSafe over every FROM subquery of `sel`, at every depth.
+bool FromSubqueriesPushdownSafe(const SelectStmt& sel,
+                                const CitusMetadata& metadata,
+                                std::string* reason) {
+  return !sql::AnyFromItem(
+      sel, sql::Reach::kSubqueries, [&](const sql::TableRef& ref) {
+        return ref.kind == sql::TableRef::Kind::kSubquery &&
+               !LevelPushdownSafe(*ref.subquery, metadata, reason);
+      });
+}
+
+}  // namespace
+
+bool SubqueryPushdownSafe(const SelectStmt& sel, const CitusMetadata& metadata,
+                          std::string* reason) {
+  return LevelPushdownSafe(sel, metadata, reason) &&
+         FromSubqueriesPushdownSafe(sel, metadata, reason);
 }
 
 // All distributed tables must be joined on their distribution columns

@@ -282,10 +282,10 @@ bool NeedsCteRewrite(const CitusMetadata& metadata, const sql::SelectStmt& sel);
 
 // ---- intermediate-result management (repartition.cc) ----
 
-/// Rewrite FROM references of `from_name` to `to_name` (recursively through
+/// Rewrite the FROM references of `from_name` in `sel` to `to_name` (through
 /// joins and subqueries), preserving column qualification by aliasing the
 /// new name back to the old one.
-void RewriteTableRefs(sql::TableRefPtr& ref, const std::string& from_name,
+void RewriteTableRefs(sql::SelectStmt& sel, const std::string& from_name,
                       const std::string& to_name);
 
 /// citus.max_intermediate_result_size is registered in kB (pg semantics);

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -44,26 +43,12 @@ uint64_t g_repart_counter = 0;
 // True if `name` appears as a base table somewhere under a FROM subquery
 // (we only reposition top-level tables).
 bool AppearsInSubquery(const sql::SelectStmt& sel, const std::string& name) {
-  std::function<bool(const sql::TableRef&, bool)> walk =
-      [&](const sql::TableRef& ref, bool inside_subquery) -> bool {
-    switch (ref.kind) {
-      case sql::TableRef::Kind::kTable:
-        return inside_subquery && ref.name == name;
-      case sql::TableRef::Kind::kSubquery:
-        for (const auto& f : ref.subquery->from) {
-          if (walk(*f, true)) return true;
-        }
-        return false;
-      case sql::TableRef::Kind::kJoin:
-        return walk(*ref.left, inside_subquery) ||
-               walk(*ref.right, inside_subquery);
-    }
-    return false;
-  };
-  for (const auto& f : sel.from) {
-    if (walk(*f, false)) return true;
-  }
-  return false;
+  return sql::AnyFromItem(
+      sel, sql::Reach::kSubqueries,
+      [&](const sql::TableRef& ref, const sql::FromScope& scope) {
+        return ref.kind == sql::TableRef::Kind::kTable && scope.depth() > 0 &&
+               ref.name == name;
+      });
 }
 
 // Single-quote `s` as a SQL string literal (the shuffle spec is JSON text
@@ -78,43 +63,25 @@ std::string QuoteAsSqlLiteral(const std::string& s) {
   return out;
 }
 
-bool RefNamesTable(const sql::TableRef& ref, const CitusTable* t,
-                   const TableAnalysis& analysis) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable: {
-      if (ref.name == t->name) return true;
-      const std::string& key = ref.alias.empty() ? ref.name : ref.alias;
-      auto it = analysis.alias_map.find(key);
-      return it != analysis.alias_map.end() && it->second == t;
-    }
-    case sql::TableRef::Kind::kSubquery:
-      return false;
-    case sql::TableRef::Kind::kJoin:
-      return RefNamesTable(*ref.left, t, analysis) ||
-             RefNamesTable(*ref.right, t, analysis);
-  }
-  return false;
-}
-
 // True when `t` sits on the preserved (left) side of some LEFT JOIN: its
 // unmatched rows are NULL-extended, so every row must land on exactly one
 // worker — a broadcast copy on each of N workers would emit the extension
 // N times.
 bool PreservedInLeftJoin(const sql::SelectStmt& sel, const CitusTable* t,
                          const TableAnalysis& analysis) {
-  std::function<bool(const sql::TableRef&)> walk =
-      [&](const sql::TableRef& ref) -> bool {
-    if (ref.kind != sql::TableRef::Kind::kJoin) return false;
-    if (ref.join_type == sql::JoinType::kLeft &&
-        RefNamesTable(*ref.left, t, analysis)) {
-      return true;
-    }
-    return walk(*ref.left) || walk(*ref.right);
+  auto names_t = [&](const sql::TableRef& ref) {
+    if (ref.kind != sql::TableRef::Kind::kTable) return false;
+    if (ref.name == t->name) return true;
+    const std::string& key = ref.alias.empty() ? ref.name : ref.alias;
+    auto it = analysis.alias_map.find(key);
+    return it != analysis.alias_map.end() && it->second == t;
   };
-  for (const auto& f : sel.from) {
-    if (f != nullptr && walk(*f)) return true;
-  }
-  return false;
+  return sql::AnyFromItem(
+      sel, sql::Reach::kOwnLevel, [&](const sql::TableRef& ref) {
+        return ref.kind == sql::TableRef::Kind::kJoin &&
+               ref.join_type == sql::JoinType::kLeft &&
+               sql::AnyFromItem(*ref.left, sql::Reach::kOwnLevel, names_t);
+      });
 }
 
 // Worker-to-worker shuffle: one `citus_internal_shuffle` task per source
@@ -229,26 +196,14 @@ Status CreateIntermediateResult(CitusExtension* ext, engine::Session& session,
 
 // ---- shared intermediate-result helpers (also used by cte_inline.cc) ----
 
-void RewriteTableRefs(sql::TableRefPtr& ref, const std::string& from_name,
+void RewriteTableRefs(sql::SelectStmt& sel, const std::string& from_name,
                       const std::string& to_name) {
-  if (ref == nullptr) return;
-  switch (ref->kind) {
-    case sql::TableRef::Kind::kTable:
-      if (ref->name == from_name) {
-        if (ref->alias.empty()) ref->alias = from_name;
-        ref->name = to_name;
-      }
-      return;
-    case sql::TableRef::Kind::kSubquery:
-      for (auto& f : ref->subquery->from) {
-        RewriteTableRefs(f, from_name, to_name);
-      }
-      return;
-    case sql::TableRef::Kind::kJoin:
-      RewriteTableRefs(ref->left, from_name, to_name);
-      RewriteTableRefs(ref->right, from_name, to_name);
-      return;
-  }
+  sql::ForEachFromItem(sel, sql::Reach::kSubqueries, [&](sql::TableRef& ref) {
+    if (ref.kind == sql::TableRef::Kind::kTable && ref.name == from_name) {
+      if (ref.alias.empty()) ref.alias = from_name;
+      ref.name = to_name;
+    }
+  });
 }
 
 int64_t MaxIntermediateResultBytes(engine::Session& session) {
@@ -473,9 +428,7 @@ Result<std::optional<DistributedPlan>> DistributedPlanner::PlanJoinOrder(
     Stage stage;
     stage.result = AddStageRelation();
     stage.result.workers = kept_workers;
-    for (auto& f : rewritten->from) {
-      RewriteTableRefs(f, mp.table->name, stage.result.logical);
-    }
+    RewriteTableRefs(*rewritten, mp.table->name, stage.result.logical);
     stage.move = std::move(mp);
     stages.push_back(std::move(stage));
   }

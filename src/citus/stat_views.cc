@@ -20,21 +20,6 @@ constexpr const char* kStatFailures = "citus_stat_failures";
 constexpr const char* kStatMetadataSync = "citus_stat_metadata_sync";
 constexpr const char* kStatPools = "citus_stat_pools";
 
-void CollectNames(const sql::TableRef& ref, std::set<std::string>* out) {
-  switch (ref.kind) {
-    case sql::TableRef::Kind::kTable:
-      out->insert(ref.name);
-      return;
-    case sql::TableRef::Kind::kSubquery:
-      for (const auto& f : ref.subquery->from) CollectNames(*f, out);
-      return;
-    case sql::TableRef::Kind::kJoin:
-      CollectNames(*ref.left, out);
-      CollectNames(*ref.right, out);
-      return;
-  }
-}
-
 engine::TempRelation BuildStatStatements(CitusExtension* ext) {
   engine::TempRelation rel;
   rel.column_names = {"query",         "tier",        "calls",
@@ -274,7 +259,13 @@ Result<std::optional<engine::QueryResult>> MaybeExecuteStatView(
     return std::optional<engine::QueryResult>();
   }
   std::set<std::string> names;
-  for (const auto& f : stmt.select->from) CollectNames(*f, &names);
+  sql::ForEachFromItem(
+      *stmt.select, sql::Reach::kAll,
+      [&](const sql::TableRef& ref, const sql::FromScope& scope) {
+        if (ref.kind == sql::TableRef::Kind::kTable && !scope.Binds(ref.name)) {
+          names.insert(ref.name);
+        }
+      });
   bool wants_statements = names.count(kStatStatements) > 0;
   bool wants_activity = names.count(kStatActivity) > 0;
   bool wants_plan_cache = names.count(kStatPlanCache) > 0;

@@ -100,7 +100,6 @@ Status CitusExtension::PreCommit(engine::Session& session) {
       });
   if (!reader_status.ok()) return reader_status;
   if (writers.empty()) {
-    single_node_commits++;
     metric_1pc_commits->Inc();
     return Status::OK();
   }
@@ -111,7 +110,6 @@ Status CitusExtension::PreCommit(engine::Session& session) {
     wc->txn_open = false;
     wc->did_write = false;
     wc->groups.clear();
-    single_node_commits++;
     metric_1pc_commits->Inc();
     if (!r.ok()) return r.status();
     return Status::OK();
@@ -138,7 +136,6 @@ Status CitusExtension::PreCommit(engine::Session& session) {
         auto r = wc->conn->Query("PREPARE TRANSACTION " +
                                  QuoteSqlLiteral(gid));
         if (!r.ok()) return r.status();
-        two_phase_prepares++;
         metric_prepares->Inc();
         wc->prepared_gid = gid;
         wc->txn_open = false;
@@ -199,7 +196,6 @@ Status CitusExtension::PreCommit(engine::Session& session) {
       return s;
     }
   }
-  two_phase_commits++;
   metric_2pc_commits->Inc();
   return Status::OK();
 }
@@ -314,7 +310,6 @@ Result<int> CitusExtension::RecoverTwoPhaseCommits(engine::Session& session) {
         if (r.ok()) {
           DeleteCommitRecord(this, session, gid);
           finalized++;
-          recovered_txns++;
           metric_recovered->Inc();
         }
       } else {
@@ -322,7 +317,6 @@ Result<int> CitusExtension::RecoverTwoPhaseCommits(engine::Session& session) {
         auto r = wc->conn->Query("ROLLBACK PREPARED " + QuoteSqlLiteral(gid));
         if (r.ok()) {
           finalized++;
-          recovered_txns++;
           metric_recovered->Inc();
         }
       }

@@ -6,40 +6,50 @@ namespace citusx::engine {
 
 namespace {
 
-void SubstituteCteInSelect(sql::SelectStmt* s, const sql::CteDef& cte);
-
 // Turn base-table references to the CTE name into subquery copies of its
 // body, keeping the reference's alias (or the CTE name) so column
-// qualification still resolves.
-void SubstituteCteInRef(sql::TableRefPtr& ref, const sql::CteDef& cte) {
-  if (ref == nullptr) return;
-  switch (ref->kind) {
-    case sql::TableRef::Kind::kTable:
-      if (ref->name == cte.name) {
-        ref->kind = sql::TableRef::Kind::kSubquery;
-        ref->subquery = cte.query->Clone();
-        if (ref->alias.empty()) ref->alias = cte.name;
-        ref->name.clear();
-      }
-      return;
-    case sql::TableRef::Kind::kSubquery:
-      SubstituteCteInSelect(ref->subquery.get(), cte);
-      return;
-    case sql::TableRef::Kind::kJoin:
-      SubstituteCteInRef(ref->left, cte);
-      SubstituteCteInRef(ref->right, cte);
-      return;
-  }
+// qualification still resolves. A nested WITH entry of the same name
+// shadows the definition for everything after it.
+void SubstituteCte(sql::SelectStmt* s, const sql::CteDef& cte) {
+  sql::ForEachFromItem(
+      *s, sql::Reach::kAll,
+      [&](sql::TableRef& ref, const sql::FromScope& scope) {
+        if (ref.kind != sql::TableRef::Kind::kTable || ref.name != cte.name ||
+            scope.Binds(cte.name)) {
+          return;
+        }
+        ref.kind = sql::TableRef::Kind::kSubquery;
+        ref.subquery = cte.query->Clone();
+        if (ref.alias.empty()) ref.alias = cte.name;
+        ref.name.clear();
+      });
 }
 
-void SubstituteCteInSelect(sql::SelectStmt* s, const sql::CteDef& cte) {
-  // A nested WITH entry of the same name shadows the outer definition for
-  // everything after it (including the main FROM).
-  for (auto& c : s->ctes) {
-    if (c.query) SubstituteCteInSelect(c.query.get(), cte);
-    if (c.name == cte.name) return;
+// Fold the entries of `stmt`'s own WITH list that `should_inline` selects
+// into the entries after them and into its FROM. Each body folds its own
+// nested lists before it is cloned, so a nested entry folds once.
+int FoldWithList(sql::SelectStmt* stmt,
+                 const std::function<bool(const sql::CteDef&)>& should_inline) {
+  int inlined = 0;
+  std::vector<sql::CteDef> list = std::move(stmt->ctes);
+  stmt->ctes.clear();
+  std::vector<sql::CteDef> kept;
+  for (size_t i = 0; i < list.size(); i++) {
+    sql::CteDef& cte = list[i];
+    if (cte.query) inlined += InlineCtes(cte.query.get(), should_inline);
+    if (should_inline != nullptr && !should_inline(cte)) {
+      kept.push_back(std::move(cte));
+      continue;
+    }
+    // Fold into later siblings (which may reference it) and the main query.
+    for (size_t j = i + 1; j < list.size(); j++) {
+      if (list[j].query) SubstituteCte(list[j].query.get(), cte);
+    }
+    SubstituteCte(stmt, cte);
+    inlined++;
   }
-  for (auto& f : s->from) SubstituteCteInRef(f, cte);
+  stmt->ctes = std::move(kept);
+  return inlined;
 }
 
 }  // namespace
@@ -58,90 +68,38 @@ bool IsTrivialWrapper(const sql::SelectStmt& s) {
 int InlineCtes(sql::SelectStmt* stmt,
                const std::function<bool(const sql::CteDef&)>& should_inline) {
   if (stmt == nullptr) return 0;
-  int inlined = 0;
-  // FROM subqueries first, so nested WITH clauses fold before any outer
-  // substitution clones into them.
-  std::function<void(sql::TableRefPtr&)> walk = [&](sql::TableRefPtr& ref) {
-    if (ref == nullptr) return;
-    if (ref->kind == sql::TableRef::Kind::kSubquery) {
-      inlined += InlineCtes(ref->subquery.get(), should_inline);
-    } else if (ref->kind == sql::TableRef::Kind::kJoin) {
-      walk(ref->left);
-      walk(ref->right);
+  // The outer list first, then each FROM subquery's, outermost first.
+  int inlined = FoldWithList(stmt, should_inline);
+  sql::ForEachFromItem(*stmt, sql::Reach::kSubqueries, [&](sql::TableRef& ref) {
+    if (ref.kind == sql::TableRef::Kind::kSubquery) {
+      inlined += FoldWithList(ref.subquery.get(), should_inline);
     }
-  };
-  for (auto& f : stmt->from) walk(f);
-
-  std::vector<sql::CteDef> list = std::move(stmt->ctes);
-  stmt->ctes.clear();
-  std::vector<sql::CteDef> kept;
-  for (size_t i = 0; i < list.size(); i++) {
-    sql::CteDef& cte = list[i];
-    if (cte.query) inlined += InlineCtes(cte.query.get(), should_inline);
-    if (should_inline != nullptr && !should_inline(cte)) {
-      kept.push_back(std::move(cte));
-      continue;
-    }
-    // Fold into later siblings (which may reference it) and the main query.
-    for (size_t j = i + 1; j < list.size(); j++) {
-      if (list[j].query) SubstituteCteInSelect(list[j].query.get(), cte);
-    }
-    for (auto& f : stmt->from) SubstituteCteInRef(f, cte);
-    inlined++;
-  }
-  stmt->ctes = std::move(kept);
+  });
   return inlined;
 }
 
 int PullUpTrivialSubqueries(sql::SelectStmt* stmt) {
   if (stmt == nullptr) return 0;
   int pulled = 0;
-  std::function<void(sql::TableRefPtr&)> walk = [&](sql::TableRefPtr& ref) {
-    if (ref == nullptr) return;
-    switch (ref->kind) {
-      case sql::TableRef::Kind::kTable:
-        return;
-      case sql::TableRef::Kind::kSubquery:
-        pulled += PullUpTrivialSubqueries(ref->subquery.get());
-        if (IsTrivialWrapper(*ref->subquery) && !ref->alias.empty()) {
-          ref->kind = sql::TableRef::Kind::kTable;
-          ref->name = ref->subquery->from[0]->name;
-          ref->subquery = nullptr;
-          pulled++;
-        }
-        return;
-      case sql::TableRef::Kind::kJoin:
-        walk(ref->left);
-        walk(ref->right);
-        return;
+  sql::ForEachFromItem(*stmt, sql::Reach::kAll, [&](sql::TableRef& ref) {
+    if (ref.kind == sql::TableRef::Kind::kSubquery && !ref.alias.empty() &&
+        IsTrivialWrapper(*ref.subquery)) {
+      ref.kind = sql::TableRef::Kind::kTable;
+      ref.name = ref.subquery->from[0]->name;
+      ref.subquery = nullptr;
+      pulled++;
     }
-  };
-  for (auto& c : stmt->ctes) {
-    if (c.query) pulled += PullUpTrivialSubqueries(c.query.get());
-  }
-  for (auto& f : stmt->from) walk(f);
+  });
   return pulled;
 }
 
 bool HasCtes(const sql::SelectStmt& stmt) {
-  if (!stmt.ctes.empty()) return true;
-  std::function<bool(const sql::TableRefPtr&)> walk =
-      [&](const sql::TableRefPtr& ref) -> bool {
-    if (ref == nullptr) return false;
-    switch (ref->kind) {
-      case sql::TableRef::Kind::kTable:
-        return false;
-      case sql::TableRef::Kind::kSubquery:
-        return HasCtes(*ref->subquery);
-      case sql::TableRef::Kind::kJoin:
-        return walk(ref->left) || walk(ref->right);
-    }
-    return false;
-  };
-  for (const auto& f : stmt.from) {
-    if (walk(f)) return true;
-  }
-  return false;
+  return !stmt.ctes.empty() ||
+         sql::AnyFromItem(stmt, sql::Reach::kSubqueries,
+                          [](const sql::TableRef& ref) {
+                            return ref.kind == sql::TableRef::Kind::kSubquery &&
+                                   !ref.subquery->ctes.empty();
+                          });
 }
 
 Result<QueryResult> RunLocalSelect(

@@ -109,9 +109,10 @@ bool IsTrivialWrapper(const sql::SelectStmt& s);
 
 /// Flatten trivial FROM subqueries — `(SELECT * FROM t) AS x` with no
 /// WHERE/GROUP BY/HAVING/ORDER BY/LIMIT/OFFSET/DISTINCT/WITH — into direct
-/// table references that keep the subquery alias. Applied recursively
-/// (bottom-up, so pullups cascade). Returns the number of subqueries pulled
-/// up.
+/// table references that keep the subquery alias. Applied through every
+/// subquery and WITH body; a pulled-up reference keeps its alias, so it never
+/// makes the subquery around it trivial in turn. Returns the number of
+/// subqueries pulled up.
 int PullUpTrivialSubqueries(sql::SelectStmt* stmt);
 
 /// True if `stmt` or any nested subquery/CTE body carries a WITH clause.

@@ -135,13 +135,14 @@ struct PlannedRel {
 };
 
 // Referenced columns of a base table (for columnar projection pruning):
-// computed from the whole statement by qualifier/name matching.
+// computed from every expression slot of the statement's own level, join
+// ONs included, by qualifier/name matching.
 std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
                                    const std::string& qualifier,
                                    const sql::Schema& schema) {
   std::set<int> used;
   bool star = false;
-  auto visit = [&](const ExprPtr& e) {
+  sql::ForEachExprSlot(stmt, sql::Reach::kOwnLevel, [&](const ExprPtr& e) {
     sql::WalkExpr(e, [&](const Expr& x) {
       if (x.kind == ExprKind::kStar) star = true;
       if (x.kind == ExprKind::kColumnRef &&
@@ -150,12 +151,7 @@ std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
         if (c >= 0) used.insert(c);
       }
     });
-  };
-  for (const auto& t : stmt.targets) visit(t.expr);
-  visit(stmt.where);
-  for (const auto& g : stmt.group_by) visit(g);
-  visit(stmt.having);
-  for (const auto& o : stmt.order_by) visit(o.expr);
+  });
   if (star) return {};  // all columns
   return {used.begin(), used.end()};
 }

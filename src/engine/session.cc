@@ -1,5 +1,7 @@
 #include "engine/session.h"
 
+#include <algorithm>
+
 #include "common/str.h"
 #include "engine/planner.h"
 #include "sql/deparser.h"
@@ -9,73 +11,16 @@ namespace citusx::engine {
 
 namespace {
 
-void VisitExprParams(const sql::ExprPtr& e, int* max_param);
-
-void VisitSelectParams(const sql::SelectStmt& s, int* max_param);
-
-void VisitTableRefParams(const sql::TableRefPtr& ref, int* max_param) {
-  if (ref == nullptr) return;
-  switch (ref->kind) {
-    case sql::TableRef::Kind::kTable:
-      return;
-    case sql::TableRef::Kind::kSubquery:
-      if (ref->subquery) VisitSelectParams(*ref->subquery, max_param);
-      return;
-    case sql::TableRef::Kind::kJoin:
-      VisitTableRefParams(ref->left, max_param);
-      VisitTableRefParams(ref->right, max_param);
-      VisitExprParams(ref->on, max_param);
-      return;
-  }
-}
-
-void VisitExprParams(const sql::ExprPtr& e, int* max_param) {
-  if (e == nullptr) return;
-  sql::WalkExpr(e, [max_param](const sql::Expr& x) {
-    if (x.kind == sql::ExprKind::kParam && x.param_index + 1 > *max_param) {
-      *max_param = x.param_index + 1;
-    }
-  });
-}
-
-void VisitSelectParams(const sql::SelectStmt& s, int* max_param) {
-  for (const auto& t : s.targets) VisitExprParams(t.expr, max_param);
-  for (const auto& f : s.from) VisitTableRefParams(f, max_param);
-  VisitExprParams(s.where, max_param);
-  for (const auto& g : s.group_by) VisitExprParams(g, max_param);
-  VisitExprParams(s.having, max_param);
-  for (const auto& o : s.order_by) VisitExprParams(o.expr, max_param);
-  VisitExprParams(s.limit, max_param);
-  VisitExprParams(s.offset, max_param);
-}
-
 /// Highest $n referenced anywhere in the statement (1-based count).
 int MaxParamCount(const sql::Statement& stmt) {
   int max_param = 0;
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kSelect:
-      VisitSelectParams(*stmt.select, &max_param);
-      break;
-    case sql::Statement::Kind::kInsert:
-      for (const auto& row : stmt.insert->values) {
-        for (const auto& v : row) VisitExprParams(v, &max_param);
+  sql::ForEachExprSlot(stmt, sql::Reach::kAll, [&](const sql::ExprPtr& e) {
+    sql::WalkExpr(e, [&](const sql::Expr& x) {
+      if (x.kind == sql::ExprKind::kParam) {
+        max_param = std::max(max_param, x.param_index + 1);
       }
-      if (stmt.insert->select) {
-        VisitSelectParams(*stmt.insert->select, &max_param);
-      }
-      break;
-    case sql::Statement::Kind::kUpdate:
-      for (const auto& s : stmt.update->sets) {
-        VisitExprParams(s.second, &max_param);
-      }
-      VisitExprParams(stmt.update->where, &max_param);
-      break;
-    case sql::Statement::Kind::kDelete:
-      VisitExprParams(stmt.del->where, &max_param);
-      break;
-    default:
-      break;
-  }
+    });
+  });
   return max_param;
 }
 

@@ -132,4 +132,13 @@ SelectPtr SelectStmt::Clone() const {
   return s;
 }
 
+bool FromScope::Binds(const std::string& name) const {
+  for (const FromScope* s = this; s != nullptr; s = s->outer_) {
+    for (size_t i = 0; i < s->bound_; i++) {
+      if ((*s->ctes_)[i].name == name) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace citusx::sql

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -323,6 +324,206 @@ struct Statement {
   std::shared_ptr<ExecuteStmt> execute;
   std::shared_ptr<DeallocateStmt> deallocate;
 };
+
+// ---- Statement walks ----
+//
+// The one place that knows which FROM items and expression slots a
+// statement holds and where a WITH name is in scope. Every pass that asks
+// what a statement contains calls these two walks; only the deparser and
+// the binder switch on TableRef kinds themselves, because they render and
+// bind each kind. They are templates because the distributed planner walks
+// every client statement with them.
+
+/// How far a walk goes below the walked SELECT's own FROM tree (its joins,
+/// their ON clauses, and its subqueries as items).
+enum class Reach {
+  kOwnLevel,
+  kSubqueries,  // also inside FROM subqueries, at every depth
+  kAll,         // also inside WITH bodies, at every depth
+};
+
+/// Where a visited FROM item sits: how many FROM subqueries and WITH bodies
+/// enclose it, and which WITH names are in scope there. An entry's name is
+/// in scope in the entries after it and in its SELECT's FROM; a subquery
+/// sees every name its parent sees. A scope lives only while its item is
+/// visited.
+class FromScope {
+ public:
+  FromScope(const std::vector<CteDef>* ctes, size_t bound,
+            const FromScope* outer, int depth)
+      : ctes_(ctes), bound_(bound), outer_(outer), depth_(depth) {}
+
+  /// 0 for the walked SELECT's own FROM items.
+  int depth() const { return depth_; }
+
+  /// True when `name` names a WITH entry here rather than a relation.
+  bool Binds(const std::string& name) const;
+
+  /// Puts the first `count` entries of this level's WITH list in scope.
+  void set_bound(size_t count) { bound_ = count; }
+
+ private:
+  const std::vector<CteDef>* ctes_;  // the first bound_ entries are in scope
+  size_t bound_;
+  const FromScope* outer_;
+  int depth_;
+};
+
+namespace walk_internal {
+
+template <typename S>
+using RefOf = std::conditional_t<std::is_const_v<S>, const TableRef, TableRef>;
+template <typename R>
+using SelectOf =
+    std::conditional_t<std::is_const_v<R>, const SelectStmt, SelectStmt>;
+
+template <typename R, typename Pred>
+decltype(auto) Visit(Pred& pred, R& ref, const FromScope& scope) {
+  if constexpr (std::is_invocable_v<Pred&, R&, const FromScope&>) {
+    return pred(ref, scope);
+  } else {
+    return pred(ref);
+  }
+}
+
+template <typename S, typename Pred>
+bool AnyInSelect(S& sel, Reach reach, const FromScope* outer, int depth,
+                 Pred& pred);
+
+template <typename R, typename Pred>
+bool AnyInRef(R& ref, Reach reach, const FromScope& scope, Pred& pred) {
+  // The kind is read before the visit, so a visitor that turns a table into
+  // a subquery (CTE substitution) is not walked into the body it placed.
+  const TableRef::Kind kind = ref.kind;
+  if (Visit(pred, ref, scope)) return true;
+  switch (kind) {
+    case TableRef::Kind::kTable:
+      return false;
+    case TableRef::Kind::kSubquery:
+      return reach != Reach::kOwnLevel && ref.subquery != nullptr &&
+             AnyInSelect(static_cast<SelectOf<R>&>(*ref.subquery), reach,
+                         &scope, scope.depth() + 1, pred);
+    case TableRef::Kind::kJoin:
+      return AnyInRef(static_cast<R&>(*ref.left), reach, scope, pred) ||
+             AnyInRef(static_cast<R&>(*ref.right), reach, scope, pred);
+  }
+  return false;
+}
+
+template <typename S, typename Pred>
+bool AnyInSelect(S& sel, Reach reach, const FromScope* outer, int depth,
+                 Pred& pred) {
+  FromScope scope(&sel.ctes, 0, outer, depth);
+  if (reach == Reach::kAll) {
+    for (size_t i = 0; i < sel.ctes.size(); i++) {
+      scope.set_bound(i);  // a body sees the entries before it
+      if (sel.ctes[i].query != nullptr &&
+          AnyInSelect(static_cast<S&>(*sel.ctes[i].query), reach, &scope,
+                      depth + 1, pred)) {
+        return true;
+      }
+    }
+  }
+  scope.set_bound(sel.ctes.size());
+  for (const TableRefPtr& f : sel.from) {
+    if (f != nullptr &&
+        AnyInRef(static_cast<RefOf<S>&>(*f), reach, scope, pred)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace walk_internal
+
+/// Calls `pred(ref, scope)` (or `pred(ref)`) on the FROM items of `sel` in
+/// pre-order until one returns true, and returns whether one did. WITH
+/// bodies come first, in declaration order, then the FROM list left to
+/// right; a join comes before its left and right children. `reach` says
+/// whether subqueries and WITH bodies are entered. The visitor may rewrite
+/// the item it is given; the walk enters what the item held before.
+template <typename Select, typename Pred>
+  requires std::is_same_v<std::remove_const_t<Select>, SelectStmt>
+bool AnyFromItem(Select& sel, Reach reach, Pred&& pred) {
+  return walk_internal::AnyInSelect(sel, reach, nullptr, 0, pred);
+}
+/// The same over one FROM item and what it contains (the item at depth 0).
+template <typename Pred>
+bool AnyFromItem(const TableRef& ref, Reach reach, Pred&& pred) {
+  return walk_internal::AnyInRef(ref, reach, FromScope(nullptr, 0, nullptr, 0),
+                                 pred);
+}
+
+/// AnyFromItem for a visitor that returns nothing: visits every item.
+template <typename Select, typename Fn>
+void ForEachFromItem(Select& sel, Reach reach, Fn&& fn) {
+  AnyFromItem(sel, reach, [&fn](auto& ref, const FromScope& scope) {
+    walk_internal::Visit(fn, ref, scope);
+    return false;
+  });
+}
+
+/// Calls `fn(expr)` on every non-null expression slot of `sel`: its targets,
+/// the ON of every join in its FROM tree, WHERE, GROUP BY, HAVING, ORDER BY,
+/// LIMIT and OFFSET, and, as `reach` asks, the slots of its FROM subqueries
+/// and WITH bodies (the bodies first, each subquery where it sits in FROM).
+template <typename Fn>
+void ForEachExprSlot(const SelectStmt& sel, Reach reach, Fn&& fn) {
+  auto slot = [&fn](const ExprPtr& e) {
+    if (e != nullptr) fn(e);
+  };
+  if (reach == Reach::kAll) {
+    for (const CteDef& c : sel.ctes) {
+      if (c.query != nullptr) ForEachExprSlot(*c.query, reach, fn);
+    }
+  }
+  for (const SelectItem& t : sel.targets) slot(t.expr);
+  ForEachFromItem(sel, Reach::kOwnLevel, [&](const TableRef& ref) {
+    if (ref.kind == TableRef::Kind::kJoin) {
+      slot(ref.on);
+    } else if (ref.kind == TableRef::Kind::kSubquery &&
+               reach != Reach::kOwnLevel && ref.subquery != nullptr) {
+      ForEachExprSlot(*ref.subquery, reach, fn);
+    }
+  });
+  slot(sel.where);
+  for (const ExprPtr& g : sel.group_by) slot(g);
+  slot(sel.having);
+  for (const OrderByItem& o : sel.order_by) slot(o.expr);
+  slot(sel.limit);
+  slot(sel.offset);
+}
+
+/// The same over a statement: a SELECT's slots, an INSERT's VALUES rows and
+/// source SELECT, an UPDATE's SET values and WHERE, a DELETE's WHERE.
+template <typename Fn>
+void ForEachExprSlot(const Statement& stmt, Reach reach, Fn&& fn) {
+  auto slot = [&fn](const ExprPtr& e) {
+    if (e != nullptr) fn(e);
+  };
+  switch (stmt.kind) {
+    case Statement::Kind::kSelect:
+      if (stmt.select != nullptr) ForEachExprSlot(*stmt.select, reach, fn);
+      return;
+    case Statement::Kind::kInsert:
+      for (const auto& row : stmt.insert->values) {
+        for (const ExprPtr& v : row) slot(v);
+      }
+      if (stmt.insert->select != nullptr) {
+        ForEachExprSlot(*stmt.insert->select, reach, fn);
+      }
+      return;
+    case Statement::Kind::kUpdate:
+      for (const auto& set : stmt.update->sets) slot(set.second);
+      slot(stmt.update->where);
+      return;
+    case Statement::Kind::kDelete:
+      slot(stmt.del->where);
+      return;
+    default:
+      return;
+  }
+}
 
 }  // namespace citusx::sql
 

@@ -7,39 +7,19 @@
 #include "citus/rebalancer.h"
 #include "citus/planner.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 
 namespace citusx::citus {
 namespace {
 
 using engine::QueryResult;
 
-class CitusTest : public ::testing::Test {
+class CitusTest : public test::DeploymentTest {
  protected:
-  void MakeDeployment(int workers) {
-    DeploymentOptions options;
-    options.num_workers = workers;
-    deploy_ = std::make_unique<Deployment>(&sim_, options);
-  }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  QueryResult MustQuery(net::Connection& conn, const std::string& sql) {
-    auto r = conn.Query(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? std::move(r).value() : QueryResult{};
-  }
-
   /// Plans the coordinator has counted at `tier` (citus.planner.<tier>).
   int64_t Planned(const std::string& tier) {
     return deploy_->coordinator()->metrics().CounterValue("citus.planner." +
                                                           tier);
-  }
-
-  int64_t CoordCounter(const std::string& name) {
-    return deploy_->coordinator()->metrics().CounterValue(name);
   }
 
   /// kv: 40 rows with v = key % 7; ref: a 7-row reference table keyed by
@@ -68,14 +48,6 @@ class CitusTest : public ::testing::Test {
     MustQuery(conn, "INSERT INTO ref VALUES " + ref);
     MustQuery(conn, "INSERT INTO other VALUES " + other);
   }
-
-  void TearDown() override {
-    sim_.Shutdown();
-    deploy_.reset();
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<Deployment> deploy_;
 };
 
 TEST_F(CitusTest, CreateDistributedTableMakesShards) {
@@ -275,8 +247,7 @@ TEST_F(CitusTest, ReferenceTableReplicationAndWrites) {
     QueryResult r = MustQuery(**conn, "SELECT name FROM dims WHERE id = 1");
     EXPECT_EQ(r.rows[0][0].text_value(), "uno");
     // 2PC was used for the multi-node write.
-    CitusExtension* ext = deploy_->extension(deploy_->coordinator());
-    EXPECT_GT(ext->two_phase_commits, 0);
+    EXPECT_GT(CoordCounter("citus.2pc.commits"), 0);
   });
 }
 
@@ -297,9 +268,8 @@ TEST_F(CitusTest, MultiStatementTransactionSingleNodeDelegation) {
     MustQuery(**conn, StrFormat("INSERT INTO acc VALUES (%lld, 100), (%lld, 200)",
                                 static_cast<long long>(k1),
                                 static_cast<long long>(k2)));
-    CitusExtension* ext = deploy_->extension(deploy_->coordinator());
-    int64_t tpc_before = ext->two_phase_commits;
-    int64_t single_before = ext->single_node_commits;
+    int64_t tpc_before = CoordCounter("citus.2pc.commits");
+    int64_t single_before = CoordCounter("citus.2pc.single_node_commits");
     // Same key twice: single worker transaction, no 2PC.
     MustQuery(**conn, "BEGIN");
     MustQuery(**conn, StrFormat("UPDATE acc SET v = v - 10 WHERE key = %lld",
@@ -307,8 +277,8 @@ TEST_F(CitusTest, MultiStatementTransactionSingleNodeDelegation) {
     MustQuery(**conn, StrFormat("UPDATE acc SET v = v + 10 WHERE key = %lld",
                                 static_cast<long long>(k1)));
     MustQuery(**conn, "COMMIT");
-    EXPECT_EQ(ext->two_phase_commits, tpc_before);
-    EXPECT_EQ(ext->single_node_commits, single_before + 1);
+    EXPECT_EQ(CoordCounter("citus.2pc.commits"), tpc_before);
+    EXPECT_EQ(CoordCounter("citus.2pc.single_node_commits"), single_before + 1);
     // Different keys on different nodes: 2PC.
     MustQuery(**conn, "BEGIN");
     MustQuery(**conn, StrFormat("UPDATE acc SET v = v - 10 WHERE key = %lld",
@@ -316,7 +286,7 @@ TEST_F(CitusTest, MultiStatementTransactionSingleNodeDelegation) {
     MustQuery(**conn, StrFormat("UPDATE acc SET v = v + 10 WHERE key = %lld",
                                 static_cast<long long>(k2)));
     MustQuery(**conn, "COMMIT");
-    EXPECT_GE(ext->two_phase_commits, tpc_before + 1);
+    EXPECT_GE(CoordCounter("citus.2pc.commits"), tpc_before + 1);
     QueryResult r = MustQuery(**conn, "SELECT sum(v) FROM acc");
     EXPECT_EQ(r.rows[0][0].int_value(), 300);
     // Rollback undoes on all nodes.

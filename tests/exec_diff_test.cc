@@ -195,5 +195,48 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
   sim.Shutdown();
 }
 
+// A join key that appears only in ON must survive the columnar scans'
+// projection: both executors, inner and LEFT, return the heap tables' rows.
+TEST(ExecDiffTest, ColumnarJoinKeyOnlyInOnMatchesHeap) {
+  sim::Simulation sim;
+  engine::Node node(&sim, "pg1", sim::DefaultCostModel());
+  InstallVectorizedExecutor(&node);
+  sim.Spawn("test", [&] {
+    auto s = node.OpenSession();
+    auto must = [&](const std::string& sql) {
+      auto r = s->Execute(sql);
+      EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+      return r.ok() ? std::move(r).value() : QueryResult{};
+    };
+    for (const char* am : {"heap", "columnar"}) {
+      must(StrFormat("CREATE TABLE a_%s (k bigint, x bigint) USING %s", am,
+                     am));
+      must(StrFormat("CREATE TABLE b_%s (k bigint, y bigint) USING %s", am,
+                     am));
+      must(StrFormat("INSERT INTO a_%s VALUES (1, 10), (2, 20), (3, 30)", am));
+      must(StrFormat("INSERT INTO b_%s VALUES (1, 100), (3, 300), (3, 301)",
+                     am));
+    }
+    for (const char* join : {"JOIN", "LEFT JOIN"}) {
+      auto query = [&](const char* am) {
+        return StrFormat("SELECT a.x, b.y FROM a_%s a %s b_%s b ON a.k = b.k",
+                         am, join, am);
+      };
+      QueryResult heap = must(query("heap"));
+      EXPECT_EQ(heap.rows.size(), std::string(join) == "JOIN" ? 3u : 4u);
+      for (const char* vectorize : {"off", "on"}) {
+        must(StrFormat("SET citus.use_vectorized_executor = '%s'", vectorize));
+        QueryResult columnar = must(query("columnar"));
+        EXPECT_TRUE(test::RowSetsClose(heap.rows, columnar.rows))
+            << query("columnar") << " (vectorized " << vectorize << ")"
+            << "\n  heap rows: " << heap.rows.size()
+            << "\n  columnar rows: " << columnar.rows.size();
+      }
+    }
+  });
+  sim.Run();
+  sim.Shutdown();
+}
+
 }  // namespace
 }  // namespace citusx::exec

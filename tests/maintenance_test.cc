@@ -70,8 +70,9 @@ TEST_F(MaintenanceTest, DaemonRecoversOrphanedPreparedTransaction) {
                   static_cast<long long>(key)));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->rows[0][0].int_value(), 9);
-    CitusExtension* ext = deploy_->extension(deploy_->coordinator());
-    EXPECT_GE(ext->recovered_txns, 1);
+    EXPECT_GE(deploy_->coordinator()->metrics().CounterValue(
+                  "citus.2pc.recovered"),
+              1);
   });
   sim_.Run();
 }

@@ -9,6 +9,7 @@
 #include "citus/deploy.h"
 #include "citus/rebalancer.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 #include "sim/fault.h"
 
 namespace citusx::citus {
@@ -16,29 +17,8 @@ namespace {
 
 using engine::QueryResult;
 
-class MxTest : public ::testing::Test {
+class MxTest : public test::DeploymentTest {
  protected:
-  void Deploy(const DeploymentOptions& options) {
-    deploy_ = std::make_unique<Deployment>(&sim_, options);
-  }
-
-  void MakeDeployment(int workers) {
-    DeploymentOptions options;
-    options.num_workers = workers;
-    Deploy(options);
-  }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  QueryResult MustQuery(net::Connection& conn, const std::string& sql) {
-    auto r = conn.Query(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? std::move(r).value() : QueryResult{};
-  }
-
   // Placement worker of `key` in distributed table `table`.
   std::string WorkerOf(const std::string& table, int64_t key) {
     const CitusTable* ct = deploy_->metadata().Find(table);
@@ -65,14 +45,6 @@ class MxTest : public ::testing::Test {
     }
     return n;
   }
-
-  void TearDown() override {
-    sim_.Shutdown();
-    deploy_.reset();
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<Deployment> deploy_;
 };
 
 // Router reads and writes through a worker return exactly what the

@@ -11,6 +11,7 @@
 #include "citus/deploy.h"
 #include "citus/planner.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -93,25 +94,8 @@ TEST(TraceTest, SpanTreeCollection) {
 // Cluster-level observability
 // ---------------------------------------------------------------------------
 
-class ObsTest : public ::testing::Test {
+class ObsTest : public test::DeploymentTest {
  protected:
-  void MakeDeployment(int workers) {
-    DeploymentOptions options;
-    options.num_workers = workers;
-    deploy_ = std::make_unique<Deployment>(&sim_, options);
-  }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  QueryResult MustQuery(net::Connection& conn, const std::string& sql) {
-    auto r = conn.Query(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? std::move(r).value() : QueryResult{};
-  }
-
   static std::string Text(const QueryResult& r) {
     std::string out;
     for (const auto& row : r.rows) {
@@ -165,14 +149,6 @@ class ObsTest : public ::testing::Test {
     if (worker_spans_out != nullptr) *worker_spans_out = workers;
     return tasks;
   }
-
-  void TearDown() override {
-    sim_.Shutdown();
-    deploy_.reset();
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<Deployment> deploy_;
 };
 
 TEST_F(ObsTest, NodeSubsystemMetrics) {
@@ -345,6 +321,28 @@ TEST_F(ObsTest, StatStatementsAggregatesNormalizedQueries) {
   });
 }
 
+// A stat view read inside a WITH body is built as for the main FROM list.
+TEST_F(ObsTest, StatViewsResolveInsideWithBodies) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    ASSERT_TRUE(conn.ok());
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    MustQuery(**conn, "SELECT v FROM kv WHERE key = 1");
+    QueryResult direct =
+        MustQuery(**conn, "SELECT count(*) FROM citus_stat_statements");
+    QueryResult with = MustQuery(
+        **conn,
+        "WITH s AS (SELECT * FROM citus_stat_statements) SELECT count(*) "
+        "FROM s");
+    ASSERT_EQ(direct.rows.size(), 1u);
+    ASSERT_EQ(with.rows.size(), 1u);
+    EXPECT_GT(with.rows[0][0].int_value(), 0);
+    EXPECT_EQ(with.rows[0][0].int_value(), direct.rows[0][0].int_value());
+  });
+}
+
 // Each entry records the tier its own plan took and the tasks its own calls
 // dispatched: a concurrent session looping a 32-shard count(*) must not leak
 // into the fast-path entry, nor the fast-path tasks into the count(*) entry.
@@ -493,9 +491,9 @@ TEST_F(ObsTest, TwoPhaseCommitCounterInvariant) {
     MustQuery(**conn, StrFormat("INSERT INTO t VALUES (%lld, 0), (%lld, 0)",
                                 static_cast<long long>(k1),
                                 static_cast<long long>(k2)));
-    CitusExtension* ext = deploy_->extension(deploy_->coordinator());
-    int64_t commits_before = ext->two_phase_commits;
-    int64_t prepares_before = ext->two_phase_prepares;
+    obs::Metrics& cm = deploy_->coordinator()->metrics();
+    int64_t commits_before = cm.CounterValue("citus.2pc.commits");
+    int64_t prepares_before = cm.CounterValue("citus.2pc.prepares");
     // A transaction writing on two nodes commits with 2PC: one PREPARE
     // TRANSACTION per participating worker connection.
     MustQuery(**conn, "BEGIN");
@@ -504,13 +502,10 @@ TEST_F(ObsTest, TwoPhaseCommitCounterInvariant) {
     MustQuery(**conn, StrFormat("UPDATE t SET v = 1 WHERE key = %lld",
                                 static_cast<long long>(k2)));
     MustQuery(**conn, "COMMIT");
-    EXPECT_EQ(ext->two_phase_commits, commits_before + 1);
-    EXPECT_EQ(ext->two_phase_prepares, prepares_before + 2);
-    EXPECT_EQ(ext->two_phase_prepares, 2 * ext->two_phase_commits);
-    // The counters are mirrored into the metrics registry.
-    obs::Metrics& cm = deploy_->coordinator()->metrics();
-    EXPECT_EQ(cm.CounterValue("citus.2pc.prepares"), ext->two_phase_prepares);
-    EXPECT_EQ(cm.CounterValue("citus.2pc.commits"), ext->two_phase_commits);
+    EXPECT_EQ(cm.CounterValue("citus.2pc.commits"), commits_before + 1);
+    EXPECT_EQ(cm.CounterValue("citus.2pc.prepares"), prepares_before + 2);
+    EXPECT_EQ(cm.CounterValue("citus.2pc.prepares"),
+              2 * cm.CounterValue("citus.2pc.commits"));
   });
 }
 

@@ -12,43 +12,21 @@
 #include "citus/planner.h"
 #include "citus/rebalancer.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 
 namespace citusx::citus {
 namespace {
 
 using engine::QueryResult;
 
-class PlanCacheTest : public ::testing::Test {
+class PlanCacheTest : public test::DeploymentTest {
  protected:
   void MakeDeployment(int workers, bool enable_plan_cache = true) {
     DeploymentOptions options;
     options.num_workers = workers;
     options.citus.enable_plan_cache = enable_plan_cache;
-    deploy_ = std::make_unique<Deployment>(&sim_, options);
+    Deploy(options);
   }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  QueryResult MustQuery(net::Connection& conn, const std::string& sql) {
-    auto r = conn.Query(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? std::move(r).value() : QueryResult{};
-  }
-
-  int64_t CoordCounter(const std::string& name) {
-    return deploy_->coordinator()->metrics().CounterValue(name);
-  }
-
-  void TearDown() override {
-    sim_.Shutdown();
-    deploy_.reset();
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<Deployment> deploy_;
 };
 
 TEST_F(PlanCacheTest, RepeatedQueriesHitTheCache) {
@@ -119,6 +97,49 @@ TEST_F(PlanCacheTest, PrepareExecuteRoundTripAndErrors) {
     EXPECT_FALSE((*conn)->Query("EXECUTE sel (1)").ok());
     MustQuery(**conn, "DEALLOCATE ALL");
     EXPECT_FALSE((*conn)->Query("EXECUTE ins (99, 'x')").ok());
+  });
+}
+
+// Raw SQL and an EXECUTE of the same shape share one cache entry: the
+// raw statement's lifted constant and the EXECUTE's $1 bind the same place.
+TEST_F(PlanCacheTest, RawSqlAndExecuteShareOneEntry) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    for (int i = 0; i < 10; i++) {
+      MustQuery(**conn, StrFormat("INSERT INTO kv VALUES (%d, 'v%d')", i, i));
+    }
+    MustQuery(**conn, "PREPARE sel (bigint) AS SELECT v FROM kv WHERE key = $1");
+    MustQuery(**conn, "SELECT v FROM kv WHERE key = 1");
+    int64_t hits0 = CoordCounter("citus.plancache.hit");
+    int64_t miss0 = CoordCounter("citus.plancache.miss");
+    for (int i = 0; i < 10; i++) {
+      QueryResult r = MustQuery(**conn, StrFormat("EXECUTE sel (%d)", i));
+      ASSERT_EQ(r.rows.size(), 1u);
+      EXPECT_EQ(r.rows[0][0].text_value(), StrFormat("v%d", i));
+    }
+    EXPECT_EQ(CoordCounter("citus.plancache.hit") - hits0, 10);
+    EXPECT_EQ(CoordCounter("citus.plancache.miss") - miss0, 0);
+  });
+}
+
+// A $n used only inside a WITH body counts toward the statement's
+// parameters.
+TEST_F(PlanCacheTest, PrepareCountsParametersInsideWithBodies) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE t (k bigint PRIMARY KEY, x bigint)");
+    MustQuery(**conn, "SELECT create_distributed_table('t', 'k')");
+    MustQuery(**conn, "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
+    MustQuery(**conn,
+              "PREPARE p AS WITH c AS (SELECT x FROM t WHERE k = $1) "
+              "SELECT x FROM c");
+    QueryResult r = MustQuery(**conn, "EXECUTE p (2)");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 20);
   });
 }
 

@@ -16,6 +16,7 @@
 #include "citus/deploy.h"
 #include "common/rng.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 #include "pool/pooler.h"
 
 namespace citusx::pool {
@@ -27,28 +28,9 @@ constexpr uint64_t kSeed = 20260809;
 constexpr int kRounds = 120;
 constexpr int kSessions = 5;
 
-class PoolTest : public ::testing::Test {
+class PoolTest : public test::DeploymentTest {
  protected:
-  void MakeDeployment(int workers) {
-    citus::DeploymentOptions options;
-    options.num_workers = workers;
-    deploy_ = std::make_unique<citus::Deployment>(&sim_, options);
-  }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  void TearDown() override { sim_.Shutdown(); }
-
   net::NodeDirectory& directory() { return deploy_->cluster().directory(); }
-
-  QueryResult MustQuery(net::Connection& conn, const std::string& sql) {
-    auto r = conn.Query(sql);
-    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    return r.ok() ? std::move(r).value() : QueryResult{};
-  }
 
   // Both sides must agree on success, error class, tag, and rows.
   void ExpectSame(const Result<QueryResult>& pooled,
@@ -72,9 +54,6 @@ class PoolTest : public ::testing::Test {
       }
     }
   }
-
-  sim::Simulation sim_;
-  std::unique_ptr<citus::Deployment> deploy_;
 };
 
 // One random step of a session's statement stream. Transaction blocks are

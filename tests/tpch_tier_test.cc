@@ -3,7 +3,8 @@
 // tier (or fails over to a slower one) changes what figure 8 measures, so
 // the expected tier is asserted per query via the planner's tier counters.
 // Shards are stored columnar, so worker fragments run through the
-// vectorized columnar read path.
+// vectorized columnar read path; a heap-vs-columnar differential requires
+// both storages to return the same answer to every fig8 query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,6 +124,50 @@ TEST_F(TpchTierTest, Fig8QueriesPlanAtExpectedTier) {
       EXPECT_GT(r->rows[0][0].int_value(), 0);
     }
   });
+}
+
+// Every TpchQueries() answer over the same TPC-H data (scale 0.01, two
+// workers) with lineitem/orders shards stored heap or columnar.
+std::vector<std::vector<sql::Row>> TpchAnswers(bool columnar) {
+  std::vector<std::vector<sql::Row>> answers;
+  sim::Simulation sim;
+  citus::DeploymentOptions options;
+  options.num_workers = 2;
+  citus::Deployment deploy(&sim, options);
+  sim.Spawn("test", [&] {
+    auto conn = deploy.Connect();
+    ASSERT_TRUE(conn.ok());
+    workload::TpchConfig cfg;
+    cfg.scale = 0.01;
+    cfg.columnar = columnar;
+    ASSERT_TRUE(workload::TpchCreateSchema(**conn, cfg).ok());
+    ASSERT_TRUE(workload::TpchLoad(**conn, cfg).ok());
+    for (const auto& [name, sql] : workload::TpchQueries()) {
+      auto r = (*conn)->Query(sql);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      answers.push_back(std::move(r->rows));
+    }
+  });
+  sim.Run();
+  sim.Shutdown();
+  return answers;
+}
+
+// Columnar storage changes how shards are read, never what a query returns.
+// The other differentials (fig8, abl_olap, exec_diff_test) compare two
+// executors running one plan, so only this one sees a column the plan
+// failed to read.
+TEST(TpchStorageTest, ColumnarShardsAnswerLikeHeapShards) {
+  std::vector<std::vector<sql::Row>> heap = TpchAnswers(false);
+  std::vector<std::vector<sql::Row>> columnar = TpchAnswers(true);
+  const auto queries = workload::TpchQueries();
+  ASSERT_EQ(heap.size(), queries.size());
+  ASSERT_EQ(columnar.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); i++) {
+    EXPECT_FALSE(heap[i].empty()) << queries[i].first;
+    EXPECT_TRUE(test::RowsClose(heap[i], columnar[i]))
+        << queries[i].first << ": columnar shards diverge from heap shards";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include "citus/deploy.h"
 #include "common/str.h"
+#include "deployment_fixture.h"
 #include "workload/driver.h"
 #include "workload/gharchive.h"
 #include "workload/tpcc.h"
@@ -14,27 +15,14 @@
 namespace citusx::workload {
 namespace {
 
-class WorkloadTest : public ::testing::Test {
+class WorkloadTest : public test::DeploymentTest {
  protected:
   void MakeDeployment(int workers, bool install_citus = true) {
     citus::DeploymentOptions options;
     options.num_workers = workers;
     options.install_citus = install_citus;
-    deploy_ = std::make_unique<citus::Deployment>(&sim_, options);
+    Deploy(options);
   }
-
-  void RunSim(std::function<void()> fn) {
-    sim_.Spawn("test", std::move(fn));
-    sim_.Run();
-  }
-
-  void TearDown() override {
-    sim_.Shutdown();
-    deploy_.reset();
-  }
-
-  sim::Simulation sim_;
-  std::unique_ptr<citus::Deployment> deploy_;
 };
 
 TEST_F(WorkloadTest, TpccLoadsAndRunsOnCitus) {
