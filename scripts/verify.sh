@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Single entry point for CI and local verification:
-#   tier 1: release build + full ctest suite (includes cituslint: layering,
-#           status-discard, lock-rank, raw-mutex, nodiscard,
-#           blocking-under-lock, guc-registry, metrics-registry — see
-#           tools/cituslint/ and the baseline burn-down report below)
+#   tier 1: release build + full ctest suite (includes cituslint, whose
+#           rules are listed in tools/cituslint/cituslint.cc, and the
+#           baseline burn-down report below)
 #   tier 2: AddressSanitizer build + full ctest suite
 #   tier 3: ThreadSanitizer build + full ctest suite
 #   tier 4: UndefinedBehaviorSanitizer build + full ctest suite

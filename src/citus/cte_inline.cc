@@ -102,8 +102,9 @@ Result<DistributedPlan> DistributedPlanner::PlanCteAttempt(
 
   // Inlining decisions need reference counts of each top-level CTE across
   // the later definitions and the outer query (pg12: a CTE referenced more
-  // than once materializes unless NOT MATERIALIZED forces the fold).
-  std::map<std::string, int> ref_counts;
+  // than once materializes unless NOT MATERIALIZED forces the fold). Keyed
+  // by body, so a nested entry that reuses a top-level name is not counted.
+  std::map<const sql::SelectStmt*, int> ref_counts;
   {
     sql::SelectStmt outer_no_ctes = *work;
     outer_no_ctes.ctes.clear();
@@ -115,7 +116,7 @@ Result<DistributedPlan> DistributedPlanner::PlanCteAttempt(
           n += CountTableRefs(*work->ctes[j].query, name);
         }
       }
-      ref_counts[name] = n;
+      ref_counts[work->ctes[i].query.get()] = n;
     }
   }
 
@@ -123,7 +124,7 @@ Result<DistributedPlan> DistributedPlanner::PlanCteAttempt(
     if (!allow_inlining) return false;
     if (c.hint == sql::CteDef::Hint::kNotMaterialized) return true;
     if (c.hint == sql::CteDef::Hint::kMaterialized) return false;
-    auto it = ref_counts.find(c.name);
+    auto it = ref_counts.find(c.query.get());
     // Nested CTEs (no top-level refcount entry) always fold — they cannot
     // materialize from inside a subquery.
     return it == ref_counts.end() || it->second <= 1;

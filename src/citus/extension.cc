@@ -1,11 +1,11 @@
 #include "citus/extension.h"
 
-#include <mutex>
 #include <unordered_map>
 
 #include "citus/plancache.h"
 #include "citus/planner.h"
 #include "exec/vectorized.h"
+#include "sim/simulation.h"
 
 namespace citusx::citus {
 
@@ -215,7 +215,6 @@ std::string CitusExtension::MakeGid(const std::string& dist_txn_id, int seq) {
 }
 
 void CitusExtension::OnConnectionClosed(const std::string& worker) {
-  MutexLock guard(pool_mu_);
   auto it = outgoing_.find(worker);
   if (it != outgoing_.end() && it->second > 0) it->second--;
 }
@@ -300,10 +299,7 @@ WorkerConnection* CitusExtension::AddPooledConnection(
   if (config_.statement_timeout > 0) {
     conn->SetStatementTimeout(config_.statement_timeout);
   }
-  {
-    MutexLock guard(pool_mu_);
-    outgoing_[worker]++;
-  }
+  outgoing_[worker]++;
   auto wc = std::make_unique<WorkerConnection>();
   wc->conn = std::move(conn);
   wc->worker = worker;
@@ -334,10 +330,7 @@ void CitusExtension::NoteWorkerUnavailable(const std::string& worker) {
   // Only mark the worker down when it actually is (a single dropped
   // connection must not invalidate every cached plan).
   if (node == nullptr || !node->is_down()) return;
-  {
-    MutexLock guard(pool_mu_);
-    if (!down_workers_.insert(worker).second) return;
-  }
+  if (!down_workers_.insert(worker).second) return;
   metric_node_down->Inc();
   // Cached distributed plans may route to the dead node; moving the
   // metadata generation drops them lazily, exactly like a shard move.
@@ -345,14 +338,13 @@ void CitusExtension::NoteWorkerUnavailable(const std::string& worker) {
 }
 
 void CitusExtension::NoteWorkerAvailable(const std::string& worker) {
-  MutexLock guard(pool_mu_);
   down_workers_.erase(worker);
 }
 
 Result<std::unique_ptr<net::Connection>> CitusExtension::AcquireShuffleConnection(
     const std::string& worker) {
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     auto it = shuffle_conns_.find(worker);
     while (it != shuffle_conns_.end() && !it->second.empty()) {
       std::unique_ptr<net::Connection> conn = std::move(it->second.back());
@@ -363,7 +355,7 @@ Result<std::unique_ptr<net::Connection>> CitusExtension::AcquireShuffleConnectio
       conn->Close();
     }
   }
-  // Connect outside the lock (the handshake yields).
+  // The handshake yields, so it runs after the scope.
   return directory_->Connect(node_, worker);
 }
 
@@ -374,7 +366,7 @@ void CitusExtension::ReleaseShuffleConnection(
     conn->Close();
     return;
   }
-  MutexLock guard(pool_mu_);
+  sim::NoYieldScope no_yield;
   auto& cached = shuffle_conns_[worker];
   // A couple of spares per destination is plenty: shuffles ship one bucket
   // per destination and rarely overlap on one source node.
@@ -387,19 +379,14 @@ void CitusExtension::ReleaseShuffleConnection(
 
 void CitusExtension::AddDeferredCleanup(const std::string& worker,
                                         std::vector<std::string> tables) {
-  MutexLock guard(pool_mu_);
   auto& pending = pending_cleanup_[worker];
   pending.insert(pending.end(), tables.begin(), tables.end());
 }
 
 int CitusExtension::RunDeferredCleanup(engine::Session& session) {
-  // Snapshot under the lock, drop over the network without it (round trips
-  // yield), then fold the survivors back in under the lock.
-  std::map<std::string, std::vector<std::string>> snapshot;
-  {
-    MutexLock guard(pool_mu_);
-    snapshot = pending_cleanup_;
-  }
+  // Drop from a snapshot, then fold the survivors back in: the round trips
+  // yield, and other processes may queue more cleanups meanwhile.
+  std::map<std::string, std::vector<std::string>> snapshot = pending_cleanup_;
   int dropped = 0;
   for (auto& [worker, tables] : snapshot) {
     engine::Node* node = directory_->Find(worker);
@@ -416,7 +403,6 @@ int CitusExtension::RunDeferredCleanup(engine::Session& session) {
         dropped_tables.push_back(table);
       }
     }
-    MutexLock guard(pool_mu_);
     auto it = pending_cleanup_.find(worker);
     if (it == pending_cleanup_.end()) continue;
     std::vector<std::string> remaining;

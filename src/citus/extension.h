@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "citus/metadata.h"
-#include "common/ordered_mutex.h"
 #include "engine/hooks.h"
 #include "net/cluster.h"
 #include "obs/metrics.h"
@@ -183,8 +182,7 @@ class CitusExtension {
   /// otherwise returns the least-loaded cached connection, or opens one.
   Result<WorkerConnection*> GetConnection(engine::Session& session,
                                           const std::string& worker,
-                                          std::pair<int, int> group)
-      EXCLUDES(pool_mu_);
+                                          std::pair<int, int> group);
 
   /// Open an additional connection to `worker` for parallel execution,
   /// respecting the shared pool limit. Returns nullptr (not an error) when
@@ -192,16 +190,14 @@ class CitusExtension {
   /// new connection is then closed and not counted).
   Result<WorkerConnection*> TryOpenExtraConnection(
       const std::weak_ptr<CitusSessionState>& session_state,
-      const std::string& worker) EXCLUDES(pool_mu_);
+      const std::string& worker);
 
   /// Ensure a worker-side transaction block is open on `wc` and the
   /// distributed transaction id is assigned/propagated.
   Status EnsureWorkerTxn(engine::Session& session, WorkerConnection* wc);
 
   /// Total outgoing connections to `worker` from this node.
-  int outgoing_connections(const std::string& worker) const
-      EXCLUDES(pool_mu_) {
-    MutexLock guard(pool_mu_);
+  int outgoing_connections(const std::string& worker) const {
     auto it = outgoing_.find(worker);
     return it == outgoing_.end() ? 0 : it->second;
   }
@@ -215,24 +211,21 @@ class CitusExtension {
 
   /// Record that `worker` was observed down. Bumps the metadata generation
   /// (invalidating distributed plan caches that route to it) the first time.
-  void NoteWorkerUnavailable(const std::string& worker) EXCLUDES(pool_mu_);
+  void NoteWorkerUnavailable(const std::string& worker);
   /// Clears the down marker after a successful reconnect.
-  void NoteWorkerAvailable(const std::string& worker) EXCLUDES(pool_mu_);
-  bool IsWorkerMarkedDown(const std::string& worker) const
-      EXCLUDES(pool_mu_) {
-    MutexLock guard(pool_mu_);
+  void NoteWorkerAvailable(const std::string& worker);
+  bool IsWorkerMarkedDown(const std::string& worker) const {
     return down_workers_.count(worker) > 0;
   }
 
   /// Remember shard tables to drop on `worker` once it is reachable again
   /// (failed rebalance copies); the maintenance daemon retries them.
   void AddDeferredCleanup(const std::string& worker,
-                          std::vector<std::string> tables) EXCLUDES(pool_mu_);
+                          std::vector<std::string> tables);
   /// Attempt all pending deferred cleanups; returns how many tables were
   /// dropped.
-  int RunDeferredCleanup(engine::Session& session) EXCLUDES(pool_mu_);
-  int pending_cleanup_count() const EXCLUDES(pool_mu_) {
-    MutexLock guard(pool_mu_);
+  int RunDeferredCleanup(engine::Session& session);
+  int pending_cleanup_count() const {
     int n = 0;
     for (const auto& [w, tables] : pending_cleanup_) {
       n += static_cast<int>(tables.size());
@@ -246,10 +239,9 @@ class CitusExtension {
   /// ReleaseShuffleConnection on success, or destroy it (just drop the
   /// unique_ptr) after any failure so a stale wire is never reused.
   Result<std::unique_ptr<net::Connection>> AcquireShuffleConnection(
-      const std::string& worker) EXCLUDES(pool_mu_);
+      const std::string& worker);
   void ReleaseShuffleConnection(const std::string& worker,
-                                std::unique_ptr<net::Connection> conn)
-      EXCLUDES(pool_mu_);
+                                std::unique_ptr<net::Connection> conn);
 
   // ---- metadata syncing / MX mode (metadata_sync.cc) ----
 
@@ -423,7 +415,7 @@ class CitusExtension {
   std::string MakeGid(const std::string& dist_txn_id, int seq);
 
   /// Release per-session connection accounting when a session dies.
-  void OnConnectionClosed(const std::string& worker) EXCLUDES(pool_mu_);
+  void OnConnectionClosed(const std::string& worker);
 
  private:
   friend struct CitusSessionState;
@@ -437,33 +429,23 @@ class CitusExtension {
   /// `worker`, count it against the shared limit, and cache it in `state`.
   WorkerConnection* AddPooledConnection(CitusSessionState& state,
                                         const std::string& worker,
-                                        std::unique_ptr<net::Connection> conn)
-      EXCLUDES(pool_mu_);
+                                        std::unique_ptr<net::Connection> conn);
 
   engine::Node* node_;
   net::NodeDirectory* directory_;
   std::shared_ptr<CitusMetadata> metadata_;
   CitusConfig config_;
-  /// Guards the shared connection counters, down-worker markers, and the
-  /// deferred-cleanup queue — the node-wide pool state shared by every
-  /// session. Never held across a connection open or round trip (both
-  /// yield); callers re-check under the lock after any wait.
-  mutable OrderedMutex pool_mu_{LockRank::kConnectionPool};
   /// Shared connection counters.
-  std::map<std::string, int> outgoing_ GUARDED_BY(pool_mu_);
-  /// Single-writer (the session assigning a txn id is the one running
-  /// simulated process), so deliberately not GUARDED_BY — matching
-  /// stat_statements_ / shell_tables_ below.
+  std::map<std::string, int> outgoing_;
   uint64_t dist_txn_counter_ = 0;
   /// Distributed transactions this node initiated that are still in flight;
   /// 2PC recovery must not touch their prepared transactions.
   std::set<std::string> active_dist_txns_;
   std::map<std::string, StatStatementEntry> stat_statements_;
   /// Workers observed down (cleared on successful reconnect).
-  std::set<std::string> down_workers_ GUARDED_BY(pool_mu_);
+  std::set<std::string> down_workers_;
   /// Worker -> shard tables awaiting cleanup (dropped by the daemon).
-  std::map<std::string, std::vector<std::string>> pending_cleanup_
-      GUARDED_BY(pool_mu_);
+  std::map<std::string, std::vector<std::string>> pending_cleanup_;
   /// Cached outbound worker-to-worker connections for shuffle shipping
   /// (citus_internal_shuffle). Acquire removes the handle from the cache,
   /// so two concurrent shuffles never interleave on one wire; Release puts
@@ -471,11 +453,9 @@ class CitusExtension {
   /// destination, while the executor's own tasks ride the session's
   /// long-lived pooled connections.
   std::map<std::string, std::vector<std::unique_ptr<net::Connection>>>
-      shuffle_conns_ GUARDED_BY(pool_mu_);
-  /// Relations registered as distributed-table shells on this node.
-  /// Single-writer per node (DDL propagation / sync apply), read at plan
-  /// time; cooperative scheduling makes the unlocked map safe, matching
-  /// stat_statements_ above.
+      shuffle_conns_;
+  /// Relations registered as distributed-table shells on this node,
+  /// written by DDL propagation and sync apply, read at plan time.
   std::set<std::string> shell_tables_;
   /// Authority-side sync bookkeeping, keyed by target node name.
   std::map<std::string, NodeSyncState> sync_states_;

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "common/status.h"
 #include "common/str.h"
 #include "sql/datum.h"
@@ -150,13 +149,11 @@ class CitusMetadata {
   }
 
   CitusTable* Add(CitusTable table) {
-    MutexLock guard(metadata_mu_);
     generation_++;
     return &(tables_[table.name] = std::move(table));
   }
 
   void Remove(const std::string& name) {
-    MutexLock guard(metadata_mu_);
     generation_++;
     tables_.erase(name);
   }
@@ -166,11 +163,9 @@ class CitusMetadata {
   /// node add/remove). Plan-cache entries snapshot it and are discarded
   /// when it no longer matches.
   uint64_t generation() const {
-    MutexLock guard(metadata_mu_);
     return generation_;
   }
   void BumpGeneration() {
-    MutexLock guard(metadata_mu_);
     generation_++;
   }
 
@@ -180,7 +175,6 @@ class CitusMetadata {
   /// The authority is born synced at version 1; replicas stay at version 0
   /// and unsynced until a sync round completes.
   void InitAuthority() {
-    MutexLock guard(metadata_mu_);
     cluster_version_ = 1;
     mx_synced_ = true;
   }
@@ -188,7 +182,6 @@ class CitusMetadata {
   /// Authoritative metadata version of this copy: the version the authority
   /// has published, or the version a replica last applied.
   uint64_t cluster_version() const {
-    MutexLock guard(metadata_mu_);
     return cluster_version_;
   }
 
@@ -196,7 +189,6 @@ class CitusMetadata {
   /// the local generation, since every authoritative change invalidates
   /// cached plans on this node too.
   void BumpClusterVersion() {
-    MutexLock guard(metadata_mu_);
     generation_++;
     cluster_version_++;
   }
@@ -204,7 +196,6 @@ class CitusMetadata {
   /// Authority-only: stamp `table` as changed at the current version, so
   /// incremental sync ships it to peers that applied an older version.
   void TouchTable(CitusTable* table) {
-    MutexLock guard(metadata_mu_);
     table->modified_version = cluster_version_;
   }
 
@@ -214,7 +205,6 @@ class CitusMetadata {
   /// reaches back far enough for a given peer (if not, the peer gets a
   /// snapshot).
   void RecordTableDrop(const std::string& name) {
-    MutexLock guard(metadata_mu_);
     dropped_log_.emplace_back(cluster_version_, name);
     while (dropped_log_.size() > kDropLogCap) {
       drop_log_floor_ = dropped_log_.front().first;
@@ -222,7 +212,6 @@ class CitusMetadata {
     }
   }
   std::vector<std::string> DroppedSince(uint64_t version) const {
-    MutexLock guard(metadata_mu_);
     std::vector<std::string> out;
     for (const auto& [v, name] : dropped_log_) {
       if (v > version) out.push_back(name);
@@ -230,26 +219,21 @@ class CitusMetadata {
     return out;
   }
   bool DropLogCovers(uint64_t version) const {
-    MutexLock guard(metadata_mu_);
     return version >= drop_log_floor_;
   }
 
   /// Authority-only: stamp the worker list / procedure map as changed at
   /// the current version, so delta sync ships them only when they changed.
   void TouchWorkers() {
-    MutexLock guard(metadata_mu_);
     workers_modified_version_ = cluster_version_;
   }
   uint64_t workers_modified_version() const {
-    MutexLock guard(metadata_mu_);
     return workers_modified_version_;
   }
   void TouchProcedures() {
-    MutexLock guard(metadata_mu_);
     procedures_modified_version_ = cluster_version_;
   }
   uint64_t procedures_modified_version() const {
-    MutexLock guard(metadata_mu_);
     return procedures_modified_version_;
   }
 
@@ -257,11 +241,9 @@ class CitusMetadata {
   /// authority). Cleared on node restart, so a copy that may have missed
   /// changes while the node was down is never used for routing.
   bool mx_synced() const {
-    MutexLock guard(metadata_mu_);
     return mx_synced_;
   }
   void set_mx_synced(bool synced) {
-    MutexLock guard(metadata_mu_);
     mx_synced_ = synced;
   }
 
@@ -270,11 +252,9 @@ class CitusMetadata {
   /// cluster_version falls below this watermark knows it is stale even
   /// before the authority re-syncs it.
   uint64_t known_cluster_version() const {
-    MutexLock guard(metadata_mu_);
     return known_cluster_version_;
   }
   void NoteObservedVersion(uint64_t version) {
-    MutexLock guard(metadata_mu_);
     known_cluster_version_ = std::max(known_cluster_version_, version);
   }
 
@@ -285,16 +265,13 @@ class CitusMetadata {
   /// list. FinishSync publishes the new version and bumps the generation
   /// once so cached plans built against the old copy are discarded.
   void ApplySyncedTable(CitusTable table) {
-    MutexLock guard(metadata_mu_);
     tables_[table.name] = std::move(table);
   }
   void ReconcileTables(const std::set<std::string>& keep) {
-    MutexLock guard(metadata_mu_);
     generation_ += std::erase_if(
         tables_, [&](const auto& kv) { return keep.count(kv.first) == 0; });
   }
   void FinishSync(uint64_t version) {
-    MutexLock guard(metadata_mu_);
     cluster_version_ = version;
     known_cluster_version_ = std::max(known_cluster_version_, version);
     mx_synced_ = true;
@@ -308,11 +285,9 @@ class CitusMetadata {
   std::vector<std::string> workers;
 
   uint64_t NextShardId() {
-    MutexLock guard(metadata_mu_);
     return next_shard_id_++;
   }
   int NextColocationId() {
-    MutexLock guard(metadata_mu_);
     return next_colocation_id_++;
   }
 
@@ -342,30 +317,19 @@ class CitusMetadata {
   std::map<std::string, DistributedProcedure> procedures;
 
  private:
-  /// Guards the table-map structure, the generation, and the id counters.
-  /// Lookups that hand out CitusTable pointers (Find/Get/tables()) stay
-  /// lock-free: simulated processes are cooperatively scheduled, so readers
-  /// cannot interleave with the locked mutation windows above — the mutex
-  /// makes those windows explicit and rank-ordered (see
-  /// common/ordered_mutex.h).
-  mutable OrderedMutex metadata_mu_{LockRank::kCitusMetadata};
-  /// Deliberately NOT GUARDED_BY(metadata_mu_): see the lock-free-reader
-  /// note above — annotating it would force every Find into a guard the
-  /// cooperative schedule does not need.
   std::map<std::string, CitusTable> tables_;
-  uint64_t next_shard_id_ GUARDED_BY(metadata_mu_) = 102008;
-  int next_colocation_id_ GUARDED_BY(metadata_mu_) = 1;
-  uint64_t generation_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t cluster_version_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t known_cluster_version_ GUARDED_BY(metadata_mu_) = 0;
-  bool mx_synced_ GUARDED_BY(metadata_mu_) = false;
+  uint64_t next_shard_id_ = 102008;
+  int next_colocation_id_ = 1;
+  uint64_t generation_ = 0;
+  uint64_t cluster_version_ = 0;
+  uint64_t known_cluster_version_ = 0;
+  bool mx_synced_ = false;
   /// (version, table name) drops for delta sync; see RecordTableDrop.
   static constexpr size_t kDropLogCap = 256;
-  std::vector<std::pair<uint64_t, std::string>> dropped_log_
-      GUARDED_BY(metadata_mu_);
-  uint64_t drop_log_floor_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t workers_modified_version_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t procedures_modified_version_ GUARDED_BY(metadata_mu_) = 0;
+  std::vector<std::pair<uint64_t, std::string>> dropped_log_;
+  uint64_t drop_log_floor_ = 0;
+  uint64_t workers_modified_version_ = 0;
+  uint64_t procedures_modified_version_ = 0;
 };
 
 /// Evenly divide the int32 hash space into `count` intervals.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "citus/extension.h"
+#include "sim/simulation.h"
 #include "sql/json.h"
 
 namespace citusx::citus {
@@ -248,6 +249,9 @@ std::string SerializeMetadataDelta(const CitusMetadata& md,
 Status ApplyMetadataDelta(CitusExtension* ext, const std::string& json) {
   CITUSX_ASSIGN_OR_RETURN(MetadataDelta delta, DecodeMetadataDelta(json));
   CitusMetadata& md = ext->metadata();
+  // Validate, apply and publish with no yield in between: queries route by
+  // this copy, so no process may see it half applied.
+  sim::NoYieldScope no_yield;
   // A delta only composes on top of the exact base it was computed
   // against; anything else (missed round, restart, refused earlier delta)
   // needs a snapshot.
@@ -259,10 +263,8 @@ Status ApplyMetadataDelta(CitusExtension* ext, const std::string& json) {
         static_cast<unsigned long long>(md.cluster_version()),
         md.mx_synced() ? 1 : 0, static_cast<unsigned long long>(delta.from)));
   }
-  // Everything below is pure in-memory application — no yields — so the
-  // validate-apply-publish sequence is atomic under the simulation's
-  // cooperative scheduling. Drops go first so a table dropped and
-  // re-created since the base survives.
+  // Drops go first so a table dropped and re-created since the base
+  // survives.
   md.default_shard_count = delta.default_shard_count;
   for (const std::string& name : delta.dropped) {
     md.Remove(name);

@@ -1,6 +1,5 @@
 #include "citus/plancache.h"
 
-#include <atomic>
 #include <set>
 
 #include "citus/executor.h"
@@ -19,7 +18,7 @@ using sql::ExprPtr;
 
 // Worker prepared-statement names must be unique per backend; a global
 // counter keeps them unique across sessions and extensions.
-std::atomic<int64_t> g_next_plan_id{1};
+int64_t g_next_plan_id = 1;
 
 /// A statement clone with constants lifted into parameters.
 struct Normalized {

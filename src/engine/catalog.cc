@@ -1,13 +1,13 @@
 #include "engine/catalog.h"
 
-#include <mutex>
+#include "sim/simulation.h"
 
 namespace citusx::engine {
 
 Result<TableInfo*> Catalog::CreateTable(
     const std::string& name, sql::Schema schema,
     const std::vector<std::string>& primary_key, bool columnar) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already exists: " + name);
   }
@@ -33,8 +33,8 @@ Result<TableInfo*> Catalog::CreateTable(
   TableInfo* ptr = info.get();
   tables_[name] = std::move(info);
   if (!primary_key.empty()) {
-    auto idx = CreateBtreeIndexLocked(name, name + "_pkey", primary_key,
-                                      /*unique=*/true);
+    auto idx = CreateBtreeIndex(name, name + "_pkey", primary_key,
+                                /*unique=*/true);
     if (!idx.ok()) {
       tables_.erase(name);
       return idx.status();
@@ -47,14 +47,8 @@ Result<TableInfo*> Catalog::CreateTable(
 Result<IndexInfo*> Catalog::CreateBtreeIndex(
     const std::string& table, const std::string& index_name,
     const std::vector<std::string>& columns, bool unique) {
-  MutexLock guard(catalog_mu_);
-  return CreateBtreeIndexLocked(table, index_name, columns, unique);
-}
-
-Result<IndexInfo*> Catalog::CreateBtreeIndexLocked(
-    const std::string& table, const std::string& index_name,
-    const std::vector<std::string>& columns, bool unique) {
-  TableInfo* info = FindLocked(table);
+  sim::NoYieldScope no_yield;
+  TableInfo* info = Find(table);
   if (info == nullptr) {
     return Status::NotFound("relation \"" + table + "\" does not exist");
   }
@@ -88,8 +82,8 @@ Result<IndexInfo*> Catalog::CreateBtreeIndexLocked(
 Result<IndexInfo*> Catalog::CreateGinIndex(const std::string& table,
                                            const std::string& index_name,
                                            sql::ExprPtr expression) {
-  MutexLock guard(catalog_mu_);
-  TableInfo* info = FindLocked(table);
+  sim::NoYieldScope no_yield;
+  TableInfo* info = Find(table);
   if (info == nullptr) {
     return Status::NotFound("relation \"" + table + "\" does not exist");
   }
@@ -111,11 +105,9 @@ Result<IndexInfo*> Catalog::CreateGinIndex(const std::string& table,
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  // Detach under the lock; release storage outside it (pure memory today,
-  // but keeps the critical section minimal).
   std::unique_ptr<TableInfo> detached;
   {
-    MutexLock guard(catalog_mu_);
+    sim::NoYieldScope no_yield;
     auto it = tables_.find(name);
     if (it == tables_.end()) {
       return Status::NotFound("table does not exist: " + name);
@@ -132,24 +124,19 @@ Status Catalog::DropTable(const std::string& name) {
   return Status::OK();
 }
 
-TableInfo* Catalog::FindLocked(const std::string& name) const {
+TableInfo* Catalog::Find(const std::string& name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-TableInfo* Catalog::Find(const std::string& name) {
-  MutexLock guard(catalog_mu_);
-  return FindLocked(name);
-}
-
 const TableInfo* Catalog::Find(const std::string& name) const {
-  MutexLock guard(catalog_mu_);
-  return FindLocked(name);
+  auto it = tables_.find(name);
+  return it == tables_.end() ? nullptr : it->second.get();
 }
 
 Result<TableInfo*> Catalog::Get(const std::string& name) {
-  MutexLock guard(catalog_mu_);
-  TableInfo* info = FindLocked(name);
+  sim::NoYieldScope no_yield;
+  TableInfo* info = Find(name);
   if (info == nullptr) {
     return Status::NotFound("relation \"" + name + "\" does not exist");
   }
@@ -157,7 +144,6 @@ Result<TableInfo*> Catalog::Get(const std::string& name) {
 }
 
 std::vector<TableInfo*> Catalog::AllTables() {
-  MutexLock guard(catalog_mu_);
   std::vector<TableInfo*> out;
   for (auto& [name, info] : tables_) out.push_back(info.get());
   return out;

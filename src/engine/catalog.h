@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "common/status.h"
 #include "sql/ast.h"
 #include "storage/columnar.h"
@@ -74,21 +73,9 @@ class Catalog {
   std::vector<TableInfo*> AllTables();
 
  private:
-  TableInfo* FindLocked(const std::string& name) const REQUIRES(catalog_mu_);
-  Result<IndexInfo*> CreateBtreeIndexLocked(
-      const std::string& table, const std::string& index_name,
-      const std::vector<std::string>& columns, bool unique)
-      REQUIRES(catalog_mu_);
-
-  /// Guards the table registry and the oid counter — not row data, which is
-  /// protected by MVCC plus the lock manager. Critical sections are pure
-  /// memory manipulation (no simulated I/O), so the mutex is never held
-  /// across a simulation yield.
-  mutable OrderedMutex catalog_mu_{LockRank::kCatalog};
   storage::BufferPool* pool_;
-  std::map<std::string, std::unique_ptr<TableInfo>> tables_
-      GUARDED_BY(catalog_mu_);
-  uint64_t next_oid_ GUARDED_BY(catalog_mu_) = 1000;
+  std::map<std::string, std::unique_ptr<TableInfo>> tables_;
+  uint64_t next_oid_ = 1000;
 };
 
 }  // namespace citusx::engine

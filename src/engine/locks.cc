@@ -2,8 +2,8 @@
 
 namespace citusx::engine {
 
-bool LockManager::CanGrantLocked(const LockState& state, TxnId txn,
-                                 LockMode mode) const {
+bool LockManager::CanGrant(const LockState& state, TxnId txn,
+                           LockMode mode) const {
   for (const auto& [holder, held_mode] : state.holders) {
     if (holder == txn) continue;
     if (mode == LockMode::kExclusive || held_mode == LockMode::kExclusive) {
@@ -16,7 +16,7 @@ bool LockManager::CanGrantLocked(const LockState& state, TxnId txn,
 Status LockManager::Acquire(const LockTag& tag, TxnId txn, LockMode mode) {
   std::shared_ptr<Waiter> waiter;
   {
-    MutexLock guard(lock_table_mu_);
+    sim::NoYieldScope no_yield;
     LockState& state = locks_[tag];
     auto held = state.holders.find(txn);
     if (held != state.holders.end()) {
@@ -27,7 +27,7 @@ Status LockManager::Acquire(const LockTag& tag, TxnId txn, LockMode mode) {
     }
     // Fairness: join the queue if anyone is already waiting, even if the
     // lock is momentarily free (prevents starvation of exclusive waiters).
-    if (state.queue.empty() && CanGrantLocked(state, txn, mode)) {
+    if (state.queue.empty() && CanGrant(state, txn, mode)) {
       bool first_grant = state.holders.find(txn) == state.holders.end();
       state.holders[txn] = mode;
       if (first_grant) held_by_txn_[txn].push_back(tag);
@@ -49,7 +49,7 @@ Status LockManager::Acquire(const LockTag& tag, TxnId txn, LockMode mode) {
   for (;;) {
     if (!sim_->Block()) {
       // Simulation shutdown: drop out of the queue.
-      MutexLock guard(lock_table_mu_);
+      sim::NoYieldScope no_yield;
       auto& q = locks_[tag].queue;
       for (auto it = q.begin(); it != q.end(); ++it) {
         if (it->get() == waiter.get()) {
@@ -59,7 +59,7 @@ Status LockManager::Acquire(const LockTag& tag, TxnId txn, LockMode mode) {
       }
       return Status::Cancelled("simulation stopping");
     }
-    MutexLock guard(lock_table_mu_);
+    sim::NoYieldScope no_yield;
     if (waiter->cancelled) {
       record_wait();
       return Status::Deadlock("canceling statement due to deadlock");
@@ -82,7 +82,7 @@ Status LockManager::Acquire(const LockTag& tag, TxnId txn, LockMode mode) {
 void LockManager::GrantWaiters(LockState* state) {
   while (!state->queue.empty()) {
     auto& w = state->queue.front();
-    if (!CanGrantLocked(*state, w->txn, w->mode)) break;
+    if (!CanGrant(*state, w->txn, w->mode)) break;
     state->holders[w->txn] = w->mode;
     w->granted = true;
     sim_->Wake(w->process);
@@ -91,7 +91,7 @@ void LockManager::GrantWaiters(LockState* state) {
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  MutexLock guard(lock_table_mu_);
+  sim::NoYieldScope no_yield;
   auto it = held_by_txn_.find(txn);
   if (it == held_by_txn_.end()) return;
   std::vector<LockTag> tags = std::move(it->second);
@@ -108,7 +108,7 @@ void LockManager::ReleaseAll(TxnId txn) {
 }
 
 bool LockManager::CancelWaiter(TxnId txn) {
-  MutexLock guard(lock_table_mu_);
+  sim::NoYieldScope no_yield;
   for (auto& [tag, state] : locks_) {
     for (auto it = state.queue.begin(); it != state.queue.end(); ++it) {
       if ((*it)->txn == txn && !(*it)->granted && !(*it)->cancelled) {
@@ -125,7 +125,6 @@ bool LockManager::CancelWaiter(TxnId txn) {
 }
 
 std::vector<WaitEdge> LockManager::WaitEdges() const {
-  MutexLock guard(lock_table_mu_);
   std::vector<WaitEdge> edges;
   for (const auto& [tag, state] : locks_) {
     for (const auto& w : state.queue) {
@@ -146,7 +145,6 @@ std::vector<WaitEdge> LockManager::WaitEdges() const {
 }
 
 bool LockManager::IsWaiting(TxnId txn) const {
-  MutexLock guard(lock_table_mu_);
   for (const auto& [tag, state] : locks_) {
     for (const auto& w : state.queue) {
       if (w->txn == txn && !w->granted && !w->cancelled) return true;
@@ -156,7 +154,6 @@ bool LockManager::IsWaiting(TxnId txn) const {
 }
 
 int64_t LockManager::locks_held() const {
-  MutexLock guard(lock_table_mu_);
   int64_t n = 0;
   for (const auto& [tag, state] : locks_) {
     n += static_cast<int64_t>(state.holders.size());

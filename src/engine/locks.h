@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
@@ -55,23 +54,22 @@ class LockManager {
   /// Acquire (blocking in virtual time). Reentrant for the same transaction.
   /// Returns Deadlock if this waiter is cancelled as a deadlock victim, or
   /// Cancelled on simulation shutdown.
-  Status Acquire(const LockTag& tag, TxnId txn, LockMode mode)
-      EXCLUDES(lock_table_mu_);
+  Status Acquire(const LockTag& tag, TxnId txn, LockMode mode);
 
   /// Release everything held by `txn` and grant unblocked waiters.
-  void ReleaseAll(TxnId txn) EXCLUDES(lock_table_mu_);
+  void ReleaseAll(TxnId txn);
 
   /// Cancel `txn` if it is currently waiting for a lock. Returns true if a
   /// waiter was cancelled.
-  bool CancelWaiter(TxnId txn) EXCLUDES(lock_table_mu_);
+  bool CancelWaiter(TxnId txn);
 
   /// Current wait-for edges (one per waiter/holder pair).
-  std::vector<WaitEdge> WaitEdges() const EXCLUDES(lock_table_mu_);
+  std::vector<WaitEdge> WaitEdges() const;
 
   /// True if `txn` currently waits for a lock.
-  bool IsWaiting(TxnId txn) const EXCLUDES(lock_table_mu_);
+  bool IsWaiting(TxnId txn) const;
 
-  int64_t locks_held() const EXCLUDES(lock_table_mu_);
+  int64_t locks_held() const;
 
   /// Mirror lock waits / wait time / deadlock cancellations into a registry.
   void BindMetrics(obs::Metrics* metrics) {
@@ -93,19 +91,12 @@ class LockManager {
     std::deque<std::shared_ptr<Waiter>> queue;
   };
 
-  bool CanGrantLocked(const LockState& state, TxnId txn, LockMode mode) const
-      REQUIRES(lock_table_mu_);
-  void GrantWaiters(LockState* state) REQUIRES(lock_table_mu_);
+  bool CanGrant(const LockState& state, TxnId txn, LockMode mode) const;
+  void GrantWaiters(LockState* state);
 
   sim::Simulation* sim_;
-  /// Guards locks_ and held_by_txn_ (plus the Waiter flags reachable from
-  /// them). Never held across a simulation yield: Acquire drops it before
-  /// blocking and re-takes it to inspect its waiter entry.
-  mutable OrderedMutex lock_table_mu_{LockRank::kLockTable};
-  std::unordered_map<LockTag, LockState, LockTagHash> locks_
-      GUARDED_BY(lock_table_mu_);
-  std::unordered_map<TxnId, std::vector<LockTag>> held_by_txn_
-      GUARDED_BY(lock_table_mu_);
+  std::unordered_map<LockTag, LockState, LockTagHash> locks_;
+  std::unordered_map<TxnId, std::vector<LockTag>> held_by_txn_;
   obs::Counter* waits_metric_ = nullptr;
   obs::Histogram* wait_time_metric_ = nullptr;
   obs::Counter* deadlocks_metric_ = nullptr;

@@ -2,31 +2,30 @@
 
 #include <algorithm>
 
+#include "sim/simulation.h"
+
 namespace citusx::obs {
 
 Counter* Metrics::counter(const std::string& name) {
-  MutexLock lock(metrics_mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
 Gauge* Metrics::gauge(const std::string& name) {
-  MutexLock lock(metrics_mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
 Histogram* Metrics::histogram(const std::string& name) {
-  MutexLock lock(metrics_mu_);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
 std::vector<MetricSample> Metrics::Snapshot() const {
-  MutexLock lock(metrics_mu_);
+  sim::NoYieldScope no_yield;
   std::vector<MetricSample> out;
   out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
@@ -62,7 +61,7 @@ std::vector<MetricSample> Metrics::Snapshot() const {
 }
 
 int64_t Metrics::CounterValue(const std::string& name) const {
-  MutexLock lock(metrics_mu_);
+  sim::NoYieldScope no_yield;
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second->value();
 }

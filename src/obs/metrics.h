@@ -3,21 +3,19 @@
 // Each engine::Node owns one Metrics registry. Instrumented subsystems
 // (buffer pool, lock manager, txn manager, net, citus executor) resolve
 // their metric handles once (Counter*/Gauge*/Histogram*) and then update
-// them on the hot path with a single relaxed atomic op — no map lookups,
-// no locks. Handles stay valid for the lifetime of the registry.
+// them on the hot path with a plain integer add — no map lookups. Handles
+// stay valid for the lifetime of the registry.
 //
 // Values that represent durations are simulated time (sim::Time, ns).
 #ifndef CITUSX_OBS_METRICS_H_
 #define CITUSX_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "sim/histogram.h"
 
 namespace citusx::obs {
@@ -25,27 +23,25 @@ namespace citusx::obs {
 /// Monotonically increasing counter.
 class Counter {
  public:
-  void Inc(int64_t delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void Inc(int64_t delta = 1) { v_ += delta; }
+  int64_t value() const { return v_; }
 
  private:
-  std::atomic<int64_t> v_{0};
+  int64_t v_ = 0;
 };
 
 /// Value that can move both ways (pool sizes, queue depths).
 class Gauge {
  public:
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void Set(int64_t v) { v_ = v; }
+  void Add(int64_t delta) { v_ += delta; }
+  int64_t value() const { return v_; }
 
  private:
-  std::atomic<int64_t> v_{0};
+  int64_t v_ = 0;
 };
 
 /// Distribution of virtual-time durations (or any int64), log-bucketed.
-/// The simulation serializes process execution, so the underlying
-/// sim::Histogram needs no extra synchronization on the record path.
 class Histogram {
  public:
   void Record(int64_t v) { h_.Record(v); }
@@ -71,25 +67,20 @@ class Metrics {
  public:
   /// Get-or-create by name. Returned pointers are stable forever. Every
   /// name must appear in obs/metric_names.h (cituslint `metrics-registry`).
-  Counter* counter(const std::string& name) EXCLUDES(metrics_mu_);
-  Gauge* gauge(const std::string& name) EXCLUDES(metrics_mu_);
-  Histogram* histogram(const std::string& name) EXCLUDES(metrics_mu_);
+  Counter* counter(const std::string& name);
+  Gauge* gauge(const std::string& name);
+  Histogram* histogram(const std::string& name);
 
   /// All metrics, sorted by name.
-  std::vector<MetricSample> Snapshot() const EXCLUDES(metrics_mu_);
+  std::vector<MetricSample> Snapshot() const;
 
   /// Convenience for tests: counter value, 0 if never registered.
-  int64_t CounterValue(const std::string& name) const EXCLUDES(metrics_mu_);
+  int64_t CounterValue(const std::string& name) const;
 
  private:
-  // Guards the maps, not the metric values.
-  mutable OrderedMutex metrics_mu_{LockRank::kMetricsRegistry};
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      GUARDED_BY(metrics_mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      GUARDED_BY(metrics_mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      GUARDED_BY(metrics_mu_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace citusx::obs

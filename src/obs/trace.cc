@@ -6,7 +6,6 @@
 namespace citusx::obs {
 
 TraceId TraceCollector::NewTraceId() {
-  MutexLock lock(trace_mu_);
   last_trace_ = next_id_++;
   return last_trace_;
 }
@@ -14,7 +13,6 @@ TraceId TraceCollector::NewTraceId() {
 SpanId TraceCollector::StartSpan(TraceId trace, SpanId parent,
                                  std::string name, std::string node,
                                  sim::Time now) {
-  MutexLock lock(trace_mu_);
   SpanId id = next_id_++;
   Span& span = spans_[id];
   span.id = id;
@@ -29,25 +27,21 @@ SpanId TraceCollector::StartSpan(TraceId trace, SpanId parent,
 
 void TraceCollector::SetAttr(SpanId span, const std::string& key,
                              std::string value) {
-  MutexLock lock(trace_mu_);
   auto it = spans_.find(span);
   if (it != spans_.end()) it->second.attrs[key] = std::move(value);
 }
 
 void TraceCollector::SetRows(SpanId span, int64_t rows) {
-  MutexLock lock(trace_mu_);
   auto it = spans_.find(span);
   if (it != spans_.end()) it->second.rows = rows;
 }
 
 void TraceCollector::EndSpan(SpanId span, sim::Time now) {
-  MutexLock lock(trace_mu_);
   auto it = spans_.find(span);
   if (it != spans_.end()) it->second.end = now;
 }
 
 std::vector<Span> TraceCollector::TraceSpans(TraceId trace) const {
-  MutexLock lock(trace_mu_);
   std::vector<Span> out;
   for (const auto& [id, span] : spans_) {
     if (span.trace_id == trace) out.push_back(span);
@@ -59,12 +53,10 @@ std::vector<Span> TraceCollector::TraceSpans(TraceId trace) const {
 }
 
 TraceId TraceCollector::last_trace_id() const {
-  MutexLock lock(trace_mu_);
   return last_trace_;
 }
 
 void TraceCollector::Clear() {
-  MutexLock lock(trace_mu_);
   spans_.clear();
 }
 

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "sim/simulation.h"
 
 namespace citusx::obs {
@@ -45,30 +44,28 @@ struct Span {
 
 class TraceCollector {
  public:
-  TraceId NewTraceId() EXCLUDES(trace_mu_);
+  TraceId NewTraceId();
 
   /// Opens a span; returns its id. `parent` is 0 for a root span.
   SpanId StartSpan(TraceId trace, SpanId parent, std::string name,
-                   std::string node, sim::Time now) EXCLUDES(trace_mu_);
-  void SetAttr(SpanId span, const std::string& key, std::string value)
-      EXCLUDES(trace_mu_);
-  void SetRows(SpanId span, int64_t rows) EXCLUDES(trace_mu_);
-  void EndSpan(SpanId span, sim::Time now) EXCLUDES(trace_mu_);
+                   std::string node, sim::Time now);
+  void SetAttr(SpanId span, const std::string& key, std::string value);
+  void SetRows(SpanId span, int64_t rows);
+  void EndSpan(SpanId span, sim::Time now);
 
   /// All spans of one trace, sorted by (start, id). Copies.
-  std::vector<Span> TraceSpans(TraceId trace) const EXCLUDES(trace_mu_);
+  std::vector<Span> TraceSpans(TraceId trace) const;
 
   /// Most recently allocated trace id (0 if none) — convenient for tests
   /// and for EXPLAIN ANALYZE rendering right after execution.
-  TraceId last_trace_id() const EXCLUDES(trace_mu_);
+  TraceId last_trace_id() const;
 
-  void Clear() EXCLUDES(trace_mu_);
+  void Clear();
 
  private:
-  mutable OrderedMutex trace_mu_{LockRank::kTraceCollector};
-  uint64_t next_id_ GUARDED_BY(trace_mu_) = 1;
-  TraceId last_trace_ GUARDED_BY(trace_mu_) = 0;
-  std::map<SpanId, Span> spans_ GUARDED_BY(trace_mu_);
+  uint64_t next_id_ = 1;
+  TraceId last_trace_ = 0;
+  std::map<SpanId, Span> spans_;
 };
 
 /// Wire encoding of (trace, span): "trace_id:span_id".

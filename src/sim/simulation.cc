@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/ordered_mutex.h"
 #include "sim/fault.h"
 
 // Sanitizers must be told about every stack switch: ASan to track each
@@ -109,14 +108,11 @@ void DestroyTsanFiber(void* fiber) {
 void SwitchFiber(const Process* p, ucontext_t* from, const ucontext_t* to,
                  const void* to_bottom, size_t to_size, void* to_fiber,
                  void** fake_stack) {
-  if (HeldLockDepth() > 0) {
-    const LockRank rank = InnermostHeldRank();
+  if (NoYieldScope::depth() > 0) {
     std::fprintf(stderr,
-                 "[sim] fiber switch of process '%s' while holding "
-                 "OrderedMutex rank %s(%d): no lock may be held across a "
-                 "simulation yield\n",
-                 p->name().c_str(), LockRankName(rank),
-                 static_cast<int>(rank));
+                 "[sim] fiber switch of process '%s' inside a NoYieldScope: "
+                 "a no-yield section may not span a simulation yield\n",
+                 p->name().c_str());
     std::abort();
   }
 #ifdef CITUSX_ASAN_FIBERS

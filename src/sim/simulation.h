@@ -15,10 +15,10 @@
 // (Wake). All ordering ties are broken by a monotonically increasing
 // sequence number, so runs are fully deterministic.
 //
-// Every fiber shares the driving thread's thread-local state, so no
-// OrderedMutex may be held across a switch: the next fiber to take it would
-// re-lock a std::mutex its own OS thread already owns. A switch made while
-// holding one aborts with the held rank's name.
+// Nothing else runs between two switches, so a section that must look
+// atomic to other processes only has to avoid yielding. Such a section
+// declares a NoYieldScope; a switch made while one is live aborts, naming
+// the process.
 #ifndef CITUSX_SIM_SIMULATION_H_
 #define CITUSX_SIM_SIMULATION_H_
 
@@ -80,6 +80,25 @@ class Process {
   void* tsan_fiber_ = nullptr;
   // This process's entry in Simulation::processes_.
   std::list<std::unique_ptr<Process>>::iterator entry_;
+};
+
+/// Marks a section that must not span a simulation yield (WaitFor,
+/// WaitUntil, Block, or anything that calls them): other processes may
+/// observe only its start and its end. Scopes nest; a fiber switch while
+/// any is live aborts.
+class NoYieldScope {
+ public:
+  NoYieldScope() { depth_++; }
+  ~NoYieldScope() { depth_--; }
+
+  NoYieldScope(const NoYieldScope&) = delete;
+  NoYieldScope& operator=(const NoYieldScope&) = delete;
+
+  /// How many scopes are live.
+  static int depth() { return depth_; }
+
+ private:
+  static inline int depth_ = 0;
 };
 
 /// The simulation: virtual clock, event queue, process registry.

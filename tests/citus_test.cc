@@ -665,6 +665,28 @@ TEST_F(CitusTest, MixedCtesMaterializeEachCteOnce) {
   });
 }
 
+// A nested WITH entry that shares its name with a top-level entry is a CTE
+// of its own: the top-level entry's reference count does not keep it
+// materialized, so it folds into its subquery under either spelling.
+TEST_F(CitusTest, NestedCteSharingTopLevelNameFolds) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE t (k bigint, x bigint)");
+    MustQuery(**conn, "SELECT create_distributed_table('t', 'k')");
+    MustQuery(**conn, "INSERT INTO t VALUES (1, 10), (2, 20)");
+    for (const char* outer : {"a", "b"}) {
+      QueryResult r = MustQuery(
+          **conn, StrFormat("WITH %s AS (SELECT k, x FROM t) "
+                            "SELECT count(*) FROM %s, %s AS a2, "
+                            "(WITH a AS (SELECT 1 AS y) SELECT y FROM a) s",
+                            outer, outer, outer));
+      ASSERT_EQ(r.rows.size(), 1u) << outer;
+      EXPECT_EQ(r.rows[0][0].int_value(), 4) << outer;
+    }
+  });
+}
+
 // citus.max_intermediate_result_size caps every stage, whichever kind, and
 // a capped statement leaves no intermediate result behind.
 TEST_F(CitusTest, IntermediateResultSizeCapsEveryStage) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "common/rng.h"
 #include "sim/channel.h"
 #include "sim/histogram.h"
@@ -17,18 +16,34 @@
 namespace citusx::sim {
 namespace {
 
-TEST(SimulationDeathTest, LockHeldAcrossYieldAborts) {
+TEST(SimulationDeathTest, YieldInsideNoYieldScopeAborts) {
   EXPECT_DEATH(
       {
         Simulation sim;
-        OrderedMutex mu(LockRank::kCatalog);
         sim.Spawn("holder", [&] {
-          MutexLock lock(mu);
+          NoYieldScope no_yield;
           sim.WaitFor(1);
         });
         sim.Run();
       },
-      "process 'holder' while holding OrderedMutex rank Catalog");
+      "process 'holder' inside a NoYieldScope");
+}
+
+TEST(Simulation, YieldAfterNoYieldScopesCloseRuns) {
+  Simulation sim;
+  bool resumed = false;
+  sim.Spawn("p", [&] {
+    {
+      NoYieldScope outer;
+      NoYieldScope inner;
+      EXPECT_EQ(NoYieldScope::depth(), 2);
+    }
+    sim.WaitFor(1);
+    resumed = true;
+  });
+  sim.Run();
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(NoYieldScope::depth(), 0);
 }
 
 // Writes a volatile frame, recurses, then reads the frame back, so the

@@ -10,26 +10,19 @@
 //                         and no storage/ headers at all.
 //   status-discard      - no `(void)expr` / `static_cast<void>(expr)`
 //                         discards; use CITUSX_IGNORE_STATUS(expr, "reason").
-//   lock-rank           - OrderedMutex acquisitions must nest in strictly
-//                         increasing LockRank order. The rank table is parsed
-//                         out of src/common/ordered_mutex.h and acquisition
-//                         sites (MutexLock and the std guard templates) are
-//                         extracted lexically.
-//   raw-mutex           - no std::mutex family outside common/ordered_mutex,
-//                         and no std::lock_guard/unique_lock/scoped_lock
-//                         anywhere: the std guards are invisible to Clang's
-//                         thread-safety analysis, so every acquisition must go
-//                         through the annotated MutexLock.
+//   one-thread          - no thread, mutex, condition variable, lock guard
+//                         or atomic in src/: simulated processes are fibers
+//                         on the one thread that drives the simulation, so
+//                         the only concurrency is a fiber switch at a yield.
 //   nodiscard           - Status and Result must stay [[nodiscard]] in
 //                         common/status.h.
-//   blocking-under-lock - no blocking call (net round trip, simulated wait,
-//                         pool/lock admission) while an OrderedMutex guard is
+//   blocking-in-no-yield - no blocking call (net round trip, simulated wait,
+//                         pool/lock admission) while a sim::NoYieldScope is
 //                         lexically live. Interprocedural within a file: a
 //                         helper that calls a blocking primitive taints its
 //                         callers, so hiding the round trip one frame down
-//                         does not evade the rule. A thread parked on a
-//                         blocking call while holding a ranked mutex stalls
-//                         every simulated process behind that rank.
+//                         does not evade the rule. The kernel aborts such a
+//                         yield at run time; this finds it without a run.
 //   guc-registry        - every `citus.<flag>` session GUC is declared exactly
 //                         once in src/citus/gucs.h (kCitusGucs), is actually
 //                         referenced, and — when executor-visible — is stamped
@@ -90,9 +83,9 @@ struct LintResult {
 
 const std::set<std::string>& KnownRules() {
   static const std::set<std::string> kRules = {
-      "layering",  "status-discard",      "lock-rank",
-      "raw-mutex", "nodiscard",           "blocking-under-lock",
-      "guc-registry", "metrics-registry"};
+      "layering",     "status-discard",       "one-thread",
+      "nodiscard",    "blocking-in-no-yield", "guc-registry",
+      "metrics-registry"};
   return kRules;
 }
 
@@ -415,48 +408,38 @@ void CheckStatusDiscard(const SourceFile& f, LintResult* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: raw-mutex.
+// Rule: one-thread.
 
-void CheckRawMutex(const SourceFile& f, LintResult* out) {
-  const std::string kRule = "raw-mutex";
-  if (f.path == "src/common/ordered_mutex.h" ||
-      f.path == "src/common/ordered_mutex.cc") {
-    return;  // the one place std::mutex may live
-  }
-  struct Banned {
-    const char* token;
-    const char* why;
-  };
-  static const Banned kBanned[] = {
-      {"std::mutex", "use common/ordered_mutex.h so the lock carries a rank"},
-      {"std::recursive_mutex",
-       "use common/ordered_mutex.h so the lock carries a rank"},
-      {"std::shared_mutex",
-       "use common/ordered_mutex.h so the lock carries a rank"},
-      {"std::timed_mutex",
-       "use common/ordered_mutex.h so the lock carries a rank"},
-      // The std guard templates are invisible to Clang's thread-safety
-      // analysis — an acquisition through them never discharges a GUARDED_BY.
-      {"std::lock_guard",
-       "std guards are invisible to -Wthread-safety; use MutexLock"},
-      {"std::unique_lock",
-       "std guards are invisible to -Wthread-safety; use MutexLock"},
-      {"std::scoped_lock",
-       "std guards are invisible to -Wthread-safety; use MutexLock"},
+void CheckOneThread(const SourceFile& f, LintResult* out) {
+  const std::string kRule = "one-thread";
+  static const char* kBanned[] = {
+      "std::thread",          "std::jthread",
+      "std::async",           "pthread_create",
+      "std::mutex",           "std::recursive_mutex",
+      "std::timed_mutex",     "std::recursive_timed_mutex",
+      "std::shared_mutex",    "std::shared_timed_mutex",
+      "std::condition_variable", "std::condition_variable_any",
+      "std::lock_guard",      "std::unique_lock",
+      "std::scoped_lock",     "std::shared_lock",
+      "std::atomic",
   };
   for (size_t i = 0; i < f.code.size(); ++i) {
-    for (const Banned& banned : kBanned) {
-      size_t pos = f.code[i].find(banned.token);
-      if (pos == std::string::npos) continue;
+    const std::string& line = f.code[i];
+    for (const char* banned : kBanned) {
+      size_t pos = line.find(banned);
       // Reject `std::mutex` but not `std::mutex_like_thing`.
-      size_t end = pos + strlen(banned.token);
-      if (end < f.code[i].size() && IsIdentChar(f.code[i][end])) {
+      size_t end = pos + strlen(banned);
+      if (pos == std::string::npos || (pos > 0 && IsIdentChar(line[pos - 1])) ||
+          (end < line.size() && IsIdentChar(line[end]))) {
         continue;
       }
       if (!Allowed(f, i, kRule)) {
-        out->violations.push_back({kRule, f.path, static_cast<int>(i + 1),
-                                   std::string("uses ") + banned.token + "; " +
-                                       banned.why});
+        out->violations.push_back(
+            {kRule, f.path, static_cast<int>(i + 1),
+             std::string("uses ") + banned +
+                 "; simulated processes are fibers on one thread, so keep a "
+                 "section that must look atomic free of yields and mark it "
+                 "with sim::NoYieldScope"});
       }
       break;
     }
@@ -489,195 +472,38 @@ void CheckNodiscard(const SourceFile& f, LintResult* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Guard declarations: shared by lock-rank and blocking-under-lock.
+// Rule: blocking-in-no-yield.
 
-struct GuardDecl {
-  std::string mutex;  // trailing identifier of the ctor argument ("pool_mu_")
-  size_t end = 0;     // index of the closing ')' / '}' on the line
+struct ScopeDecl {
+  std::string name;  // the scope variable ("no_yield")
+  size_t end = 0;    // index of the declarator's last character
 };
 
-/// Parse `MutexLock name(expr)` (or the std guard template spellings)
-/// starting at line[pos]. Returns false for non-declarations such as
-/// `MutexLock& lock` parameters (no variable name before '(').
-bool TryParseGuardDecl(const std::string& line, size_t pos, GuardDecl* out) {
-  static const char* kGuardTypes[] = {
-      "std::lock_guard<OrderedMutex>", "std::unique_lock<OrderedMutex>",
-      "std::scoped_lock<OrderedMutex>", "MutexLock"};
-  size_t type_len = 0;
-  for (const char* t : kGuardTypes) {
-    size_t len = strlen(t);
-    if (line.compare(pos, len, t) == 0 &&
-        (pos + len >= line.size() || !IsIdentChar(line[pos + len]))) {
-      type_len = len;
-      break;
-    }
+/// Parse `NoYieldScope name;` (or `name{}`) starting at line[pos]. Returns
+/// false for the class's own declarations, which name no variable.
+bool TryParseNoYieldScope(const std::string& line, size_t pos,
+                          ScopeDecl* out) {
+  static const std::string kType = "NoYieldScope";
+  size_t p = pos + kType.size();
+  if (line.compare(pos, kType.size(), kType) != 0 ||
+      (p < line.size() && IsIdentChar(line[p]))) {
+    return false;
   }
-  if (type_len == 0) return false;
-  size_t p = pos + type_len;
   while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
   size_t vs = p;
   while (p < line.size() && IsIdentChar(line[p])) ++p;
-  if (p == vs) return false;  // reference parameter or constructor decl
-  while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
-  if (p >= line.size() || (line[p] != '(' && line[p] != '{')) return false;
-  char close_c = line[p] == '(' ? ')' : '}';
-  size_t close = line.find(close_c, p + 1);
-  if (close == std::string::npos) return false;
-  std::string arg = line.substr(p + 1, close - p - 1);
-  size_t ie = arg.find_last_not_of(" \t");
-  if (ie == std::string::npos || !IsIdentChar(arg[ie])) return false;
-  size_t is = ie;
-  while (is > 0 && IsIdentChar(arg[is - 1])) --is;
-  out->mutex = arg.substr(is, ie - is + 1);
-  out->end = close;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Rule: lock-rank.
-
-/// Parsed from the LockRank enum in common/ordered_mutex.h.
-using RankTable = std::map<std::string, int>;  // kName -> value
-
-bool ParseRankTable(const SourceFile& f, RankTable* table,
-                    std::vector<std::string>* errors) {
-  bool in_enum = false;
-  for (size_t i = 0; i < f.code.size(); ++i) {
-    const std::string& line = f.code[i];
-    if (!in_enum) {
-      if (line.find("enum class LockRank") != std::string::npos) in_enum = true;
-      continue;
-    }
-    if (line.find("};") != std::string::npos) break;
-    // Enumerator lines look like: `kCatalog = 20,`
-    size_t k = line.find('k');
-    if (k == std::string::npos) continue;
-    size_t eq = line.find('=', k);
-    if (eq == std::string::npos) continue;
-    std::string name = line.substr(k, eq - k);
-    name.erase(name.find_last_not_of(" \t") + 1);
-    int value = atoi(line.c_str() + eq + 1);
-    if (table->count(name) > 0) {
-      errors->push_back("lock-rank: duplicate enumerator " + name);
-      return false;
-    }
-    (*table)[name] = value;
-  }
-  if (table->empty()) {
-    errors->push_back(
-        "lock-rank: could not parse LockRank enum from common/ordered_mutex.h");
+  if (p == vs) return false;
+  out->name = line.substr(vs, p - vs);
+  out->end = p - 1;
+  if (p < line.size() && line[p] == '{') {
+    size_t close = line.find('}', p + 1);
+    if (close == std::string::npos) return false;
+    out->end = close;
+  } else if (p >= line.size() || line[p] != ';') {
     return false;
   }
   return true;
 }
-
-/// Find `OrderedMutex <member>{LockRank::kX}` declarations and map the member
-/// name to its rank. Member names must be globally unique per rank — the
-/// lexical analysis resolves `foo_mu_` without type information, so a name
-/// bound to two different ranks is itself a lint error.
-void CollectMutexDecls(const SourceFile& f, const RankTable& ranks,
-                       std::map<std::string, int>* decls,
-                       std::map<std::string, std::string>* decl_sites,
-                       LintResult* out) {
-  for (size_t i = 0; i < f.code.size(); ++i) {
-    const std::string& line = f.code[i];
-    size_t om = line.find("OrderedMutex ");
-    if (om == std::string::npos) continue;
-    if (om > 0 && IsIdentChar(line[om - 1])) continue;
-    size_t name_start = om + strlen("OrderedMutex ");
-    size_t name_end = name_start;
-    while (name_end < line.size() && IsIdentChar(line[name_end])) ++name_end;
-    if (name_end == name_start) continue;
-    std::string member = line.substr(name_start, name_end - name_start);
-    size_t rank_pos = line.find("LockRank::", name_end);
-    if (rank_pos == std::string::npos) continue;  // e.g. a parameter decl
-    size_t k = rank_pos + strlen("LockRank::");
-    size_t k_end = k;
-    while (k_end < line.size() && IsIdentChar(line[k_end])) ++k_end;
-    std::string rank_name = line.substr(k, k_end - k);
-    auto rit = ranks.find(rank_name);
-    if (rit == ranks.end()) {
-      out->errors.push_back("lock-rank: " + f.path + ":" +
-                            std::to_string(i + 1) + " unknown rank " +
-                            rank_name);
-      continue;
-    }
-    auto [dit, inserted] = decls->emplace(member, rit->second);
-    if (inserted) {
-      (*decl_sites)[member] = f.path + ":" + std::to_string(i + 1);
-    } else if (dit->second != rit->second) {
-      out->errors.push_back(
-          "lock-rank: mutex member name '" + member +
-          "' is declared with two different ranks (" + (*decl_sites)[member] +
-          " vs " + f.path + ":" + std::to_string(i + 1) +
-          "); rename one — the static analysis resolves acquisitions by name");
-    }
-  }
-}
-
-/// Lexical acquisition-ordering check: track guard declarations per brace
-/// scope and flag inner acquisitions whose rank is <= an outer held rank.
-void CheckLockRank(const SourceFile& f, const std::map<std::string, int>& decls,
-                   LintResult* out) {
-  const std::string kRule = "lock-rank";
-  struct Held {
-    int rank;
-    int depth;
-    std::string name;
-  };
-  std::vector<Held> held;
-  int depth = 0;
-  for (size_t i = 0; i < f.code.size(); ++i) {
-    const std::string& line = f.code[i];
-    for (size_t pos = 0; pos < line.size(); ++pos) {
-      char c = line[pos];
-      if (c == '{') {
-        ++depth;
-        continue;
-      }
-      if (c == '}') {
-        --depth;
-        while (!held.empty() && held.back().depth > depth) held.pop_back();
-        if (depth <= 0) {
-          depth = 0;
-          held.clear();  // function boundary: guards cannot escape
-        }
-        continue;
-      }
-      if (!IsIdentStart(c) || (pos > 0 && IsIdentChar(line[pos - 1]))) {
-        continue;
-      }
-      GuardDecl gd;
-      if (!TryParseGuardDecl(line, pos, &gd)) continue;
-      auto dit = decls.find(gd.mutex);
-      if (dit == decls.end()) {
-        if (!Allowed(f, i, kRule)) {
-          out->violations.push_back(
-              {kRule, f.path, static_cast<int>(i + 1),
-               "acquires '" + gd.mutex +
-                   "' which has no declared LockRank (declare it as "
-                   "OrderedMutex name{LockRank::kX})"});
-        }
-        pos = gd.end;
-        continue;
-      }
-      int rank = dit->second;
-      if (!held.empty() && held.back().rank >= rank && !Allowed(f, i, kRule)) {
-        out->violations.push_back(
-            {kRule, f.path, static_cast<int>(i + 1),
-             "acquires '" + gd.mutex + "' (rank " + std::to_string(rank) +
-                 ") while holding '" + held.back().name + "' (rank " +
-                 std::to_string(held.back().rank) +
-                 "); locks must nest in increasing rank order"});
-      }
-      held.push_back({rank, depth, gd.mutex});
-      pos = gd.end;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: blocking-under-lock.
 
 /// Primitives that park the calling simulated process: simulation kernel
 /// waits, virtual-time resource charges, FIFO admission, net round trips,
@@ -685,7 +511,7 @@ void CheckLockRank(const SourceFile& f, const std::map<std::string, int>& decls,
 /// list encodes cross-file knowledge the file-local call graph cannot see.
 /// Deliberately absent: Wake, Send, and the Try* family — those return
 /// without blocking. The simulation kernel checks the same rule at run
-/// time: a fiber switch made while holding an OrderedMutex aborts.
+/// time: a fiber switch made inside a NoYieldScope aborts.
 const std::set<std::string>& BlockingSeeds() {
   static const std::set<std::string> kSeeds = {
       // simulation kernel waits
@@ -711,7 +537,7 @@ struct CallAnalysis {
   struct Call {
     std::string callee;
     int line = 0;                     // 1-based
-    std::vector<std::string> guards;  // live guard mutexes, outermost first
+    std::vector<std::string> scopes;  // live NoYieldScopes, outermost first
     int caller = -1;                  // index into fns, -1 at file scope
   };
   std::vector<Fn> fns;
@@ -750,33 +576,26 @@ std::string FunctionHeaderName(const std::string& buffer) {
                                                  "switch", "catch", "return"};
   if (kControl.count(name) > 0) return "";
   if (isdigit(static_cast<unsigned char>(name[0]))) return "";
-  // ALL_CAPS before '(' is an annotation macro (CAPABILITY, REQUIRES, ...)
-  // wrapping a class or member, not a function name.
-  bool has_lower = false;
-  for (char ch : name) {
-    if (islower(static_cast<unsigned char>(ch))) has_lower = true;
-  }
-  if (!has_lower && name.size() >= 2) return "";
   return name;
 }
 
 /// One lexical pass over the code view collecting, per call site, the callee
-/// name, the enclosing function, and the OrderedMutex guards lexically live
-/// at that point. Guard liveness is declaration-to-scope-close (the guard's
-/// destructor runs when its scope ends). Lambda bodies are attributed to the
-/// enclosing function — a conservative over-approximation that keeps helpers
-/// defined inline under a guard visible to the taint pass.
+/// name, the enclosing function, and the NoYieldScopes lexically live at
+/// that point. A scope is live from its declaration to the close of its
+/// block. Lambda bodies are attributed to the enclosing function — a
+/// conservative over-approximation that keeps helpers defined inline inside
+/// a scope visible to the taint pass.
 CallAnalysis AnalyzeCalls(const SourceFile& f) {
   CallAnalysis out;
-  struct LiveGuard {
-    std::string mutex;
+  struct LiveScope {
+    std::string name;
     int depth;
   };
   struct ActiveFn {
     int idx;
     int depth;  // depth at the header; body closes when we return to it
   };
-  std::vector<LiveGuard> guards;
+  std::vector<LiveScope> scopes;
   std::vector<ActiveFn> fn_stack;
   int depth = 0;
   std::string buffer;  // current statement text (for header detection)
@@ -809,15 +628,15 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
       }
       if (c == '}') {
         --depth;
-        while (!guards.empty() && guards.back().depth > depth) {
-          guards.pop_back();
+        while (!scopes.empty() && scopes.back().depth > depth) {
+          scopes.pop_back();
         }
         if (!fn_stack.empty() && depth == fn_stack.back().depth) {
           fn_stack.pop_back();
         }
         if (depth <= 0) {
           depth = 0;
-          guards.clear();
+          scopes.clear();
           fn_stack.clear();
         }
         buffer.clear();
@@ -828,11 +647,11 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
         continue;
       }
       if (IsIdentStart(c) && (pos == 0 || !IsIdentChar(line[pos - 1]))) {
-        GuardDecl gd;
-        if (TryParseGuardDecl(line, pos, &gd)) {
-          guards.push_back({gd.mutex, depth});
-          buffer.append(line.substr(pos, gd.end - pos + 1));
-          pos = gd.end;
+        ScopeDecl sd;
+        if (TryParseNoYieldScope(line, pos, &sd)) {
+          scopes.push_back({sd.name, depth});
+          buffer.append(line.substr(pos, sd.end - pos + 1));
+          pos = sd.end;
           continue;
         }
         size_t end = pos;
@@ -844,7 +663,7 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
           CallAnalysis::Call call;
           call.callee = word;
           call.line = static_cast<int>(i + 1);
-          for (const LiveGuard& g : guards) call.guards.push_back(g.mutex);
+          for (const LiveScope& sc : scopes) call.scopes.push_back(sc.name);
           call.caller = fn_stack.empty() ? -1 : fn_stack.back().idx;
           out.calls.push_back(std::move(call));
         }
@@ -859,8 +678,8 @@ CallAnalysis AnalyzeCalls(const SourceFile& f) {
   return out;
 }
 
-void CheckBlockingUnderLock(const SourceFile& f, LintResult* out) {
-  const std::string kRule = "blocking-under-lock";
+void CheckBlockingInNoYield(const SourceFile& f, LintResult* out) {
+  const std::string kRule = "blocking-in-no-yield";
   CallAnalysis a = AnalyzeCalls(f);
   // File-local taint fixed point: a function that calls a blocking name
   // (seed or already-tainted) blocks itself. Name-level, so helpers taint
@@ -882,12 +701,12 @@ void CheckBlockingUnderLock(const SourceFile& f, LintResult* out) {
     }
   }
   for (const CallAnalysis::Call& c : a.calls) {
-    if (c.guards.empty()) continue;
+    if (c.scopes.empty()) continue;
     bool seed = BlockingSeeds().count(c.callee) > 0;
     if (!seed && tainted.count(c.callee) == 0) continue;
     if (Allowed(f, static_cast<size_t>(c.line - 1), kRule)) continue;
-    std::string detail = "calls " + c.callee + "() while a guard on '" +
-                         c.guards.back() + "' is live";
+    std::string detail = "calls " + c.callee + "() while NoYieldScope '" +
+                         c.scopes.back() + "' is live";
     if (!seed) {
       std::string chain = c.callee;
       std::string cur = c.callee;
@@ -1155,31 +974,12 @@ LintResult RunLint(const std::vector<SourceFile>& files) {
   for (const SourceFile& f : files) {
     for (const std::string& e : f.allow_errors) result.errors.push_back(e);
   }
-  RankTable ranks;
-  std::map<std::string, int> mutex_decls;
-  std::map<std::string, std::string> decl_sites;
-  const SourceFile* ordered_mutex_h = nullptr;
-  for (const SourceFile& f : files) {
-    if (f.path == "src/common/ordered_mutex.h") ordered_mutex_h = &f;
-  }
-  bool have_ranks = false;
-  if (ordered_mutex_h != nullptr) {
-    have_ranks = ParseRankTable(*ordered_mutex_h, &ranks, &result.errors);
-  } else {
-    result.errors.push_back("lock-rank: src/common/ordered_mutex.h not found");
-  }
-  if (have_ranks) {
-    for (const SourceFile& f : files) {
-      CollectMutexDecls(f, ranks, &mutex_decls, &decl_sites, &result);
-    }
-  }
   for (const SourceFile& f : files) {
     CheckLayering(f, &result);
     CheckStatusDiscard(f, &result);
-    CheckRawMutex(f, &result);
+    CheckOneThread(f, &result);
     CheckNodiscard(f, &result);
-    if (have_ranks) CheckLockRank(f, mutex_decls, &result);
-    CheckBlockingUnderLock(f, &result);
+    CheckBlockingInNoYield(f, &result);
   }
   CheckGucRegistry(files, &result);
   CheckMetricsRegistry(files, &result);
@@ -1260,23 +1060,15 @@ int SelfTest() {
     return n;
   };
 
-  const std::string kMutexHeader =
-      "enum class LockRank {\n"
-      "  kLow = 10,\n"
-      "  kHigh = 20,\n"
-      "};\n"
-      "class [[nodiscard]] Status {};\n"
-      "template <typename T> class [[nodiscard]] Result {};\n";
   const std::string kGucsHeader =
       "inline constexpr GucSpec kCitusGucs[] = {\n"
       "};\n";
   const std::string kMetricsHeader =
       "inline constexpr const char* kRegisteredMetricNames[] = {\n"
       "};\n";
-  // Every RunLint call needs the registry trio or the registry rules error.
+  // Every RunLint call needs both registries or the registry rules error.
   auto base = [&]() {
     return std::vector<SourceFile>{
-        make("src/common/ordered_mutex.h", kMutexHeader),
         make("src/citus/gucs.h", kGucsHeader),
         make("src/obs/metric_names.h", kMetricsHeader),
     };
@@ -1383,17 +1175,34 @@ int SelfTest() {
     expect(count_rule(r3, "status-discard") == 1,
            "suppression markers inside string literals are inert");
   }
-  {  // raw-mutex: std mutexes banned outside ordered_mutex.h, and the
-     // TSA-invisible std guard templates are banned everywhere.
+  {  // one-thread: each banned token is flagged once; longer identifiers,
+     // comments and strings are not.
     LintResult r = with({
-        make("src/engine/a.h", "std::mutex bad_;\nstd::shared_mutex worse_;\n"),
-        make("src/engine/g.cc",
-             "void f() {\n"
-             "  std::lock_guard<OrderedMutex> g(mu_);\n"
-             "}\n"),
+        make("src/engine/t.cc",
+             "std::thread t;\n"
+             "std::jthread jt;\n"
+             "auto fut = std::async(F);\n"
+             "pthread_create(&id, nullptr, F, nullptr);\n"
+             "std::mutex m;\n"
+             "std::recursive_mutex rm;\n"
+             "std::timed_mutex tm;\n"
+             "std::recursive_timed_mutex rtm;\n"
+             "std::shared_mutex sm;\n"
+             "std::shared_timed_mutex stm;\n"
+             "std::condition_variable cv;\n"
+             "std::condition_variable_any cva;\n"
+             "std::lock_guard<M> lg(m);\n"
+             "std::unique_lock<M> ul(m);\n"
+             "std::scoped_lock sl(m);\n"
+             "std::shared_lock<M> shl(m);\n"
+             "std::atomic<int> a;\n"
+             "std::thread_like ok;\n"
+             "my_pthread_create();\n"
+             "// std::mutex in a comment\n"
+             "const char* s = \"std::atomic\";\n"),
     });
-    expect(count_rule(r, "raw-mutex") == 3,
-           "raw-mutex bans std mutexes and std guards");
+    expect(count_rule(r, "one-thread") == 17,
+           "one-thread flags each banned token once");
   }
   {  // nodiscard: markers must stay on Status/Result.
     LintResult r = with({
@@ -1402,76 +1211,26 @@ int SelfTest() {
     });
     expect(count_rule(r, "nodiscard") == 2, "nodiscard catches lost markers");
   }
-  {  // lock-rank: inversion, unranked mutex, and a clean increasing chain,
-     // through the annotated MutexLock guards.
-    LintResult r = with({
-        make("src/engine/a.h",
-             "class A {\n"
-             "  mutable OrderedMutex low_mu_{LockRank::kLow};\n"
-             "  mutable OrderedMutex high_mu_{LockRank::kHigh};\n"
-             "  OrderedMutex free_mu_;\n"
-             "};\n"),
-        make("src/engine/a.cc",
-             "void Ok() {\n"
-             "  MutexLock g1(low_mu_);\n"
-             "  {\n"
-             "    MutexLock g2(high_mu_);\n"
-             "  }\n"
-             "}\n"
-             "void Inverted() {\n"
-             "  MutexLock g1(high_mu_);\n"
-             "  MutexLock g2(low_mu_);\n"
-             "}\n"
-             "void SequentialOk() {\n"
-             "  { MutexLock g(high_mu_); }\n"
-             "  { MutexLock g(low_mu_); }\n"
-             "}\n"
-             "void Unranked() {\n"
-             "  MutexLock g(free_mu_);\n"
-             "}\n"),
-    });
-    expect(count_rule(r, "lock-rank") == 2,
-           "lock-rank finds the inversion and the unranked acquisition");
-  }
-  {  // lock-rank: duplicate member name with conflicting ranks is a hard
-     // error, and member access through a pointer resolves correctly.
-    LintResult r = with({
-        make("src/engine/a.h", "OrderedMutex mu_{LockRank::kLow};\n"),
-        make("src/net/b.h", "OrderedMutex mu_{LockRank::kHigh};\n"),
-    });
-    expect(!r.errors.empty(), "conflicting mutex member names are an error");
-    LintResult r2 = with({
-        make("src/engine/a.h", "OrderedMutex low_mu_{LockRank::kLow};\n"
-                               "OrderedMutex high_mu_{LockRank::kHigh};\n"),
-        make("src/engine/a.cc",
-             "void F() {\n"
-             "  MutexLock g(other_->high_mu_);\n"
-             "  MutexLock g2(self->low_mu_);\n"
-             "}\n"),
-    });
-    expect(count_rule(r2, "lock-rank") == 1,
-           "pointer-qualified mutex members resolve by trailing identifier");
-  }
-  {  // blocking-under-lock: a direct round trip under a live guard fires;
-     // a guard whose scope closed first does not; other functions in the
-     // same file are unaffected.
+  {  // blocking-in-no-yield: a direct round trip inside a live scope
+     // fires; a scope whose block closed first does not; other functions in
+     // the same file are unaffected.
     LintResult r = with({
         make("src/citus/b.cc",
              "void Bad(Conn* c) {\n"
-             "  MutexLock g(pool_mu_);\n"
+             "  sim::NoYieldScope no_yield;\n"
              "  c->Query(\"SELECT 1\");\n"
              "}\n"
              "void Good(Conn* c) {\n"
              "  {\n"
-             "    MutexLock g(pool_mu_);\n"
+             "    sim::NoYieldScope no_yield;\n"
              "  }\n"
              "  c->Query(\"SELECT 1\");\n"
              "}\n"),
     });
-    expect(count_rule(r, "blocking-under-lock") == 1,
-           "blocking-under-lock flags the round trip under the guard only");
+    expect(count_rule(r, "blocking-in-no-yield") == 1,
+           "blocking-in-no-yield flags the round trip inside the scope only");
   }
-  {  // blocking-under-lock: interprocedural — a helper that blocks taints
+  {  // blocking-in-no-yield: interprocedural — a helper that blocks taints
      // its caller, and the violation names the chain.
     LintResult r = with({
         make("src/citus/t.cc",
@@ -1479,50 +1238,49 @@ int SelfTest() {
              "  return c->RoundTrip();\n"
              "}\n"
              "void Caller(Conn* c) {\n"
-             "  MutexLock g(pool_mu_);\n"
+             "  NoYieldScope no_yield;\n"
              "  Helper(c);\n"
              "}\n"),
     });
-    expect(count_rule(r, "blocking-under-lock") == 1,
+    expect(count_rule(r, "blocking-in-no-yield") == 1,
            "a helper that blocks taints its caller");
     bool chain_named = false;
     for (const auto& v : r.violations) {
-      if (v.rule == "blocking-under-lock" &&
+      if (v.rule == "blocking-in-no-yield" &&
           v.detail.find("Helper -> RoundTrip") != std::string::npos) {
         chain_named = true;
       }
     }
     expect(chain_named, "the violation names the blocking chain");
   }
-  {  // blocking-under-lock: non-blocking primitives (Wake, Try*) are not
+  {  // blocking-in-no-yield: non-blocking primitives (Wake, Try*) are not
      // seeds.
     LintResult r = with({
         make("src/engine/k.cc",
              "void Release(Process* waiter) {\n"
-             "  MutexLock lock(lock_table_mu_);\n"
+             "  sim::NoYieldScope no_yield;\n"
              "  sim->Wake(waiter);\n"
              "  TryAcquire();\n"
              "}\n"),
     });
-    expect(count_rule(r, "blocking-under-lock") == 0,
+    expect(count_rule(r, "blocking-in-no-yield") == 0,
            "Wake/Try* are not seeds");
   }
-  {  // blocking-under-lock: suppression with a reason works.
+  {  // blocking-in-no-yield: suppression with a reason works.
     LintResult r = with({
         make("src/citus/s.cc",
              "void Startup(Conn* c) {\n"
-             "  MutexLock g(pool_mu_);\n"
-             "  c->Query(\"x\");  // cituslint: allow(blocking-under-lock: "
-             "single-threaded bootstrap, nothing can contend)\n"
+             "  sim::NoYieldScope no_yield;\n"
+             "  c->Query(\"x\");  // cituslint: allow(blocking-in-no-yield: "
+             "bootstrap before any other process exists)\n"
              "}\n"),
     });
-    expect(count_rule(r, "blocking-under-lock") == 0,
-           "a justified suppression silences blocking-under-lock");
+    expect(count_rule(r, "blocking-in-no-yield") == 0,
+           "a justified suppression silences blocking-in-no-yield");
   }
   {  // guc-registry: unregistered reference, duplicate declaration, unused
      // declaration, and an executor-visible GUC that is never stamped.
     auto files = std::vector<SourceFile>{
-        make("src/common/ordered_mutex.h", kMutexHeader),
         make("src/citus/gucs.h",
              "inline constexpr GucSpec kCitusGucs[] = {\n"
              "    {\"citus.alpha\", \"on\", true},\n"
@@ -1549,7 +1307,6 @@ int SelfTest() {
   }
   {  // guc-registry: a consistent registry is clean.
     auto files = std::vector<SourceFile>{
-        make("src/common/ordered_mutex.h", kMutexHeader),
         make("src/citus/gucs.h",
              "inline constexpr GucSpec kCitusGucs[] = {\n"
              "    {\"citus.alpha\", \"on\", true},\n"
@@ -1567,7 +1324,6 @@ int SelfTest() {
   {  // metrics-registry: unregistered call-site name, unused registry entry,
      // duplicate entry, and a non-literal argument.
     auto files = std::vector<SourceFile>{
-        make("src/common/ordered_mutex.h", kMutexHeader),
         make("src/citus/gucs.h", kGucsHeader),
         make("src/obs/metric_names.h",
              "inline constexpr const char* kRegisteredMetricNames[] = {\n"
@@ -1591,7 +1347,6 @@ int SelfTest() {
   {  // metrics-registry: table-driven stat-view rows count as usage, and a
      // consistent registry is clean.
     auto files = std::vector<SourceFile>{
-        make("src/common/ordered_mutex.h", kMutexHeader),
         make("src/citus/gucs.h", kGucsHeader),
         make("src/obs/metric_names.h",
              "inline constexpr const char* kRegisteredMetricNames[] = {\n"
@@ -1696,12 +1451,8 @@ int main(int argc, char** argv) {
   }
 
   if (counts) {
-    static const char* kRules[] = {
-        "layering",  "status-discard", "lock-rank",
-        "raw-mutex", "nodiscard",      "blocking-under-lock",
-        "guc-registry", "metrics-registry"};
-    for (const char* rule : kRules) {
-      printf("%s: %d new, %d baselined\n", rule,
+    for (const std::string& rule : KnownRules()) {
+      printf("%s: %d new, %d baselined\n", rule.c_str(),
              report.per_rule_new.count(rule) ? report.per_rule_new.at(rule) : 0,
              report.per_rule_baselined.count(rule)
                  ? report.per_rule_baselined.at(rule)
