@@ -238,15 +238,17 @@ IntermediateResult DistributedPlanner::AddStageRelation() {
   // holds repartitioned fragments the replicas are NOT identical — each
   // worker's shard holds only its bucket — which stays correct because the
   // rewritten query only ever joins the fragment against the co-located
-  // shard whose interval produced it. Only the shard name comes from the
-  // metadata's id sequence.
+  // shard whose interval produced it. The relation name is unique, so the
+  // shard's id is only its ordinal within the statement: planning (an
+  // EXPLAIN, a discarded CTE inline attempt) draws nothing from the
+  // metadata's shard id sequence.
   CitusTable relation;
   relation.name = StrFormat(
       "citusx_repart_%llu",
       static_cast<unsigned long long>(++g_repart_counter));
   relation.is_reference = true;
   ShardInterval si;
-  si.shard_id = ext_->metadata().NextShardId();
+  si.shard_id = stage_relations_.size() + 1;
   si.min_hash = INT32_MIN;
   si.max_hash = INT32_MAX;
   relation.shards.push_back(si);

@@ -1,71 +1,57 @@
 // Column-batch representation for the vectorized executor (DuckDB
-// DataChunk-style): a fixed-width set of column vectors plus a selection
-// vector produced by filters. Columns either borrow storage (zero-copy views
-// into columnar stripes) or own it (operator outputs).
+// DataChunk-style): a fixed-width set of typed column vectors
+// (storage/column_vector.h) plus a selection vector produced by filters.
+// Columns are shared: a columnar scan's batch holds the stripe's own
+// vectors (zero-copy), operator outputs hold fresh ones.
 #ifndef CITUSX_EXEC_BATCH_H_
 #define CITUSX_EXEC_BATCH_H_
 
+#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "engine/hooks.h"
+#include "sql/datum.h"
+#include "storage/column_vector.h"
 
 namespace citusx::exec {
 
-/// One column of a batch: a borrowed pointer into backing storage plus the
-/// optional owned vector backing it. `data == nullptr` marks a column the
-/// scan projection skipped (reads as NULL).
-struct ColumnRef {
-  const std::vector<sql::Datum>* data = nullptr;
-  std::shared_ptr<std::vector<sql::Datum>> owned;
+/// One column of a batch; null marks a column the scan projection skipped
+/// (reads as NULL).
+using Column = std::shared_ptr<const storage::ColumnVector>;
 
-  static ColumnRef Borrowed(const std::vector<sql::Datum>* d) {
-    ColumnRef c;
-    c.data = d;
-    return c;
-  }
-  static ColumnRef Owned(std::vector<sql::Datum> d) {
-    ColumnRef c;
-    c.owned = std::make_shared<std::vector<sql::Datum>>(std::move(d));
-    c.data = c.owned.get();
-    return c;
-  }
-};
+/// Physical row indexes, in order.
+using SelVector = std::vector<int32_t>;
 
-/// A batch: `rows` logical rows over `columns`, restricted to the indexes in
-/// `sel` when `filtered` is set (selection vectors avoid copying survivors
-/// after a filter).
+/// A batch: `rows` physical rows over `columns`, restricted to the indexes
+/// in `sel` when `filtered` is set (selection vectors avoid copying
+/// survivors after a filter).
 struct DataChunk {
   int64_t rows = 0;
-  std::vector<ColumnRef> columns;
+  std::vector<Column> columns;
   bool filtered = false;
-  std::vector<int64_t> sel;
+  SelVector sel;
 
   int64_t Count() const {
     return filtered ? static_cast<int64_t>(sel.size()) : rows;
   }
-  /// Physical row index of logical position `i`.
-  int64_t At(int64_t i) const {
-    return filtered ? sel[static_cast<size_t>(i)] : i;
-  }
-  /// Datum at (logical position i, column c); skipped columns read as NULL.
-  const sql::Datum& Value(int64_t i, size_t c,
-                          const sql::Datum& null_datum) const {
-    const auto* col = columns[c].data;
-    if (col == nullptr) return null_datum;
-    return (*col)[static_cast<size_t>(At(i))];
-  }
-
-  /// Materialize logical row `i` into `out` (resized to the column count).
-  void GatherRow(int64_t i, sql::Row* out) const {
-    out->resize(columns.size());
-    int64_t r = At(i);
-    for (size_t c = 0; c < columns.size(); c++) {
-      const auto* col = columns[c].data;
-      (*out)[c] =
-          col == nullptr ? sql::Datum::Null() : (*col)[static_cast<size_t>(r)];
+  /// Physical row indexes of the live rows.
+  SelVector Live() const {
+    if (filtered) return sel;
+    SelVector all(static_cast<size_t>(rows));
+    for (int64_t i = 0; i < rows; i++) {
+      all[static_cast<size_t>(i)] = static_cast<int32_t>(i);
     }
+    return all;
+  }
+  /// Datum at (physical row r, column c); skipped columns read as NULL.
+  sql::Datum Value(int64_t r, size_t c) const {
+    const Column& col = columns[c];
+    return col == nullptr ? sql::Datum::Null() : col->Get(r);
+  }
+  /// Materialize physical row `r` into `out` (resized to the column count).
+  void GatherRow(int64_t r, sql::Row* out) const {
+    out->resize(columns.size());
+    for (size_t c = 0; c < columns.size(); c++) (*out)[c] = Value(r, c);
   }
 };
 

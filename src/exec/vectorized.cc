@@ -9,8 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/str.h"
 #include "exec/batch.h"
+#include "exec/kernels.h"
 #include "sim/channel.h"
 #include "storage/columnar.h"
 
@@ -30,15 +32,22 @@ using sql::ExprPtr;
 // sort/limit/distinct/strip) terminate one and feed the next through a
 // materialized intermediate.
 
+using CompiledPtr = std::unique_ptr<CompiledExpr>;
+using CompiledList = std::vector<CompiledPtr>;
+
+/// Aggregate functions, resolved from their names at pipeline build.
+enum class AggFunc { kCount, kSum, kAvg, kMin, kMax, kOther };
+
 struct VecSource {
   enum class Kind { kColumnar, kHeap, kTemp, kMaterialized };
   Kind kind = Kind::kMaterialized;
   engine::TableInfo* table = nullptr;  // kColumnar / kHeap
   ExprPtr filter;                      // scan filter; may be null
-  std::vector<int> projection;         // kColumnar: referenced columns
+  std::vector<int> projection;         // scan columns read (empty = all)
   const engine::TempRelation* temp = nullptr;  // kTemp
   int inter = -1;                      // kMaterialized: intermediate slot
   size_t width = 0;
+  CompiledPtr cfilter;  // compiled `filter`
 };
 
 struct VecOp {
@@ -53,6 +62,12 @@ struct VecOp {
   sql::JoinType join_type = sql::JoinType::kInner;
   size_t build_width = 0;
   size_t out_width = 0;
+  // Compiled at pipeline build:
+  CompiledPtr cpredicate;
+  CompiledList cexprs;
+  CompiledList ckeys;
+  CompiledPtr cresidual;
+  bool row_major = false;  // kProject: several exprs call random()
 };
 
 struct VecSink {
@@ -62,6 +77,12 @@ struct VecSink {
   std::vector<ExprPtr> keys;    // kHashBuild
   std::vector<ExprPtr> group_exprs;  // kAggregate
   std::vector<engine::AggSpec> aggs;
+  // Compiled at pipeline build:
+  CompiledList ckeys;
+  CompiledList cgroups;
+  CompiledList cargs;  // per aggregate; null for count(*)
+  std::vector<AggFunc> funcs;
+  bool row_major = false;  // several exprs call random()
 };
 
 /// Sequential op applied to a collected intermediate once its pipeline
@@ -258,6 +279,59 @@ class Builder {
 };
 
 // ---------------------------------------------------------------------------
+// Compilation: after the shape check accepts a plan, every expression is
+// folded and compiled once, and aggregate names resolve to AggFunc.
+
+AggFunc AggFuncOf(const std::string& name) {
+  if (name == "count") return AggFunc::kCount;
+  if (name == "sum") return AggFunc::kSum;
+  if (name == "avg") return AggFunc::kAvg;
+  if (name == "min") return AggFunc::kMin;
+  if (name == "max") return AggFunc::kMax;
+  return AggFunc::kOther;
+}
+
+CompiledList CompileAll(const std::vector<ExprPtr>& exprs,
+                        const std::vector<sql::Datum>* params) {
+  CompiledList out;
+  for (const ExprPtr& e : exprs) out.push_back(Compile(e, params));
+  return out;
+}
+
+/// More than one of `exprs` calls random(): they must run row-major.
+bool RandomRowMajor(const std::vector<const ExprPtr*>& exprs) {
+  int n = 0;
+  for (const ExprPtr* e : exprs) n += CallsRandom(*e) ? 1 : 0;
+  return n > 1;
+}
+
+void CompilePlan(VecPlan* plan, const std::vector<sql::Datum>* params) {
+  for (Pipeline& p : plan->pipelines) {
+    p.source.cfilter = Compile(p.source.filter, params);
+    for (VecOp& op : p.ops) {
+      op.cpredicate = Compile(op.predicate, params);
+      op.cexprs = CompileAll(op.exprs, params);
+      op.ckeys = CompileAll(op.keys, params);
+      op.cresidual = Compile(op.residual, params);
+      std::vector<const ExprPtr*> all;
+      for (const ExprPtr& e : op.exprs) all.push_back(&e);
+      op.row_major = RandomRowMajor(all);
+    }
+    VecSink& sink = p.sink;
+    sink.ckeys = CompileAll(sink.keys, params);
+    sink.cgroups = CompileAll(sink.group_exprs, params);
+    std::vector<const ExprPtr*> all;
+    for (const ExprPtr& e : sink.group_exprs) all.push_back(&e);
+    for (const engine::AggSpec& spec : sink.aggs) {
+      sink.cargs.push_back(Compile(spec.arg, params));
+      sink.funcs.push_back(AggFuncOf(spec.func));
+      if (spec.arg != nullptr) all.push_back(&spec.arg);
+    }
+    sink.row_major = RandomRowMajor(all);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Aggregation state, mirroring the volcano executor's semantics exactly
 // (sum/avg track int and float sums, aggregates skip NULLs, min/max via
 // Datum::Compare). Partial states merge across morsel workers; DISTINCT
@@ -274,41 +348,42 @@ struct AggState {
   std::map<std::string, sql::Datum> distinct_vals;  // key -> value
 };
 
-void AggTransition(const engine::AggSpec& spec, const sql::Datum& v,
-                   AggState* st) {
-  if (spec.func == "count") {
+void AggTransition(AggFunc f, const sql::Datum& v, AggState* st) {
+  if (f == AggFunc::kCount) {
     st->count++;
     return;
   }
   st->any = true;
-  if (spec.func == "sum" || spec.func == "avg") {
-    st->count++;
-    if (v.type() == sql::TypeId::kFloat8) {
-      st->sum_is_float = true;
-      st->sum_f += v.float_value();
-    } else {
-      st->sum_i += v.AsInt64();
-      st->sum_f += static_cast<double>(v.AsInt64());
-    }
-    return;
-  }
-  if (spec.func == "min") {
-    if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) < 0) {
-      st->min_max = v;
-    }
-    return;
-  }
-  if (spec.func == "max") {
-    if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) > 0) {
-      st->min_max = v;
-    }
-    return;
+  switch (f) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      st->count++;
+      if (v.type() == sql::TypeId::kFloat8) {
+        st->sum_is_float = true;
+        st->sum_f += v.float_value();
+      } else {
+        st->sum_i += v.AsInt64();
+        st->sum_f += static_cast<double>(v.AsInt64());
+      }
+      return;
+    case AggFunc::kMin:
+      if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) < 0) {
+        st->min_max = v;
+      }
+      return;
+    case AggFunc::kMax:
+      if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) > 0) {
+        st->min_max = v;
+      }
+      return;
+    default:
+      return;
   }
 }
 
-void MergeAggState(const engine::AggSpec& spec, const AggState& in,
+void MergeAggState(AggFunc f, bool distinct, const AggState& in,
                    AggState* out) {
-  if (spec.distinct) {
+  if (distinct) {
     for (const auto& [k, v] : in.distinct_vals) {
       out->distinct_vals.emplace(k, v);
     }
@@ -321,36 +396,202 @@ void MergeAggState(const engine::AggSpec& spec, const AggState& in,
   out->any |= in.any;
   if (!in.min_max.is_null()) {
     if (out->min_max.is_null() ||
-        (spec.func == "min" &&
+        (f == AggFunc::kMin &&
          sql::Datum::Compare(in.min_max, out->min_max) < 0) ||
-        (spec.func == "max" &&
+        (f == AggFunc::kMax &&
          sql::Datum::Compare(in.min_max, out->min_max) > 0)) {
       out->min_max = in.min_max;
     }
   }
 }
 
-sql::Datum AggFinal(const engine::AggSpec& spec, const AggState& st) {
-  if (spec.func == "count") return sql::Datum::Int8(st.count);
-  if (spec.func == "sum") {
+sql::Datum AggFinal(AggFunc f, const AggState& st) {
+  if (f == AggFunc::kCount) return sql::Datum::Int8(st.count);
+  if (f == AggFunc::kSum) {
     if (!st.any) return sql::Datum::Null();
     return st.sum_is_float ? sql::Datum::Float8(st.sum_f)
                            : sql::Datum::Int8(st.sum_i);
   }
-  if (spec.func == "avg") {
+  if (f == AggFunc::kAvg) {
     if (st.count == 0) return sql::Datum::Null();
     return sql::Datum::Float8(st.sum_f / static_cast<double>(st.count));
   }
   return st.min_max;  // min/max; NULL when no input
 }
 
-struct AggGroup {
-  sql::Row keys;
-  std::vector<AggState> states;
-};
-using AggGroups = std::map<std::string, AggGroup>;
+// ---------------------------------------------------------------------------
+// Typed hash keys. Joins and GROUP BY key rows in exactly the equivalence
+// classes of Datum::GroupKey: every integer-like value (bool, int4, int8,
+// date, timestamp) of the same int64 payload is one class, floats are
+// classes of their own, text by bytes. A single integer-like key takes an
+// int64 table; any other key is the GroupKey concatenation itself (each
+// value's GroupKey and a '\x1f'), so a group's sort position is that
+// string too.
 
-using HashTable = std::unordered_map<std::string, std::vector<sql::Row>>;
+/// One row's key.
+struct Key {
+  bool is_int = false;
+  int64_t i = 0;
+  std::string s;
+
+  /// The GroupKey concatenation: what std::map ordered groups by.
+  std::string SortKey() const {
+    return is_int ? "I" + std::to_string(i) + '\x1f' : s;
+  }
+};
+
+/// The integer-like payload of row `r`, if its value is integer-like.
+bool IntKeyOf(const Vec& v, int32_t r, int64_t* out) {
+  if (v.is_const) {
+    if (storage::LayoutOf(v.value.type()) != storage::Layout::kInt64) {
+      return false;
+    }
+    *out = v.ival;
+    return true;
+  }
+  switch (v.col->layout()) {
+    case storage::Layout::kInt64:
+      *out = v.col->ints()[r];
+      return true;
+    case storage::Layout::kDatum: {
+      const sql::Datum& d = v.col->datum(r);
+      if (storage::LayoutOf(d.type()) != storage::Layout::kInt64) return false;
+      *out = d.int_value();
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// Append row `r`'s Datum::GroupKey to `out` (a NULL's is empty).
+void AppendGroupKey(const Vec& v, int32_t r, std::string* out) {
+  if (v.IsNull(r)) return;
+  int64_t i;
+  if (IntKeyOf(v, r, &i)) {
+    *out += 'I';
+    *out += std::to_string(i);
+  } else if (!v.is_const && v.col->layout() == storage::Layout::kText) {
+    *out += 'T';
+    *out += v.col->text(r);
+  } else {
+    *out += v.Get(r).GroupKey();
+  }
+}
+
+/// Row `r`'s key over `keys`. With `skip_nulls` (joins), false when a key
+/// is NULL: NULL keys never join.
+bool KeyOf(const std::vector<Vec>& keys, int32_t r, bool skip_nulls,
+           Key* out) {
+  if (keys.size() == 1 && !keys[0].IsNull(r) &&
+      IntKeyOf(keys[0], r, &out->i)) {
+    out->is_int = true;
+    return true;
+  }
+  out->is_int = false;
+  out->s.clear();
+  for (const Vec& k : keys) {
+    if (k.IsNull(r) && skip_nulls) return false;
+    AppendGroupKey(k, r, &out->s);
+    out->s.push_back('\x1f');
+  }
+  return true;
+}
+
+/// int64 -> dense id, open addressing with linear probing.
+class IntMap {
+ public:
+  int32_t Find(int64_t k) const {
+    if (slots_.empty()) return -1;
+    for (size_t i = Mix64(static_cast<uint64_t>(k)) & mask_;;
+         i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id < 0) return -1;
+      if (s.key == k) return s.id;
+    }
+  }
+  /// The id of `k`, inserting `id` when absent.
+  int32_t FindOrInsert(int64_t k, int32_t id) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    for (size_t i = Mix64(static_cast<uint64_t>(k)) & mask_;;
+         i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.id < 0) {
+        s.key = k;
+        s.id = id;
+        size_++;
+        return id;
+      }
+      if (s.key == k) return s.id;
+    }
+  }
+
+ private:
+  struct Slot {
+    int64_t key = 0;
+    int32_t id = -1;
+  };
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+    mask_ = slots_.size() - 1;
+    size_ = 0;
+    for (const Slot& s : old) {
+      if (s.id >= 0) FindOrInsert(s.key, s.id);
+    }
+  }
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+/// Key -> dense id in first-insert order.
+class KeyIndex {
+ public:
+  int32_t Find(const Key& k) const {
+    if (k.is_int) return ints_.Find(k.i);
+    auto it = strs_.find(k.s);
+    return it == strs_.end() ? -1 : it->second;
+  }
+  /// The id of `k`; a new key gets the next id.
+  int32_t FindOrInsert(const Key& k) {
+    int32_t next = static_cast<int32_t>(size_);
+    int32_t id = k.is_int ? ints_.FindOrInsert(k.i, next)
+                          : strs_.try_emplace(k.s, next).first->second;
+    if (id == next) size_++;
+    return id;
+  }
+  size_t size() const { return size_; }
+
+ private:
+  IntMap ints_;
+  std::unordered_map<std::string, int32_t> strs_;
+  size_t size_ = 0;
+};
+
+/// Build rows of a hash join, stored column-wise, plus each key's rows in
+/// insertion order (worker order, then each worker's row order).
+struct HashTable {
+  std::vector<storage::ColumnVector> cols;
+  KeyIndex index;
+  std::vector<int32_t> starts;  // key id g: order[starts[g], starts[g+1])
+  std::vector<int32_t> order;
+  int64_t rows = 0;
+};
+
+/// One worker's part of a hash build.
+struct LocalBuild {
+  std::vector<storage::ColumnVector> cols;
+  std::vector<Key> keys;  // per stored row
+};
+
+/// Aggregation groups of one worker, or the merged result.
+struct AggTable {
+  KeyIndex index;
+  std::vector<Key> keys;       // per group
+  std::vector<sql::Row> values;  // per group: key values first seen
+  std::vector<AggState> states;  // group-major, aggs per group
+};
 
 // ---------------------------------------------------------------------------
 // Runtime state shared by the coordinating process and the morsel workers.
@@ -375,8 +616,8 @@ struct PipelineRun {
 
   // Per-worker partial sinks, merged in worker order by the coordinator.
   std::vector<std::vector<sql::Row>> local_rows;
-  std::vector<HashTable> local_tables;
-  std::vector<AggGroups> local_groups;
+  std::vector<LocalBuild> local_builds;
+  std::vector<AggTable> local_groups;
   std::vector<int64_t> local_source_rows;
 
   bool abort = false;
@@ -393,20 +634,6 @@ struct PipelineRun {
     abort = true;
   }
 };
-
-Result<std::string> RowKeyOf(ExecContext& ctx,
-                             const std::vector<ExprPtr>& keys,
-                             const sql::Row& row) {
-  std::string out;
-  auto ec = ctx.EvalCtx(&row);
-  for (const auto& k : keys) {
-    CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*k, ec));
-    if (v.is_null()) return std::string();  // NULL keys never join
-    out += v.GroupKey();
-    out.push_back('\x1f');
-  }
-  return out;
-}
 
 // ---- min/max stripe pruning ------------------------------------------------
 
@@ -484,8 +711,35 @@ bool StripePrunable(const sql::ExprPtr& filter,
 // ---------------------------------------------------------------------------
 // Morsel execution.
 
-/// Read one morsel of the pipeline's source into a DataChunk. Returns false
-/// in `*ok` on cancellation (no data touched afterwards).
+/// Evaluate `exprs` over the live rows: kernel by kernel, or row-major
+/// when several call random(). A failing kernel reports the error the
+/// interpreter would have raised first.
+Status EvalList(const ExecContext& ctx,
+                const std::vector<const CompiledExpr*>& exprs, bool row_major,
+                const DataChunk& chunk, const SelVector& sel,
+                std::vector<Vec>* out) {
+  sql::EvalContext env = ctx.EvalCtx(nullptr);
+  if (row_major) return EvalRowMajor(exprs, env, chunk, sel, out);
+  out->assign(exprs.size(), Vec());
+  for (size_t i = 0; i < exprs.size(); i++) {
+    Status s = exprs[i]->Eval(env, chunk, sel, &(*out)[i]);
+    if (!s.ok()) {
+      Status first = FirstRowError(exprs, env, chunk, sel);
+      return first.ok() ? s : first;
+    }
+  }
+  return Status::OK();
+}
+
+/// A fresh column: rows `idx` of `src` (NULL where an index is < 0).
+Column Take(const storage::ColumnVector& src, const std::vector<int32_t>& idx) {
+  auto out = std::make_shared<storage::ColumnVector>();
+  out->AppendRows(src, idx.data(), idx.size());
+  return out;
+}
+
+/// Read one morsel of the pipeline's source into a DataChunk. Sets
+/// `*cancelled` on cancellation (no data touched afterwards).
 Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
                   DataChunk* chunk, bool* cancelled) {
   *cancelled = false;
@@ -502,10 +756,7 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         return Status::OK();
       }
       chunk->rows = view.rows;
-      chunk->columns.clear();
-      for (const auto* col : view.columns) {
-        chunk->columns.push_back(ColumnRef::Borrowed(col));
-      }
+      chunk->columns = std::move(view.columns);
       return Status::OK();
     }
     case VecSource::Kind::kHeap: {
@@ -515,7 +766,17 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         return Status::OK();
       }
       size_t width = static_cast<size_t>(src.table->schema().num_columns());
-      std::vector<std::vector<sql::Datum>> cols(width);
+      std::vector<bool> wanted(width, src.projection.empty());
+      for (int p : src.projection) {
+        if (p >= 0 && static_cast<size_t>(p) < width) {
+          wanted[static_cast<size_t>(p)] = true;
+        }
+      }
+      std::vector<std::shared_ptr<storage::ColumnVector>> cols(width);
+      for (size_t c = 0; c < width; c++) {
+        if (wanted[c]) cols[c] = std::make_shared<storage::ColumnVector>();
+      }
+      int64_t rows = 0;
       for (int64_t rid = m.begin; rid < m.end; rid++) {
         if (!src.table->heap->TouchRow(static_cast<storage::RowId>(rid),
                                        /*dirty=*/false)) {
@@ -525,11 +786,13 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         const storage::TupleVersion* v = src.table->heap->VisibleVersion(
             static_cast<storage::RowId>(rid), ctx.snapshot, *ctx.txns);
         if (v == nullptr) continue;
-        for (size_t c = 0; c < width; c++) cols[c].push_back(v->row[c]);
+        for (size_t c = 0; c < width; c++) {
+          if (cols[c] != nullptr) cols[c]->Append(v->row[c]);
+        }
+        rows++;
       }
-      chunk->rows = cols.empty() ? 0 : static_cast<int64_t>(cols[0].size());
-      chunk->columns.clear();
-      for (auto& c : cols) chunk->columns.push_back(ColumnRef::Owned(std::move(c)));
+      chunk->rows = rows;
+      chunk->columns.assign(cols.begin(), cols.end());
       return Status::OK();
     }
     case VecSource::Kind::kTemp:
@@ -543,26 +806,29 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         *cancelled = true;
         return Status::OK();
       }
-      size_t width = src.width;
-      std::vector<std::vector<sql::Datum>> cols(width);
+      std::vector<std::shared_ptr<storage::ColumnVector>> cols(src.width);
+      for (auto& c : cols) c = std::make_shared<storage::ColumnVector>();
       for (int64_t r = m.begin; r < m.end; r++) {
         const sql::Row& row = (*rows)[static_cast<size_t>(r)];
-        for (size_t c = 0; c < width && c < row.size(); c++) {
-          cols[c].push_back(row[c]);
+        for (size_t c = 0; c < src.width; c++) {
+          if (c < row.size()) {
+            cols[c]->Append(row[c]);
+          } else {
+            cols[c]->AppendNull();
+          }
         }
       }
       chunk->rows = m.end - m.begin;
-      chunk->columns.clear();
-      for (auto& c : cols) chunk->columns.push_back(ColumnRef::Owned(std::move(c)));
+      chunk->columns.assign(cols.begin(), cols.end());
       return Status::OK();
     }
   }
   return Status::Internal("unreachable source kind");
 }
 
-/// Apply a filter expression to `chunk`, narrowing its selection vector.
-Status FilterChunk(ExecContext& ctx, const ExprPtr& pred, DataChunk* chunk,
-                   bool* cancelled) {
+/// Apply a filter to `chunk`, narrowing its selection vector.
+Status FilterChunk(ExecContext& ctx, const CompiledExpr* pred,
+                   DataChunk* chunk, bool* cancelled) {
   *cancelled = false;
   int64_t n = chunk->Count();
   if (n == 0 || pred == nullptr) return Status::OK();
@@ -570,50 +836,92 @@ Status FilterChunk(ExecContext& ctx, const ExprPtr& pred, DataChunk* chunk,
     *cancelled = true;
     return Status::OK();
   }
-  std::vector<int64_t> sel;
-  sel.reserve(static_cast<size_t>(n));
-  sql::Row scratch;
-  for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    auto ec = ctx.EvalCtx(&scratch);
-    CITUSX_ASSIGN_OR_RETURN(bool keep, sql::EvalPredicate(*pred, ec));
-    if (keep) sel.push_back(chunk->At(i));
+  SelVector sel = chunk->Live();
+  Status s = SelectWhere(*pred, ctx.EvalCtx(nullptr), *chunk, &sel);
+  if (!s.ok()) {
+    Status first = FirstRowError({pred}, ctx.EvalCtx(nullptr), *chunk, chunk->Live());
+    return first.ok() ? s : first;
   }
   chunk->filtered = true;
   chunk->sel = std::move(sel);
   return Status::OK();
 }
 
-/// Evaluate projection expressions into fresh owned columns.
-Status ProjectChunk(ExecContext& ctx, const std::vector<ExprPtr>& exprs,
-                    DataChunk* chunk, bool* cancelled) {
+/// Evaluate projection expressions into fresh columns.
+Status ProjectChunk(ExecContext& ctx, const VecOp& op, DataChunk* chunk,
+                    bool* cancelled) {
   *cancelled = false;
   int64_t n = chunk->Count();
-  if (!ctx.ChargeCpu(n * static_cast<int64_t>(exprs.size()) *
+  if (!ctx.ChargeCpu(n * static_cast<int64_t>(op.cexprs.size()) *
                      ctx.cost->vec_per_expr_eval)
            .ok()) {
     *cancelled = true;
     return Status::OK();
   }
-  std::vector<std::vector<sql::Datum>> cols(exprs.size());
-  for (auto& c : cols) c.reserve(static_cast<size_t>(n));
-  sql::Row scratch;
-  for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    auto ec = ctx.EvalCtx(&scratch);
-    for (size_t e = 0; e < exprs.size(); e++) {
-      CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*exprs[e], ec));
-      cols[e].push_back(std::move(v));
-    }
-  }
+  SelVector sel = chunk->Live();
+  std::vector<const CompiledExpr*> exprs;
+  for (const auto& e : op.cexprs) exprs.push_back(e.get());
+  std::vector<Vec> vals;
+  CITUSX_RETURN_IF_ERROR(
+      EvalList(ctx, exprs, op.row_major, *chunk, sel, &vals));
   DataChunk out;
-  out.rows = n;
-  for (auto& c : cols) out.columns.push_back(ColumnRef::Owned(std::move(c)));
+  out.rows = chunk->rows;
+  out.filtered = chunk->filtered;
+  out.sel = std::move(sel);
+  for (Vec& v : vals) {
+    if (!v.is_const) {
+      out.columns.push_back(std::move(v.col));
+      continue;
+    }
+    // A constant becomes a column over the live rows.
+    auto col = std::make_shared<storage::ColumnVector>();
+    for (int64_t r = 0; r < out.rows; r++) col->Append(v.value);
+    out.columns.push_back(std::move(col));
+  }
   *chunk = std::move(out);
   return Status::OK();
 }
 
-/// Probe a built hash table; emits combined rows into fresh owned columns.
+/// Evaluate join keys over `sel`; each key after the first runs only on
+/// rows whose earlier keys are non-NULL (a NULL key never joins, and the
+/// interpreter stops at it).
+Status EvalJoinKeys(const ExecContext& ctx, const CompiledList& keys,
+                    const DataChunk& chunk, const SelVector& sel,
+                    std::vector<Vec>* out) {
+  sql::EvalContext env = ctx.EvalCtx(nullptr);
+  out->assign(keys.size(), Vec());
+  SelVector live = sel;
+  for (size_t k = 0; k < keys.size(); k++) {
+    CITUSX_RETURN_IF_ERROR(keys[k]->Eval(env, chunk, live, &(*out)[k]));
+    if (k + 1 < keys.size()) {
+      SelVector next;
+      for (int32_t r : live) {
+        if (!(*out)[k].IsNull(r)) next.push_back(r);
+      }
+      live = std::move(next);
+    }
+  }
+  return Status::OK();
+}
+
+/// Rows (`left` of the probe batch, `right` of the build table) as a batch.
+DataChunk JoinRows(const DataChunk& probe, const HashTable& table,
+                   const std::vector<int32_t>& left,
+                   const std::vector<int32_t>& right) {
+  DataChunk out;
+  out.rows = static_cast<int64_t>(left.size());
+  for (const Column& c : probe.columns) {
+    out.columns.push_back(c == nullptr ? nullptr : Take(*c, left));
+  }
+  for (const storage::ColumnVector& c : table.cols) {
+    out.columns.push_back(Take(c, right));
+  }
+  return out;
+}
+
+/// Probe a built hash table: output rows in probe order, each probe row's
+/// matches in build order, then (LEFT) a NULL-extended row for a probe row
+/// no build row matched.
 Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
                   DataChunk* chunk, bool* cancelled) {
   *cancelled = false;
@@ -622,47 +930,143 @@ Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
     *cancelled = true;
     return Status::OK();
   }
-  size_t left_width = chunk->columns.size();
-  size_t out_width = left_width + op.build_width;
-  std::vector<std::vector<sql::Datum>> cols(out_width);
-  sql::Row scratch;
-  auto emit = [&](const sql::Row& left, const sql::Row* right) {
-    for (size_t c = 0; c < left_width; c++) cols[c].push_back(left[c]);
-    for (size_t c = 0; c < op.build_width; c++) {
-      cols[left_width + c].push_back(right == nullptr ? sql::Datum::Null()
-                                                      : (*right)[c]);
-    }
-  };
-  for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    CITUSX_ASSIGN_OR_RETURN(std::string key, RowKeyOf(ctx, op.keys, scratch));
-    bool matched = false;
-    if (!key.empty()) {
-      auto it = table.find(key);
-      if (it != table.end()) {
-        for (const sql::Row& rrow : it->second) {
-          if (op.residual != nullptr) {
-            sql::Row combined = scratch;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            auto ec = ctx.EvalCtx(&combined);
-            CITUSX_ASSIGN_OR_RETURN(bool keep,
-                                    sql::EvalPredicate(*op.residual, ec));
-            if (!keep) continue;
-          }
-          matched = true;
-          emit(scratch, &rrow);
-        }
+  SelVector sel = chunk->Live();
+  std::vector<Vec> keys;
+  CITUSX_RETURN_IF_ERROR(EvalJoinKeys(ctx, op.ckeys, *chunk, sel, &keys));
+  bool left_join = op.join_type == sql::JoinType::kLeft;
+  // Candidate pairs, and each probe row's range of them.
+  std::vector<int32_t> left, right;
+  std::vector<int32_t> first(sel.size() + 1, 0);
+  Key key;
+  for (size_t k = 0; k < sel.size(); k++) {
+    int32_t r = sel[k];
+    first[k] = static_cast<int32_t>(left.size());
+    int32_t g = KeyOf(keys, r, /*skip_nulls=*/true, &key)
+                    ? table.index.Find(key)
+                    : -1;
+    if (g >= 0) {
+      for (int32_t j = table.starts[static_cast<size_t>(g)];
+           j < table.starts[static_cast<size_t>(g) + 1]; j++) {
+        left.push_back(r);
+        right.push_back(table.order[static_cast<size_t>(j)]);
       }
-    }
-    if (!matched && op.join_type == sql::JoinType::kLeft) {
-      emit(scratch, nullptr);
+    } else if (left_join && op.cresidual == nullptr) {
+      left.push_back(r);
+      right.push_back(-1);
     }
   }
-  DataChunk out;
-  out.rows = cols.empty() ? 0 : static_cast<int64_t>(cols[0].size());
-  for (auto& c : cols) out.columns.push_back(ColumnRef::Owned(std::move(c)));
-  *chunk = std::move(out);
+  first[sel.size()] = static_cast<int32_t>(left.size());
+  if (op.cresidual == nullptr) {
+    *chunk = JoinRows(*chunk, table, left, right);
+    return Status::OK();
+  }
+  DataChunk cand = JoinRows(*chunk, table, left, right);
+  SelVector pass = cand.Live();
+  Status s = SelectWhere(*op.cresidual, ctx.EvalCtx(nullptr), cand, &pass);
+  if (!s.ok()) {
+    Status e = FirstRowError({op.cresidual.get()}, ctx.EvalCtx(nullptr), cand,
+                             cand.Live());
+    return e.ok() ? s : e;
+  }
+  if (!left_join) {
+    cand.filtered = true;
+    cand.sel = std::move(pass);
+    *chunk = std::move(cand);
+    return Status::OK();
+  }
+  std::vector<bool> passed(cand.rows, false);
+  for (int32_t c : pass) passed[static_cast<size_t>(c)] = true;
+  std::vector<int32_t> out_left, out_right;
+  for (size_t k = 0; k < sel.size(); k++) {
+    bool matched = false;
+    for (int32_t c = first[k]; c < first[k + 1]; c++) {
+      if (!passed[static_cast<size_t>(c)]) continue;
+      matched = true;
+      out_left.push_back(left[static_cast<size_t>(c)]);
+      out_right.push_back(right[static_cast<size_t>(c)]);
+    }
+    if (!matched) {
+      out_left.push_back(sel[k]);
+      out_right.push_back(-1);
+    }
+  }
+  *chunk = JoinRows(*chunk, table, out_left, out_right);
   return Status::OK();
+}
+
+/// Fold rows `sel` (group ids `gid`) into aggregate `a`'s states.
+void Transition(const VecSink& sink, size_t a, const Vec* arg,
+                const SelVector& sel, const std::vector<int32_t>& gid,
+                std::vector<AggState>* states) {
+  const size_t naggs = sink.aggs.size();
+  const AggFunc f = sink.funcs[a];
+  auto state = [&](size_t k) -> AggState& {
+    return (*states)[static_cast<size_t>(gid[k]) * naggs + a];
+  };
+  if (sink.aggs[a].distinct && arg != nullptr) {
+    // Collect values only; folded at merge so workers cannot
+    // double-count a value seen in several morsels.
+    for (size_t k = 0; k < sel.size(); k++) {
+      if (arg->IsNull(sel[k])) continue;
+      sql::Datum v = arg->Get(sel[k]);
+      state(k).distinct_vals.emplace(v.GroupKey(), v);
+    }
+    return;
+  }
+  if (arg == nullptr || f == AggFunc::kCount) {
+    for (size_t k = 0; k < sel.size(); k++) {
+      if (arg != nullptr && arg->IsNull(sel[k])) continue;
+      state(k).count++;
+    }
+    return;
+  }
+  const storage::ColumnVector* col = arg->is_const ? nullptr : arg->col.get();
+  storage::Layout layout =
+      col != nullptr ? col->layout() : storage::LayoutOf(arg->value.type());
+  sql::TypeId type = col != nullptr ? col->type() : arg->value.type();
+  const bool sum = f == AggFunc::kSum || f == AggFunc::kAvg;
+  const bool min = f == AggFunc::kMin;
+  for (size_t k = 0; k < sel.size(); k++) {
+    int32_t r = sel[k];
+    if (arg->IsNull(r)) continue;  // aggregates skip NULLs
+    AggState& st = state(k);
+    if (sum && layout == storage::Layout::kInt64) {
+      int64_t v = col != nullptr ? col->ints()[r] : arg->ival;
+      st.any = true;
+      st.count++;
+      st.sum_i += v;
+      st.sum_f += static_cast<double>(v);
+    } else if (sum && layout == storage::Layout::kDouble) {
+      st.any = true;
+      st.count++;
+      st.sum_is_float = true;
+      st.sum_f += col != nullptr ? col->doubles()[r] : arg->dval;
+    } else if ((min || f == AggFunc::kMax) && col != nullptr &&
+               !st.min_max.is_null() && st.min_max.type() == type &&
+               layout != storage::Layout::kDatum) {
+      // Same-typed bound: Datum::Compare is the native order.
+      int c;
+      switch (layout) {
+        case storage::Layout::kInt64: {
+          int64_t x = col->ints()[r], y = st.min_max.int_value();
+          c = x < y ? -1 : (x > y ? 1 : 0);
+          break;
+        }
+        case storage::Layout::kDouble: {
+          double x = col->doubles()[r], y = st.min_max.float_value();
+          c = x < y ? -1 : (x > y ? 1 : 0);
+          break;
+        }
+        default:
+          c = col->text(r).compare(st.min_max.text_value());
+          break;
+      }
+      st.any = true;
+      if (min ? c < 0 : c > 0) st.min_max = col->Get(r);
+    } else {
+      AggTransition(f, arg->Get(r), &st);
+    }
+  }
 }
 
 /// Feed a finished chunk into the worker-local sink.
@@ -674,10 +1078,10 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
   switch (sink.kind) {
     case VecSink::Kind::kCollect: {
       auto& rows = run.local_rows[static_cast<size_t>(worker)];
-      sql::Row scratch;
-      for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        rows.push_back(scratch);
+      for (int32_t r : chunk.Live()) {
+        sql::Row row;
+        chunk.GatherRow(r, &row);
+        rows.push_back(std::move(row));
       }
       return Status::OK();
     }
@@ -686,13 +1090,26 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         *cancelled = true;
         return Status::OK();
       }
-      auto& table = run.local_tables[static_cast<size_t>(worker)];
-      sql::Row scratch;
-      for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        CITUSX_ASSIGN_OR_RETURN(std::string key,
-                                RowKeyOf(ctx, sink.keys, scratch));
-        if (!key.empty()) table[key].push_back(scratch);
+      LocalBuild& build = run.local_builds[static_cast<size_t>(worker)];
+      SelVector sel = chunk.Live();
+      std::vector<Vec> keys;
+      CITUSX_RETURN_IF_ERROR(EvalJoinKeys(ctx, sink.ckeys, chunk, sel, &keys));
+      // Rows with a NULL key never join: they are not stored.
+      std::vector<int32_t> keep;
+      Key key;
+      for (int32_t r : sel) {
+        if (!KeyOf(keys, r, /*skip_nulls=*/true, &key)) continue;
+        keep.push_back(r);
+        build.keys.push_back(key);
+      }
+      build.cols.resize(chunk.columns.size());
+      for (size_t c = 0; c < chunk.columns.size(); c++) {
+        if (chunk.columns[c] == nullptr) {
+          for (size_t k = 0; k < keep.size(); k++) build.cols[c].AppendNull();
+        } else {
+          build.cols[c].AppendRows(*chunk.columns[c], keep.data(),
+                                   keep.size());
+        }
       }
       return Status::OK();
     }
@@ -701,40 +1118,42 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         *cancelled = true;
         return Status::OK();
       }
-      auto& groups = run.local_groups[static_cast<size_t>(worker)];
-      sql::Row scratch;
-      for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        auto ec = ctx.EvalCtx(&scratch);
-        std::string key;
-        sql::Row key_vals;
-        for (const auto& g : sink.group_exprs) {
-          CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*g, ec));
-          key += v.GroupKey();
-          key.push_back('\x1f');
-          key_vals.push_back(std::move(v));
+      AggTable& groups = run.local_groups[static_cast<size_t>(worker)];
+      SelVector sel = chunk.Live();
+      // Group expressions, then each aggregate's argument: the
+      // interpreter's order.
+      std::vector<const CompiledExpr*> exprs;
+      for (const auto& g : sink.cgroups) exprs.push_back(g.get());
+      for (const auto& a : sink.cargs) {
+        if (a != nullptr) exprs.push_back(a.get());
+      }
+      std::vector<Vec> vals;
+      CITUSX_RETURN_IF_ERROR(
+          EvalList(ctx, exprs, sink.row_major, chunk, sel, &vals));
+      std::vector<Vec> gvals(vals.begin(),
+                             vals.begin() + static_cast<std::ptrdiff_t>(
+                                                sink.cgroups.size()));
+      const size_t naggs = sink.aggs.size();
+      std::vector<int32_t> gid(sel.size());
+      Key key;
+      for (size_t k = 0; k < sel.size(); k++) {
+        if (gvals.empty() && !groups.keys.empty()) break;  // one group: 0
+        int32_t r = sel[k];
+        KeyOf(gvals, r, /*skip_nulls=*/false, &key);
+        int32_t g = groups.index.FindOrInsert(key);
+        if (static_cast<size_t>(g) == groups.keys.size()) {
+          sql::Row values;
+          for (const Vec& v : gvals) values.push_back(v.Get(r));
+          groups.keys.push_back(key);
+          groups.values.push_back(std::move(values));
+          groups.states.resize(groups.states.size() + naggs);
         }
-        auto [it, added] = groups.try_emplace(key);
-        if (added) {
-          it->second.keys = std::move(key_vals);
-          it->second.states.resize(sink.aggs.size());
-        }
-        for (size_t a = 0; a < sink.aggs.size(); a++) {
-          const engine::AggSpec& spec = sink.aggs[a];
-          sql::Datum v;
-          if (spec.arg != nullptr) {
-            CITUSX_ASSIGN_OR_RETURN(v, sql::Eval(*spec.arg, ec));
-            if (v.is_null()) continue;  // aggregates skip NULLs
-          }
-          AggState& st = it->second.states[a];
-          if (spec.distinct && spec.arg != nullptr) {
-            // Collect values only; folded at merge so workers cannot
-            // double-count a value seen in several morsels.
-            st.distinct_vals.emplace(v.GroupKey(), v);
-            continue;
-          }
-          AggTransition(spec, v, &st);
-        }
+        gid[k] = g;
+      }
+      size_t next = sink.cgroups.size();
+      for (size_t a = 0; a < naggs; a++) {
+        const Vec* arg = sink.cargs[a] != nullptr ? &vals[next++] : nullptr;
+        Transition(sink, a, arg, sel, gid, &groups.states);
       }
       return Status::OK();
     }
@@ -767,17 +1186,18 @@ void MorselWorker(std::shared_ptr<PipelineRun> run, int worker,
     status = ReadMorsel(ctx, *run, m, &chunk, &cancelled);
     if (!status.ok() || cancelled) break;
     run->local_source_rows[static_cast<size_t>(worker)] += chunk.rows;
-    if (run->pipe->source.filter != nullptr) {
-      status = FilterChunk(ctx, run->pipe->source.filter, &chunk, &cancelled);
+    if (run->pipe->source.cfilter != nullptr) {
+      status = FilterChunk(ctx, run->pipe->source.cfilter.get(), &chunk,
+                           &cancelled);
       if (!status.ok() || cancelled) break;
     }
     for (const VecOp& op : run->pipe->ops) {
       switch (op.kind) {
         case VecOp::Kind::kFilter:
-          status = FilterChunk(ctx, op.predicate, &chunk, &cancelled);
+          status = FilterChunk(ctx, op.cpredicate.get(), &chunk, &cancelled);
           break;
         case VecOp::Kind::kProject:
-          status = ProjectChunk(ctx, op.exprs, &chunk, &cancelled);
+          status = ProjectChunk(ctx, op, &chunk, &cancelled);
           break;
         case VecOp::Kind::kHashProbe:
           status = ProbeChunk(
@@ -858,6 +1278,99 @@ Status ApplyPost(ExecContext& ctx, const PostOp& post,
   return Status::Internal("unreachable post op");
 }
 
+// ---- merges of the worker-local sinks, in worker order ---------------------
+
+/// Width of the batches a pipeline's last operator hands its sink.
+size_t OutputWidth(const Pipeline& pipe) {
+  return pipe.ops.empty() ? pipe.source.width : pipe.ops.back().out_width;
+}
+
+/// The build rows of every worker, and their keys' row lists.
+void MergeBuild(std::vector<LocalBuild>* locals, size_t width,
+                HashTable* table) {
+  table->cols.assign(width, storage::ColumnVector());
+  std::vector<int32_t> gid;
+  for (LocalBuild& local : *locals) {
+    if (local.keys.empty()) continue;
+    if (gid.empty() && local.cols.size() == width) {
+      table->cols = std::move(local.cols);  // the first rows: no copy
+    } else {
+      std::vector<int32_t> all(local.keys.size());
+      for (size_t i = 0; i < all.size(); i++) all[i] = static_cast<int32_t>(i);
+      for (size_t c = 0; c < width; c++) {
+        if (c < local.cols.size()) {
+          table->cols[c].AppendRows(local.cols[c], all.data(), all.size());
+        } else {
+          for (size_t i = 0; i < all.size(); i++) table->cols[c].AppendNull();
+        }
+      }
+    }
+    for (const Key& k : local.keys) gid.push_back(table->index.FindOrInsert(k));
+    local = LocalBuild();
+  }
+  table->rows = static_cast<int64_t>(gid.size());
+  // Counting sort by key id keeps each key's rows in insertion order.
+  table->starts.assign(table->index.size() + 1, 0);
+  for (int32_t g : gid) table->starts[static_cast<size_t>(g) + 1]++;
+  for (size_t g = 0; g < table->index.size(); g++) {
+    table->starts[g + 1] += table->starts[g];
+  }
+  std::vector<int32_t> fill(table->starts.begin(), table->starts.end() - 1);
+  table->order.assign(gid.size(), 0);
+  for (size_t row = 0; row < gid.size(); row++) {
+    table->order[static_cast<size_t>(fill[static_cast<size_t>(gid[row])]++)] =
+        static_cast<int32_t>(row);
+  }
+}
+
+/// Merged groups as output rows, in GroupKey order.
+void MergeGroups(const VecSink& sink, std::vector<AggTable>* locals,
+                 std::vector<sql::Row>* out) {
+  const size_t naggs = sink.aggs.size();
+  AggTable merged;
+  for (AggTable& local : *locals) {
+    for (size_t g = 0; g < local.keys.size(); g++) {
+      int32_t m = merged.index.FindOrInsert(local.keys[g]);
+      if (static_cast<size_t>(m) == merged.keys.size()) {
+        merged.keys.push_back(std::move(local.keys[g]));
+        merged.values.push_back(std::move(local.values[g]));
+        merged.states.resize(merged.states.size() + naggs);
+      }
+      for (size_t a = 0; a < naggs; a++) {
+        MergeAggState(sink.funcs[a], sink.aggs[a].distinct,
+                      local.states[g * naggs + a],
+                      &merged.states[static_cast<size_t>(m) * naggs + a]);
+      }
+    }
+    local = AggTable();
+  }
+  if (merged.keys.empty() && sink.group_exprs.empty()) {
+    // Aggregate over empty input: one row of "empty" aggregates.
+    merged.keys.emplace_back();
+    merged.values.emplace_back();
+    merged.states.resize(naggs);
+  }
+  std::vector<std::pair<std::string, size_t>> order;
+  for (size_t g = 0; g < merged.keys.size(); g++) {
+    order.emplace_back(merged.keys[g].SortKey(), g);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [sort_key, g] : order) {
+    sql::Row row = std::move(merged.values[g]);
+    for (size_t a = 0; a < naggs; a++) {
+      AggState& st = merged.states[g * naggs + a];
+      // Fold collected DISTINCT values now that duplicates are merged.
+      if (sink.aggs[a].distinct) {
+        for (const auto& [dk, dv] : st.distinct_vals) {
+          AggTransition(sink.funcs[a], dv, &st);
+        }
+      }
+      row.push_back(AggFinal(sink.funcs[a], st));
+    }
+    out->push_back(std::move(row));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline driver.
 
@@ -884,6 +1397,7 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       for (int64_t s = 0; s < units; s++) {
         if (!col->StripeVisible(s, ctx.snapshot, *ctx.txns)) continue;
         const std::vector<storage::ColumnStats>* stats = col->StripeStats(s);
+        // Pruning reads the unfolded filter, as it always has.
         if (stats != nullptr && StripePrunable(pipe.source.filter, *stats)) {
           run->pruned_stripes++;
           continue;
@@ -925,7 +1439,7 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       static_cast<size_t>(std::max(1, ctx.cost->cores_per_node)),
       std::max<size_t>(1, run->morsels.size())));
   run->local_rows.resize(static_cast<size_t>(workers));
-  run->local_tables.resize(static_cast<size_t>(workers));
+  run->local_builds.resize(static_cast<size_t>(workers));
   run->local_groups.resize(static_cast<size_t>(workers));
   run->local_source_rows.assign(static_cast<size_t>(workers), 0);
 
@@ -989,55 +1503,14 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       break;
     }
     case VecSink::Kind::kHashBuild: {
-      auto& table = (*hash_tables)[static_cast<size_t>(pipe.sink.target)];
-      for (auto& local : run->local_tables) {
-        for (auto& [key, rows] : local) {
-          auto& dst = table[key];
-          for (auto& row : rows) dst.push_back(std::move(row));
-        }
-        local.clear();
-      }
-      for (const auto& [key, rows] : table) {
-        out_rows += static_cast<int64_t>(rows.size());
-      }
+      HashTable& table = (*hash_tables)[static_cast<size_t>(pipe.sink.target)];
+      MergeBuild(&run->local_builds, OutputWidth(pipe), &table);
+      out_rows = table.rows;
       break;
     }
     case VecSink::Kind::kAggregate: {
-      AggGroups merged;
-      for (auto& local : run->local_groups) {
-        for (auto& [key, group] : local) {
-          auto [it, added] = merged.try_emplace(key);
-          if (added) {
-            it->second.keys = std::move(group.keys);
-            it->second.states.resize(pipe.sink.aggs.size());
-          }
-          for (size_t a = 0; a < pipe.sink.aggs.size(); a++) {
-            MergeAggState(pipe.sink.aggs[a], group.states[a],
-                          &it->second.states[a]);
-          }
-        }
-      }
-      if (merged.empty() && pipe.sink.group_exprs.empty()) {
-        // Aggregate over empty input: one row of "empty" aggregates.
-        AggGroup g;
-        g.states.resize(pipe.sink.aggs.size());
-        merged.emplace("", std::move(g));
-      }
       auto& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
-      for (auto& [key, g] : merged) {
-        sql::Row row = std::move(g.keys);
-        for (size_t a = 0; a < pipe.sink.aggs.size(); a++) {
-          AggState& st = g.states[a];
-          // Fold collected DISTINCT values now that duplicates are merged.
-          if (pipe.sink.aggs[a].distinct) {
-            for (const auto& [dk, dv] : st.distinct_vals) {
-              AggTransition(pipe.sink.aggs[a], dv, &st);
-            }
-          }
-          row.push_back(AggFinal(pipe.sink.aggs[a], st));
-        }
-        out.push_back(std::move(row));
-      }
+      MergeGroups(pipe.sink, &run->local_groups, &out);
       out_rows = static_cast<int64_t>(out.size());
       break;
     }
@@ -1067,6 +1540,8 @@ Result<std::optional<QueryResult>> RunVectorized(engine::Node* node,
     root.sink.target = vplan.final_inter;
     vplan.pipelines.push_back(std::move(root));
   }
+  // Only a plan the vectorized engine runs pays for typing.
+  CompilePlan(&vplan, ctx.params);
 
   std::vector<std::vector<sql::Row>> inters(
       static_cast<size_t>(vplan.num_inters));

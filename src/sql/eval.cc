@@ -283,13 +283,12 @@ Result<Datum> CallFunction(const std::string& name,
 
 }  // namespace
 
-bool LikeMatch(const std::string& text, const std::string& pattern,
-               bool case_insensitive) {
-  const std::string t = case_insensitive ? ToLower(text) : text;
-  const std::string p = case_insensitive ? ToLower(pattern) : pattern;
+namespace {
+
+bool LikeMatchExact(std::string_view t, std::string_view p) {
   // Iterative wildcard matching with backtracking over the last '%'.
   size_t ti = 0, pi = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (ti < t.size()) {
     if (pi < p.size() && (p[pi] == '_' || p[pi] == t[ti])) {
       ti++;
@@ -297,7 +296,7 @@ bool LikeMatch(const std::string& text, const std::string& pattern,
     } else if (pi < p.size() && p[pi] == '%') {
       star_p = pi++;
       star_t = ti;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       pi = star_p + 1;
       ti = ++star_t;
     } else {
@@ -306,6 +305,14 @@ bool LikeMatch(const std::string& text, const std::string& pattern,
   }
   while (pi < p.size() && p[pi] == '%') pi++;
   return pi == p.size();
+}
+
+}  // namespace
+
+bool LikeMatch(std::string_view text, std::string_view pattern,
+               bool case_insensitive) {
+  if (case_insensitive) return LikeMatchExact(ToLower(text), ToLower(pattern));
+  return LikeMatchExact(text, pattern);
 }
 
 Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {

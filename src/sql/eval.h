@@ -2,6 +2,7 @@
 #ifndef CITUSX_SQL_EVAL_H_
 #define CITUSX_SQL_EVAL_H_
 
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,7 +27,7 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx);
 Result<bool> EvalPredicate(const Expr& e, const EvalContext& ctx);
 
 /// SQL LIKE/ILIKE matching with % and _ wildcards.
-bool LikeMatch(const std::string& text, const std::string& pattern,
+bool LikeMatch(std::string_view text, std::string_view pattern,
                bool case_insensitive);
 
 /// Infer the static result type of a bound expression given input types.

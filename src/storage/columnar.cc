@@ -1,8 +1,65 @@
 #include "storage/columnar.h"
 
 #include <functional>
+#include <string_view>
 
 namespace citusx::storage {
+
+namespace {
+
+/// Min/max over the non-NULL rows of `col`, with Datum::Compare's order:
+/// a later value replaces the current bound only when strictly beyond it.
+ColumnStats ComputeStats(const ColumnVector& col) {
+  ColumnStats st;
+  int64_t lo = -1, hi = -1;  // rows holding the bounds
+  auto beyond = [&](int64_t i, int64_t bound, int sign) {
+    switch (col.layout()) {
+      case Layout::kInt64: {
+        int64_t a = col.ints()[i], b = col.ints()[bound];
+        return sign < 0 ? a < b : a > b;
+      }
+      case Layout::kDouble: {
+        double a = col.doubles()[i], b = col.doubles()[bound];
+        return sign < 0 ? a < b : a > b;
+      }
+      case Layout::kText: {
+        int c = col.text(i).compare(col.text(bound));
+        return sign < 0 ? c < 0 : c > 0;
+      }
+      default: {
+        int c = sql::Datum::Compare(col.datum(i), col.datum(bound));
+        return sign < 0 ? c < 0 : c > 0;
+      }
+    }
+  };
+  for (int64_t i = 0; i < col.size(); i++) {
+    if (col.IsNull(i)) continue;
+    if (lo < 0) {
+      lo = hi = i;
+      continue;
+    }
+    if (beyond(i, lo, -1)) lo = i;
+    if (beyond(i, hi, +1)) hi = i;
+  }
+  if (lo >= 0) {
+    st.min = col.Get(lo);
+    st.max = col.Get(hi);
+    st.has_values = true;
+  }
+  return st;
+}
+
+std::vector<bool> Wanted(const std::vector<int>& projection, size_t width) {
+  std::vector<bool> wanted(width, projection.empty());
+  for (int p : projection) {
+    if (p >= 0 && static_cast<size_t>(p) < width) {
+      wanted[static_cast<size_t>(p)] = true;
+    }
+  }
+  return wanted;
+}
+
+}  // namespace
 
 Status ColumnarTable::Insert(sql::Row row, TxnId xmin) {
   if (static_cast<int>(row.size()) != schema_.num_columns()) {
@@ -16,15 +73,20 @@ Status ColumnarTable::Insert(sql::Row row, TxnId xmin) {
   if (open_active_ && open_.xmin != xmin) SealStripe(open_.xmin);
   if (!open_active_) {
     open_ = Stripe{};
-    open_.columns.resize(static_cast<size_t>(schema_.num_columns()));
+    open_.columns = std::make_shared<Columns>(
+        static_cast<size_t>(schema_.num_columns()));
     open_.column_bytes.assign(static_cast<size_t>(schema_.num_columns()), 0);
     open_.xmin = xmin;
     open_active_ = true;
+  } else if (open_.columns.use_count() > 1) {
+    // A reader holds the open stripe: it keeps its copy.
+    open_.columns = std::make_shared<Columns>(*open_.columns);
   }
+  Columns& cols = *open_.columns;
   for (size_t c = 0; c < row.size(); c++) {
     open_.column_bytes[c] += row[c].PhysicalSize();
     data_bytes_ += row[c].PhysicalSize();
-    open_.columns[c].push_back(std::move(row[c]));
+    cols[c].Append(row[c]);
   }
   open_.rows++;
   if (open_.rows >= kStripeRows) SealStripe(xmin);
@@ -51,20 +113,9 @@ void ColumnarTable::SealStripe(TxnId xmin) {
   }
   // Min/max skip-index entries (cstore chunk group stats): computed once at
   // seal time over non-NULL values.
-  open_.stats.resize(open_.columns.size());
-  for (size_t c = 0; c < open_.columns.size(); c++) {
-    ColumnStats& st = open_.stats[c];
-    for (const sql::Datum& v : open_.columns[c]) {
-      if (v.is_null()) continue;
-      if (!st.has_values) {
-        st.min = v;
-        st.max = v;
-        st.has_values = true;
-        continue;
-      }
-      if (sql::Datum::Compare(v, st.min) < 0) st.min = v;
-      if (sql::Datum::Compare(v, st.max) > 0) st.max = v;
-    }
+  open_.stats.clear();
+  for (const ColumnVector& col : *open_.columns) {
+    open_.stats.push_back(ComputeStats(col));
   }
   stripes_.push_back(std::move(open_));
   open_ = Stripe{};
@@ -77,16 +128,14 @@ int64_t ColumnarTable::num_rows() const {
   return n;
 }
 
-bool ColumnarTable::ChargeStripeRead(const Stripe& s,
+bool ColumnarTable::ChargeStripeRead(uint64_t first_block,
+                                     std::vector<int64_t> column_bytes,
                                      const std::vector<int>& projection) {
-  uint64_t block = s.first_block;
-  for (int c = 0; c < static_cast<int>(s.columns.size()); c++) {
-    int64_t pages = ColumnPages(s.column_bytes[static_cast<size_t>(c)]);
-    bool wanted = projection.empty();
-    for (int p : projection) {
-      if (p == c) wanted = true;
-    }
-    if (wanted) {
+  std::vector<bool> wanted = Wanted(projection, column_bytes.size());
+  uint64_t block = first_block;
+  for (size_t c = 0; c < column_bytes.size(); c++) {
+    int64_t pages = ColumnPages(column_bytes[c]);
+    if (wanted[c]) {
       for (int64_t p = 0; p < pages; p++) {
         if (!pool_->Access(
                 BlockId{object_id_, block + static_cast<uint64_t>(p)},
@@ -104,27 +153,43 @@ bool ColumnarTable::Scan(const Snapshot& snap,
                          const TxnStatusResolver& resolver,
                          const std::vector<int>& projection,
                          const std::function<bool(const sql::Row&)>& fn) {
-  auto scan_stripe = [&](const Stripe& s, bool charge_io) -> bool {
-    if (!snap.XidVisible(s.xmin, resolver)) return true;
-    if (charge_io && !ChargeStripeRead(s, projection)) return false;
-    sql::Row row(s.columns.size());
-    for (int64_t r = 0; r < s.rows; r++) {
-      for (size_t c = 0; c < s.columns.size(); c++) {
-        bool wanted = projection.empty();
-        for (int p : projection) {
-          if (p == static_cast<int>(c)) wanted = true;
-        }
-        row[c] = wanted ? s.columns[c][static_cast<size_t>(r)]
-                        : sql::Datum::Null();
+  // The read units as of the scan's start, each holding its columns: the
+  // callback and the I/O charges yield, and the table may change meanwhile.
+  struct Unit {
+    std::shared_ptr<const Columns> columns;
+    int64_t rows;
+    TxnId xmin;
+    uint64_t first_block;
+    std::vector<int64_t> column_bytes;
+    bool charge_io;
+  };
+  std::vector<Unit> units;
+  units.reserve(stripes_.size() + 1);
+  for (const Stripe& s : stripes_) {
+    units.push_back({s.columns, s.rows, s.xmin, s.first_block, s.column_bytes,
+                     /*charge_io=*/true});
+  }
+  if (open_active_) {
+    units.push_back({open_.columns, open_.rows, open_.xmin, 0, {},
+                     /*charge_io=*/false});
+  }
+  std::vector<bool> wanted =
+      Wanted(projection, static_cast<size_t>(schema_.num_columns()));
+  for (const Unit& u : units) {
+    if (!snap.XidVisible(u.xmin, resolver)) continue;
+    if (u.charge_io &&
+        !ChargeStripeRead(u.first_block, u.column_bytes, projection)) {
+      return false;
+    }
+    const Columns& cols = *u.columns;
+    sql::Row row(cols.size());
+    for (int64_t r = 0; r < u.rows; r++) {
+      for (size_t c = 0; c < cols.size(); c++) {
+        row[c] = wanted[c] ? cols[c].Get(r) : sql::Datum::Null();
       }
       if (!fn(row)) return false;
     }
-    return true;
-  };
-  for (const auto& s : stripes_) {
-    if (!scan_stripe(s, /*charge_io=*/true)) return false;
   }
-  if (open_active_ && !scan_stripe(open_, /*charge_io=*/false)) return false;
   return true;
 }
 
@@ -148,16 +213,27 @@ bool ColumnarTable::ReadStripe(int64_t index,
   bool is_open = index >= num_stripes();
   const Stripe& s =
       is_open ? open_ : stripes_[static_cast<size_t>(index)];
+  // Take the columns before the reads yield.
+  std::shared_ptr<const Columns> columns = s.columns;
+  int64_t rows = s.rows;
+  if (columns == nullptr) {  // no open stripe (a TRUNCATE since planning)
+    out->rows = 0;
+    out->columns.assign(static_cast<size_t>(schema_.num_columns()), nullptr);
+    return true;
+  }
   // Open stripe is memory-resident: no block I/O.
-  if (!is_open && !ChargeStripeRead(s, projection)) return false;
-  out->rows = s.rows;
-  out->columns.assign(s.columns.size(), nullptr);
-  for (size_t c = 0; c < s.columns.size(); c++) {
-    bool wanted = projection.empty();
-    for (int p : projection) {
-      if (p == static_cast<int>(c)) wanted = true;
+  if (!is_open && !ChargeStripeRead(s.first_block, s.column_bytes,
+                                    projection)) {
+    return false;
+  }
+  out->rows = rows;
+  out->columns.assign(columns->size(), nullptr);
+  std::vector<bool> wanted = Wanted(projection, columns->size());
+  for (size_t c = 0; c < columns->size(); c++) {
+    if (wanted[c]) {
+      out->columns[c] =
+          std::shared_ptr<const ColumnVector>(columns, &(*columns)[c]);
     }
-    if (wanted) out->columns[c] = &s.columns[c];
   }
   return true;
 }

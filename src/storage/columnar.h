@@ -7,17 +7,25 @@
 //  - Scan(): row-at-a-time callback, used by the volcano executor.
 //  - ReadStripe(): zero-copy column views over one stripe, used by the
 //    vectorized executor (src/exec) with min/max pruning via StripeStats().
+//
+// Each stripe keeps its columns typed (storage/column_vector.h). Readers
+// share ownership of a stripe's columns, so a view or a scan stays valid
+// across the yields inside it: sealing, later stripes and TRUNCATE leave
+// the shared columns alone, and an append to the open stripe while a reader
+// holds it copies the stripe first (the reader keeps its snapshot).
 #ifndef CITUSX_STORAGE_COLUMNAR_H_
 #define CITUSX_STORAGE_COLUMNAR_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "sql/datum.h"
 #include "sql/types.h"
 #include "storage/buffer_pool.h"
+#include "storage/column_vector.h"
 #include "storage/mvcc.h"
 
 namespace citusx::storage {
@@ -31,10 +39,11 @@ struct ColumnStats {
 };
 
 /// Zero-copy view of one stripe's columns. Only projected columns are
-/// non-null; pointers are invalidated by any mutation of the table.
+/// non-null. The view shares ownership of the columns, so it stays valid
+/// whatever happens to the table afterwards.
 struct StripeView {
   int64_t rows = 0;
-  std::vector<const std::vector<sql::Datum>*> columns;  // nullptr = skipped
+  std::vector<std::shared_ptr<const ColumnVector>> columns;  // null = skipped
 };
 
 class ColumnarTable {
@@ -90,9 +99,12 @@ class ColumnarTable {
   void Truncate();
 
  private:
+  using Columns = std::vector<ColumnVector>;
+
   struct Stripe {
-    // Column-major storage.
-    std::vector<std::vector<sql::Datum>> columns;
+    // Column-major typed storage, shared with readers (see the file
+    // comment).
+    std::shared_ptr<Columns> columns;
     std::vector<int64_t> column_bytes;
     std::vector<ColumnStats> stats;  // filled at seal time
     TxnId xmin = kInvalidTxn;
@@ -102,8 +114,12 @@ class ColumnarTable {
 
   void SealStripe(TxnId xmin);
   int64_t ColumnPages(int64_t bytes) const;
-  /// Charge buffer-pool reads for `projection` of `s`; false on cancel.
-  bool ChargeStripeRead(const Stripe& s, const std::vector<int>& projection);
+  /// Charge buffer-pool reads for `projection` of a stripe whose blocks
+  /// start at `first_block`; false on cancel. Takes its inputs by value:
+  /// the stripe may move while the reads yield.
+  bool ChargeStripeRead(uint64_t first_block,
+                        std::vector<int64_t> column_bytes,
+                        const std::vector<int>& projection);
 
   uint64_t object_id_;
   sql::Schema schema_;

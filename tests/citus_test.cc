@@ -665,6 +665,28 @@ TEST_F(CitusTest, MixedCtesMaterializeEachCteOnce) {
   });
 }
 
+// Planning a stage draws no shard id: an EXPLAIN of a multi-stage
+// statement leaves the sequence create_distributed_table draws from alone.
+TEST_F(CitusTest, ExplainOfStagedStatementDrawsNoShardId) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    LoadStageTables(**conn);
+    auto first_shard = [&](const char* name) {
+      MustQuery(**conn, StrFormat("CREATE TABLE %s (k bigint)", name));
+      MustQuery(**conn, StrFormat("SELECT create_distributed_table('%s', 'k')",
+                                  name));
+      return deploy_->metadata().Find(name)->shards[0].shard_id;
+    };
+    uint64_t before = first_shard("seq_a");
+    uint64_t per_table = deploy_->metadata().Find("seq_a")->shards.size();
+    MustQuery(**conn,
+              "EXPLAIN WITH c AS MATERIALIZED (SELECT v FROM kv WHERE key < 3) "
+              "SELECT count(*) FROM kv JOIN c ON kv.v = c.v");
+    EXPECT_EQ(first_shard("seq_b"), before + per_table);
+  });
+}
+
 // A nested WITH entry that shares its name with a top-level entry is a CTE
 // of its own: the top-level entry's reference count does not keep it
 // materialized, so it folds into its subquery under either spelling.

@@ -1,15 +1,26 @@
 // Seeded differential property test: generated filter/aggregate/join
 // queries run through both the vectorized executor and the volcano oracle,
-// diffing row sets. Covers NULL-heavy data, empty tables, heap and columnar
-// storage, and morsel-boundary row counts. Any mismatch prints the seed and
-// the offending SQL so failures replay deterministically.
+// diffing row sets. Covers NULL-heavy data over every typed column layout
+// (bigint, int4, double, text, date, bool), empty tables, heap and
+// columnar storage, and morsel-boundary row counts, with the constructs the
+// vectorized kernels compile: comparisons across int and float, IN,
+// BETWEEN, LIKE/ILIKE, CASE, NOT, casts, date +/- INTERVAL, three-valued
+// AND/OR (including `b <> 0 AND a / b > 1` guards over rows where b is 0),
+// GROUP BY over text, date and float, and join keys mixing int and float.
+// Any mismatch prints the seed and the offending SQL so failures replay
+// deterministically.
 //
 // Environment knobs (property_env.h; the CI property job sets them):
-//   CITUSX_PROPERTY_SEED    generator seed     (default 20260809)
-//   CITUSX_PROPERTY_ROUNDS  generated queries  (default 40)
+//   CITUSX_PROPERTY_SEED       generator seed     (default 20260809)
+//   CITUSX_PROPERTY_ROUNDS     generated queries  (default 150)
+//   CITUSX_PROPERTY_REPRO_DIR  on a mismatch, append the seed, round, SQL
+//                              and both executors' rows to
+//                              <dir>/exec_diff_repro.txt (a CI artifact)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -30,86 +41,214 @@ using engine::QueryResult;
 using engine::Session;
 
 /// Generates random single-table and two-table queries over a fixed schema:
-/// tN(a bigint, b bigint, c double precision, g bigint), with NULLs mixed in.
+/// tN(a bigint, b bigint, c double precision, g bigint, s text, d date,
+/// f bool, i int4). `a` is unique; every other column holds NULLs.
 class QueryGen {
  public:
   explicit QueryGen(Rng* rng) : rng_(rng) {}
 
+  /// A predicate over `tbl`'s columns (unqualified when `tbl` is empty).
   std::string Filter(const std::string& tbl) {
-    auto col = [&] {
-      const char* cols[] = {"a", "b", "c", "g"};
-      return tbl.empty() ? std::string(cols[rng_->Uniform(0, 3)])
-                         : tbl + "." + cols[rng_->Uniform(0, 3)];
-    };
-    auto cmp = [&] {
-      const char* ops[] = {"<", "<=", ">", ">=", "=", "<>"};
-      return StrFormat("%s %s %lld", col().c_str(),
-                       ops[rng_->Uniform(0, 5)],
-                       static_cast<long long>(rng_->Uniform(-5, 120)));
-    };
-    std::string f = cmp();
+    std::string f = Atom(tbl);
     int extra = static_cast<int>(rng_->Uniform(0, 2));
     for (int i = 0; i < extra; i++) {
-      f += rng_->Chance(0.7) ? " AND " : " OR ";
-      f += rng_->Chance(0.8) ? cmp()
-                             : StrFormat("%s IS NOT NULL", col().c_str());
+      f += rng_->Chance(0.6) ? " AND " : " OR ";
+      f += Atom(tbl);
     }
-    return f;
+    return rng_->Chance(0.2) ? "NOT (" + f + ")" : f;
   }
 
   std::string Agg() {
-    switch (rng_->Uniform(0, 5)) {
-      case 0: return "count(*)";
-      case 1: return "sum(b)";
-      case 2: return "avg(c)";
-      case 3: return "min(a)";
-      case 4: return "max(c)";
-      default: return "count(DISTINCT g)";
-    }
+    const char* aggs[] = {"count(*)",  "sum(b)",          "avg(c)",
+                          "min(a)",    "max(c)",          "count(DISTINCT g)",
+                          "min(s)",    "max(d)",          "sum(i)",
+                          "min(c)",    "count(f)",        "max(s)",
+                          "sum(CASE WHEN s LIKE 'a%' THEN c ELSE 0 END)"};
+    return aggs[rng_->Uniform(0, 12)];
   }
 
   std::string SingleTable(const std::string& t) {
-    switch (rng_->Uniform(0, 3)) {
-      case 0:  // projection + filter, fully ordered
-        return StrFormat("SELECT a, b, c, g FROM %s WHERE %s", t.c_str(),
-                         Filter("").c_str());
+    switch (rng_->Uniform(0, 5)) {
+      case 0:  // projection + filter
+        return StrFormat("SELECT a, b, c, g, s, d, f, i FROM %s WHERE %s",
+                         t.c_str(), Filter("").c_str());
       case 1:  // ungrouped aggregates
         return StrFormat("SELECT %s, %s FROM %s WHERE %s", Agg().c_str(),
                          Agg().c_str(), t.c_str(), Filter("").c_str());
-      case 2:  // grouped aggregates
-        return StrFormat("SELECT g, %s FROM %s WHERE %s GROUP BY g",
-                         Agg().c_str(), t.c_str(), Filter("").c_str());
-      default:  // sort + limit over a total order
+      case 2: {  // grouped aggregates
+        const char* keys[] = {"g", "s", "d", "c", "f", "i"};
+        const char* key = keys[rng_->Uniform(0, 5)];
+        return StrFormat("SELECT %s, %s FROM %s WHERE %s GROUP BY %s", key,
+                         Agg().c_str(), t.c_str(), Filter("").c_str(), key);
+      }
+      case 3:  // sort + limit over a total order
         return StrFormat(
             "SELECT a, b FROM %s WHERE %s ORDER BY b, a LIMIT %lld",
             t.c_str(), Filter("").c_str(),
             static_cast<long long>(rng_->Uniform(1, 50)));
+      default:  // predicates and expressions as values, NULLs included
+        return StrFormat(
+            "SELECT a, (%s) AS p, NOT (%s) AS q, %s AS e FROM %s WHERE %s",
+            Filter("").c_str(), Atom("").c_str(), Expr().c_str(), t.c_str(),
+            Filter("").c_str());
     }
   }
 
-  std::string TwoTable(const std::string& t1, const std::string& t2) {
+  /// `big`: both tables are large, so the keys are near-unique and the
+  /// probe side is cut down, keeping the join's output small.
+  std::string TwoTable(const std::string& t1, const std::string& t2,
+                       bool big) {
     const char* join = rng_->Chance(0.3) ? "LEFT JOIN" : "JOIN";
-    std::string on = StrFormat("%s.g = %s.g", t1.c_str(), t2.c_str());
-    if (rng_->Chance(0.5)) {
-      return StrFormat("SELECT %s.a, %s.b FROM %s %s %s ON %s WHERE %s",
-                       t1.c_str(), t2.c_str(), t1.c_str(), join, t2.c_str(),
-                       on.c_str(), Filter(t1).c_str());
+    // Keys of one class, and keys mixing int and float (which never join:
+    // GroupKey tells an int from a float).
+    const char* pairs[][2] = {{"g", "g"}, {"g", "c"}, {"s", "s"},
+                              {"i", "b"}, {"d", "d"}, {"c", "c"},
+                              {"c", "i"}};
+    const char* big_pairs[][2] = {{"a", "a"}, {"a", "b"}, {"b", "a"},
+                                  {"a", "c"}, {"g", "a"}};
+    auto* pair = big ? big_pairs[rng_->Uniform(0, 4)]
+                     : pairs[rng_->Uniform(0, 6)];
+    std::string on = StrFormat("%s.%s = %s.%s", t1.c_str(), pair[0],
+                               t2.c_str(), pair[1]);
+    if (rng_->Chance(0.3)) {
+      on += StrFormat(" AND %s.b < %s.b + %lld", t1.c_str(), t2.c_str(),
+                      static_cast<long long>(rng_->Uniform(0, 60)));
     }
-    return StrFormat("SELECT %s.g, count(*), sum(%s.b) FROM %s %s %s ON %s "
-                     "GROUP BY %s.g",
-                     t1.c_str(), t2.c_str(), t1.c_str(), join, t2.c_str(),
-                     on.c_str(), t1.c_str());
+    std::string where = Filter(t1);
+    if (big) {
+      where = StrFormat("%s.a < 500 AND (%s)", t1.c_str(), where.c_str());
+    }
+    if (rng_->Chance(0.5)) {
+      return StrFormat("SELECT %s.a, %s.b, %s.s FROM %s %s %s ON %s WHERE %s",
+                       t1.c_str(), t2.c_str(), t2.c_str(), t1.c_str(), join,
+                       t2.c_str(), on.c_str(), where.c_str());
+    }
+    return StrFormat("SELECT %s.%s, count(*), sum(%s.b) FROM %s %s %s ON %s "
+                     "WHERE %s GROUP BY %s.%s",
+                     t1.c_str(), pair[0], t2.c_str(), t1.c_str(), join,
+                     t2.c_str(), on.c_str(), where.c_str(), t1.c_str(),
+                     pair[0]);
   }
 
  private:
+  int64_t Pick(int64_t lo, int64_t hi) { return rng_->Uniform(lo, hi); }
+
+  std::string Atom(const std::string& tbl) {
+    std::string q = tbl.empty() ? "" : tbl + ".";
+    auto col = [&](const char* c) { return q + c; };
+    const char* ops[] = {"<", "<=", ">", ">=", "=", "<>"};
+    const char* op = ops[Pick(0, 5)];
+    switch (Pick(0, 17)) {
+      case 0:
+      case 1: {
+        const char* cols[] = {"a", "b", "g", "i"};
+        return StrFormat("%s %s %lld", col(cols[Pick(0, 3)]).c_str(), op,
+                         static_cast<long long>(Pick(-5, 120)));
+      }
+      case 2:
+        return StrFormat("%s %s %lld.5", col("c").c_str(), op,
+                         static_cast<long long>(Pick(-20, 20)));
+      case 3: {  // int against float
+        const char* cmp[] = {"i = c", "g < c", "c >= b", "b = i"};
+        std::string e = cmp[Pick(0, 3)];
+        return tbl.empty() ? e : ReplaceCols(e, q);
+      }
+      case 4:
+        return StrFormat("%s %s '%s'", col("s").c_str(),
+                         Pick(0, 2) == 0 ? "ILIKE" : "LIKE",
+                         Pick(0, 1) == 0 ? "a%" : "%an%");
+      case 5:
+        return StrFormat("%s NOT LIKE '%%e%%'", col("s").c_str());
+      case 6:
+        return Pick(0, 1) == 0
+                   ? StrFormat("%s IN ('apple', 'banana', NULL)",
+                               col("s").c_str())
+                   : StrFormat("%s IN (1, 2, %lld)", col("g").c_str(),
+                               static_cast<long long>(Pick(3, 12)));
+      case 7:
+        return StrFormat("%s BETWEEN %lld AND %lld", col("i").c_str(),
+                         static_cast<long long>(Pick(-5, 0)),
+                         static_cast<long long>(Pick(0, 5)));
+      case 8:
+        return StrFormat("%s BETWEEN DATE '2020-01-%02lld' AND "
+                         "DATE '2020-01-%02lld'",
+                         col("d").c_str(), static_cast<long long>(Pick(1, 10)),
+                         static_cast<long long>(Pick(10, 31)));
+      case 9:
+        return StrFormat("%s %s DATE '2020-01-01' %s INTERVAL '%lld' %s",
+                         col("d").c_str(), op, Pick(0, 1) == 0 ? "+" : "-",
+                         static_cast<long long>(Pick(1, 30)),
+                         Pick(0, 2) == 0 ? "MONTH" : "DAY");
+      case 10: {
+        const char* b[] = {"%s", "NOT %s", "%s IS NULL", "%s = true"};
+        return StrFormat(b[Pick(0, 3)], col("f").c_str());
+      }
+      case 11:
+        return StrFormat("%s IS NOT NULL", col(Pick(0, 1) == 0 ? "s" : "c")
+                                               .c_str());
+      case 12:
+        return StrFormat("%s::bigint %s %lld", col("c").c_str(), op,
+                         static_cast<long long>(Pick(-10, 10)));
+      case 13:
+        return StrFormat("%s::double precision < %s", col("b").c_str(),
+                         col("c").c_str());
+      case 14:
+        return StrFormat("%s::text = '%lld'", col("i").c_str(),
+                         static_cast<long long>(Pick(-5, 5)));
+      case 15:  // the guard must keep the division off rows where b = 0
+        return StrFormat("%s <> 0 AND %s / %s > 1", col("b").c_str(),
+                         col("a").c_str(), col("b").c_str());
+      case 16:
+        return StrFormat("CASE WHEN %s LIKE 'a%%' THEN %s ELSE %s END > 5",
+                         col("s").c_str(), col("b").c_str(), col("g").c_str());
+      default:
+        return StrFormat("(%s OR %s)", Atom(tbl).c_str(), Atom(tbl).c_str());
+    }
+  }
+
+  std::string Expr() {
+    const char* exprs[] = {
+        "CASE WHEN b > 50 THEN c WHEN g < 3 THEN 1 ELSE NULL END",
+        "a * 2 + i", "c - b", "-c", "d + INTERVAL '3' DAY",
+        "i::double precision / 2", "CASE WHEN f THEN s ELSE 'none' END",
+        "a % 7"};
+    return exprs[Pick(0, 7)];
+  }
+
+  static std::string ReplaceCols(const std::string& e, const std::string& q) {
+    std::string out;
+    for (char ch : e) {
+      if (ch >= 'a' && ch <= 'z' && (out.empty() || out.back() == ' ')) {
+        out += q;
+      }
+      out += ch;
+    }
+    return out;
+  }
+
   Rng* rng_;
 };
+
+std::string RowsText(const Result<QueryResult>& r) {
+  if (!r.ok()) return "<error: " + r.status().ToString() + ">\n";
+  std::string out;
+  for (const auto& row : r->rows) {
+    for (size_t i = 0; i < row.size(); i++) {
+      if (i > 0) out += " | ";
+      out += row[i].is_null() ? "NULL" : row[i].ToText();
+    }
+    out += "\n";
+  }
+  return out;
+}
 
 TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
   const uint64_t seed =
       static_cast<uint64_t>(test::EnvInt("CITUSX_PROPERTY_SEED", 20260809));
   const int rounds =
-      static_cast<int>(test::EnvInt("CITUSX_PROPERTY_ROUNDS", 40));
+      static_cast<int>(test::EnvInt("CITUSX_PROPERTY_ROUNDS", 150));
+  const char* repro_env = std::getenv("CITUSX_PROPERTY_REPRO_DIR");
+  const std::string repro_dir = repro_env == nullptr ? "" : repro_env;
   sim::Simulation sim;
   engine::Node node(&sim, "pg1", sim::DefaultCostModel());
   InstallVectorizedExecutor(&node);
@@ -129,31 +268,40 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
         {"t2", 2500, true},      // open (unsealed) stripe only
         {"t3", 23000, true},     // sealed stripes + partial open stripe
     };
+    const char* texts[] = {"'apple'", "'Apricot'", "'banana'", "'cherry'",
+                           "''",      "'a%b'",     "'mango'"};
     for (const Spec& spec : specs) {
       must(StrFormat("CREATE TABLE %s (a bigint, b bigint, c double "
-                     "precision, g bigint) USING %s",
+                     "precision, g bigint, s text, d date, f bool, i int) "
+                     "USING %s",
                      spec.name, spec.columnar ? "columnar" : "heap"));
       for (int base = 0; base < spec.rows; base += 500) {
         std::string values;
         for (int i = base; i < std::min(spec.rows, base + 500); i++) {
           if (!values.empty()) values += ",";
           // ~15% NULLs per nullable column; values clustered so filters
-          // and join keys actually select and match.
-          std::string b = rng.Chance(0.15)
-                              ? "NULL"
-                              : std::to_string(rng.Uniform(0, 100));
-          std::string c = rng.Chance(0.15)
-                              ? "NULL"
-                              : StrFormat("%lld.%lld",
-                                          static_cast<long long>(
-                                              rng.Uniform(-20, 20)),
-                                          static_cast<long long>(
-                                              rng.Uniform(0, 9)));
+          // and join keys actually select and match, and b is 0 often
+          // enough that an unguarded a / b fails.
+          auto maybe = [&](std::string v) {
+            return rng.Chance(0.15) ? std::string("NULL") : v;
+          };
+          std::string b = maybe(std::to_string(rng.Uniform(0, 100)));
+          // Half the floats are integral, so int = float keys would meet.
+          std::string c = maybe(StrFormat(
+              "%lld.%lld", static_cast<long long>(rng.Uniform(-20, 20)),
+              static_cast<long long>(rng.Uniform(0, 1) * 5)));
           std::string g = rng.Chance(0.1)
                               ? "NULL"
                               : std::to_string(rng.Uniform(0, 12));
-          values += StrFormat("(%d, %s, %s, %s)", i, b.c_str(), c.c_str(),
-                              g.c_str());
+          std::string t = maybe(texts[rng.Uniform(0, 6)]);
+          std::string d = maybe(StrFormat(
+              "'2020-01-01'::date + %lld",
+              static_cast<long long>(rng.Uniform(0, 60))));
+          std::string f = maybe(rng.Chance(0.5) ? "true" : "false");
+          std::string n = maybe(std::to_string(rng.Uniform(-5, 5)));
+          values += StrFormat("(%d, %s, %s, %s, %s, %s, %s, %s)", i,
+                              b.c_str(), c.c_str(), g.c_str(), t.c_str(),
+                              d.c_str(), f.c_str(), n.c_str());
         }
         must(StrFormat("INSERT INTO %s VALUES %s", spec.name,
                        values.c_str()));
@@ -167,8 +315,11 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
       if (rng.Chance(0.3)) {
         const char* t1 = specs[rng.Uniform(0, 3)].name;
         const char* t2 = specs[rng.Uniform(0, 3)].name;
-        if (std::string(t1) == t2) t2 = "t1";
-        sql = gen.TwoTable(t1, t2);
+        if (std::string(t1) == t2) t2 = std::string(t1) == "t1" ? "t0" : "t1";
+        auto large = [](const std::string& t) {
+          return t == "t2" || t == "t3";
+        };
+        sql = gen.TwoTable(t1, t2, large(t1) && large(t2));
       } else {
         sql = gen.SingleTable(specs[rng.Uniform(0, 3)].name);
       }
@@ -176,16 +327,25 @@ TEST(ExecDiffTest, GeneratedQueriesMatchVolcano) {
       auto oracle = s->Execute(sql);
       ASSERT_TRUE(s->Execute("SET citus.use_vectorized_executor = 'on'").ok());
       auto vec = s->Execute(sql);
+      bool same = oracle.ok() == vec.ok() &&
+                  (!oracle.ok() || test::RowSetsClose(oracle->rows, vec->rows));
+      if (!same && !repro_dir.empty()) {
+        std::ofstream f(repro_dir + "/exec_diff_repro.txt", std::ios::app);
+        f << "== seed ==\n" << seed << "\n== round ==\n" << round
+          << "\n== sql ==\n" << sql << "\n== volcano rows ==\n"
+          << RowsText(oracle) << "== vectorized rows ==\n" << RowsText(vec);
+      }
       // Both executors must agree on errors too.
       ASSERT_EQ(oracle.ok(), vec.ok())
-          << "seed " << seed << " round " << round << ": " << sql;
+          << "seed " << seed << " round " << round << ": " << sql
+          << "\n  volcano: " << RowsText(oracle).substr(0, 200)
+          << "\n  vectorized: " << RowsText(vec).substr(0, 200);
       if (!oracle.ok()) continue;
       // Generated queries avoid LIMIT without a total order, so multiset
       // equality is the right contract.
-      EXPECT_TRUE(test::RowSetsClose(oracle->rows, vec->rows))
-          << "seed " << seed << " round " << round << ": " << sql
-          << "\n  volcano rows: " << oracle->rows.size()
-          << "\n  vectorized rows: " << vec->rows.size();
+      EXPECT_TRUE(same) << "seed " << seed << " round " << round << ": "
+                        << sql << "\n  volcano rows: " << oracle->rows.size()
+                        << "\n  vectorized rows: " << vec->rows.size();
       checked++;
     }
     // The generator must not degenerate into all-error queries.
