@@ -15,7 +15,9 @@
 #               abl_scale (>= 2x pooled tps at >= 100k sessions on a bounded
 #               connection budget, one-round-trip delta-sync cost flat per
 #               node), abl_joins (repartition joins match a single-node
-#               oracle, shuffled bytes grow with the data), chaos_ycsb
+#               oracle, shuffled bytes grow with the data), fig7
+#               (COPY into the GIN-indexed jsonb table, the dashboard's
+#               per-day sums equal the generator's count), chaos_ycsb
 #               --quick under a fixed seed (release and, when present, the
 #               ASan build); every binary self-checks its own invariants and
 #               JSON report. Then the standalone benchmark (benchmark/) is
@@ -122,6 +124,9 @@ if run_tier bench; then
 
   echo "==> joins smoke: repartition shuffle + CTE materialization vs oracle"
   ./build/bench/abl_joins --quick --json=build/BENCH_joins_smoke.json
+
+  echo "==> realtime smoke: COPY + GIN + recheck + jsonb GROUP BY (fig7)"
+  ./build/bench/fig7_realtime --quick --json=build/BENCH_fig7_smoke.json
 
   echo "==> chaos smoke: crash/restart schedule under a fixed seed"
   ./build/bench/chaos_ycsb --quick --seed=42 --json=build/BENCH_chaos_smoke.json

@@ -379,6 +379,8 @@ Status FilterNode::Execute(ExecContext& ctx, const RowSink& sink) {
 }
 
 namespace {
+// A row's hash-join key: its key values' Datum::JoinKey, so that the pairs
+// a hash join finds are the ones Datum::Compare calls equal.
 Result<std::string> RowKey(ExecContext& ctx,
                            const std::vector<sql::ExprPtr>& keys,
                            const sql::Row& row) {
@@ -387,7 +389,7 @@ Result<std::string> RowKey(ExecContext& ctx,
   for (const auto& k : keys) {
     CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*k, ec));
     if (v.is_null()) return std::string();  // NULL keys never join
-    out += v.GroupKey();
+    out += v.JoinKey();
     out.push_back('\x1f');
   }
   return out;

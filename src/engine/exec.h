@@ -127,7 +127,9 @@ class SeqScanNode : public ExecNode {
   sql::ExprPtr filter;  // bound; may be null
   bool lock_rows = false;
   bool emit_rowid = false;
-  std::vector<int> projection;  // columnar scans: referenced column indexes
+  // Referenced column indexes (empty = all): what columnar scans and the
+  // vectorized heap source read; the volcano heap scan reads whole rows.
+  std::vector<int> projection;
 
   Status Execute(ExecContext& ctx, const RowSink& sink) override;
 };

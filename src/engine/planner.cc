@@ -134,9 +134,9 @@ struct PlannedRel {
   Scope scope;
 };
 
-// Referenced columns of a base table (for columnar projection pruning):
-// computed from every expression slot of the statement's own level, join
-// ONs included, by qualifier/name matching.
+// Referenced columns of a base table (the columns a columnar or
+// vectorized heap scan reads): computed from every expression slot of the
+// statement's own level, join ONs included, by qualifier/name matching.
 std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
                                    const std::string& qualifier,
                                    const sql::Schema& schema) {
@@ -160,7 +160,7 @@ std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
 // scope. Consumes `conjuncts`.
 Result<ExecNodePtr> BuildScan(TableInfo* table, const Scope& scope,
                               std::vector<ExprPtr> conjuncts,
-                              const std::vector<int>& columnar_projection,
+                              const std::vector<int>& projection,
                               bool lock_rows, bool emit_rowid) {
   // Classify conjuncts: equality col=value, range on col, like/ilike.
   struct Equality {
@@ -322,7 +322,7 @@ Result<ExecNodePtr> BuildScan(TableInfo* table, const Scope& scope,
   scan->filter = AndAll(conjuncts);
   scan->lock_rows = lock_rows;
   scan->emit_rowid = emit_rowid;
-  scan->projection = columnar_projection;
+  scan->projection = projection;
   return ExecNodePtr(std::move(scan));
 }
 
@@ -405,8 +405,7 @@ Result<PlannedRel> SelectPlanner::PlanBaseTable(
     }
   }
   std::vector<int> projection =
-      table->is_columnar() ? ReferencedColumns(stmt_, qualifier, table->schema())
-                           : std::vector<int>();
+      ReferencedColumns(stmt_, qualifier, table->schema());
   CITUSX_ASSIGN_OR_RETURN(
       ExecNodePtr node,
       BuildScan(table, out.scope, std::move(mine), projection,

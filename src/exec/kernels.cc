@@ -544,8 +544,7 @@ class LikeKernel : public Kernel {
       return EvalShadow(*shadow_, {&a, &b}, env, chunk, sel, out);
     }
     bool ci = op_ == BinOp::kILike;
-    std::string pattern = ci ? ToLower(b.value.text_value())
-                             : b.value.text_value();
+    const std::string& pattern = b.value.text_value();
     auto col = NewCol(TypeId::kBool, chunk.rows);
     Nulls nulls{NullSource(a)};
     TextAcc text = Texts(a);
@@ -554,8 +553,7 @@ class LikeKernel : public Kernel {
         col->SetNull(r);
         continue;
       }
-      bool m = ci ? sql::LikeMatch(ToLower(text(r)), pattern, false)
-                  : sql::LikeMatch(text(r), pattern, false);
+      bool m = sql::LikeMatch(text(r), pattern, ci);
       col->SetInt(r, (op_ == BinOp::kNotLike ? !m : m) ? 1 : 0);
     }
     *out = Vec::Of(std::move(col));

@@ -420,13 +420,14 @@ sql::Datum AggFinal(AggFunc f, const AggState& st) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed hash keys. Joins and GROUP BY key rows in exactly the equivalence
-// classes of Datum::GroupKey: every integer-like value (bool, int4, int8,
-// date, timestamp) of the same int64 payload is one class, floats are
-// classes of their own, text by bytes. A single integer-like key takes an
-// int64 table; any other key is the GroupKey concatenation itself (each
-// value's GroupKey and a '\x1f'), so a group's sort position is that
-// string too.
+// Typed hash keys. GROUP BY keys rows in exactly the equivalence classes of
+// Datum::GroupKey: every integer-like value (bool, int4, int8, date,
+// timestamp) of the same int64 payload is one class, floats are classes of
+// their own, text by bytes. Joins key rows in Datum::JoinKey's classes,
+// which are Datum::Compare's: an integral float meets the equal integer. A
+// single key that is an integer of its class takes an int64 table; any
+// other key is the concatenation of its values' keys, each followed by a
+// '\x1f', so a group's sort position is that string too.
 
 /// One row's key.
 struct Key {
@@ -439,6 +440,14 @@ struct Key {
     return is_int ? "I" + std::to_string(i) + '\x1f' : s;
   }
 };
+
+/// The type of row `r`'s value (kNull when NULL).
+sql::TypeId TypeAt(const Vec& v, int32_t r) {
+  if (v.IsNull(r)) return sql::TypeId::kNull;
+  if (v.is_const) return v.value.type();
+  return v.col->layout() == storage::Layout::kDatum ? v.col->datum(r).type()
+                                                   : v.col->type();
+}
 
 /// The integer-like payload of row `r`, if its value is integer-like.
 bool IntKeyOf(const Vec& v, int32_t r, int64_t* out) {
@@ -464,6 +473,25 @@ bool IntKeyOf(const Vec& v, int32_t r, int64_t* out) {
   }
 }
 
+/// Row `r`'s number as a join-key integer: an int4 or int8, or an integral
+/// float8 (Datum::JoinKey's "I" class).
+bool JoinIntOf(const Vec& v, int32_t r, int64_t* out) {
+  switch (TypeAt(v, r)) {
+    case sql::TypeId::kInt4:
+    case sql::TypeId::kInt8:
+      return IntKeyOf(v, r, out);
+    case sql::TypeId::kFloat8:
+      return sql::IntegralDouble(
+          v.is_const ? v.dval
+          : v.col->layout() == storage::Layout::kDouble
+              ? v.col->doubles()[r]
+              : v.col->datum(r).float_value(),
+          out);
+    default:
+      return false;
+  }
+}
+
 /// Append row `r`'s Datum::GroupKey to `out` (a NULL's is empty).
 void AppendGroupKey(const Vec& v, int32_t r, std::string* out) {
   if (v.IsNull(r)) return;
@@ -479,20 +507,42 @@ void AppendGroupKey(const Vec& v, int32_t r, std::string* out) {
   }
 }
 
-/// Row `r`'s key over `keys`. With `skip_nulls` (joins), false when a key
-/// is NULL: NULL keys never join.
-bool KeyOf(const std::vector<Vec>& keys, int32_t r, bool skip_nulls,
-           Key* out) {
+/// Row `r`'s GROUP BY key over `keys`.
+void GroupKeyOf(const std::vector<Vec>& keys, int32_t r, Key* out) {
   if (keys.size() == 1 && !keys[0].IsNull(r) &&
       IntKeyOf(keys[0], r, &out->i)) {
+    out->is_int = true;
+    return;
+  }
+  out->is_int = false;
+  out->s.clear();
+  for (const Vec& k : keys) {
+    AppendGroupKey(k, r, &out->s);
+    out->s.push_back('\x1f');
+  }
+}
+
+/// Row `r`'s join key over `keys`; false when a key is NULL: NULL keys
+/// never join.
+bool JoinKeyOf(const std::vector<Vec>& keys, int32_t r, Key* out) {
+  if (keys.size() == 1 && JoinIntOf(keys[0], r, &out->i)) {
     out->is_int = true;
     return true;
   }
   out->is_int = false;
   out->s.clear();
   for (const Vec& k : keys) {
-    if (k.IsNull(r) && skip_nulls) return false;
-    AppendGroupKey(k, r, &out->s);
+    if (k.IsNull(r)) return false;
+    int64_t i;
+    if (JoinIntOf(k, r, &i)) {
+      out->s += 'I';
+      out->s += std::to_string(i);
+    } else if (!k.is_const && k.col->layout() == storage::Layout::kText) {
+      out->s += 'T';
+      out->s += k.col->text(r);
+    } else {
+      out->s += k.Get(r).JoinKey();
+    }
     out->s.push_back('\x1f');
   }
   return true;
@@ -941,9 +991,7 @@ Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
   for (size_t k = 0; k < sel.size(); k++) {
     int32_t r = sel[k];
     first[k] = static_cast<int32_t>(left.size());
-    int32_t g = KeyOf(keys, r, /*skip_nulls=*/true, &key)
-                    ? table.index.Find(key)
-                    : -1;
+    int32_t g = JoinKeyOf(keys, r, &key) ? table.index.Find(key) : -1;
     if (g >= 0) {
       for (int32_t j = table.starts[static_cast<size_t>(g)];
            j < table.starts[static_cast<size_t>(g) + 1]; j++) {
@@ -1098,7 +1146,7 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
       std::vector<int32_t> keep;
       Key key;
       for (int32_t r : sel) {
-        if (!KeyOf(keys, r, /*skip_nulls=*/true, &key)) continue;
+        if (!JoinKeyOf(keys, r, &key)) continue;
         keep.push_back(r);
         build.keys.push_back(key);
       }
@@ -1139,7 +1187,7 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
       for (size_t k = 0; k < sel.size(); k++) {
         if (gvals.empty() && !groups.keys.empty()) break;  // one group: 0
         int32_t r = sel[k];
-        KeyOf(gvals, r, /*skip_nulls=*/false, &key);
+        GroupKeyOf(gvals, r, &key);
         int32_t g = groups.index.FindOrInsert(key);
         if (static_cast<size_t>(g) == groups.keys.size()) {
           sql::Row values;

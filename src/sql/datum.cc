@@ -123,9 +123,8 @@ int Datum::Compare(const Datum& a, const Datum& b) {
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kJsonb: {
-      std::string x = a.j_ ? a.j_->ToString() : "null";
-      std::string y = b.j_ ? b.j_->ToString() : "null";
-      int c = x.compare(y);
+      if (a.j_ == b.j_ && a.i_ == b.i_) return 0;
+      int c = a.jsonb().ToText().compare(b.jsonb().ToText());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     default:
@@ -140,7 +139,7 @@ int32_t Datum::PartitionHash() const {
     case TypeId::kText:
       return HashBytes(s_);
     case TypeId::kJsonb:
-      return HashBytes(j_ ? j_->ToString() : "null");
+      return HashBytes(jsonb().ToText());
     case TypeId::kFloat8:
       return HashInt64(static_cast<int64_t>(d_ * 1e6));
     default:
@@ -156,7 +155,7 @@ std::string Datum::GroupKey() const {
       return "T" + s_;
     case TypeId::kJsonb: {
       std::string key = "J";
-      key += j_ ? j_->ToString() : "null";
+      jsonb().AppendText(&key);
       return key;
     }
     case TypeId::kFloat8: {
@@ -170,6 +169,35 @@ std::string Datum::GroupKey() const {
       return buf;
     }
   }
+}
+
+std::string Datum::JoinKey() const {
+  char buf[32];
+  int64_t n = i_;
+  switch (type_) {
+    case TypeId::kBool:
+      return i_ != 0 ? "B1" : "B0";
+    case TypeId::kFloat8:
+      if (!IntegralDouble(d_, &n)) {
+        std::snprintf(buf, sizeof(buf), "F%.17g", d_);
+        return buf;
+      }
+      break;
+    case TypeId::kDate:
+      std::snprintf(buf, sizeof(buf), "D%lld",
+                    static_cast<long long>(i_ * 86400000000LL));
+      return buf;
+    case TypeId::kTimestamp:
+      std::snprintf(buf, sizeof(buf), "D%lld", static_cast<long long>(i_));
+      return buf;
+    case TypeId::kText:
+    case TypeId::kJsonb:
+      return GroupKey();
+    default:
+      break;
+  }
+  std::snprintf(buf, sizeof(buf), "I%lld", static_cast<long long>(n));
+  return buf;
 }
 
 std::string Datum::ToText() const {
@@ -194,7 +222,7 @@ std::string Datum::ToText() const {
     case TypeId::kTimestamp:
       return FormatTimestamp(i_);
     case TypeId::kJsonb:
-      return j_ ? j_->ToString() : "null";
+      return jsonb().ToText();
   }
   return "";
 }
@@ -217,7 +245,7 @@ std::string Datum::ToSqlLiteral() const {
     case TypeId::kTimestamp:
       return QuoteSqlLiteral(FormatTimestamp(i_)) + "::timestamp";
     case TypeId::kJsonb:
-      return QuoteSqlLiteral(j_ ? j_->ToString() : "null") + "::jsonb";
+      return QuoteSqlLiteral(jsonb().ToText()) + "::jsonb";
   }
   return "NULL";
 }
@@ -267,8 +295,8 @@ Result<Datum> Datum::FromText(TypeId type, const std::string& text) {
       return Datum::Timestamp(us);
     }
     case TypeId::kJsonb: {
-      CITUSX_ASSIGN_OR_RETURN(JsonPtr j, Json::Parse(text));
-      return Datum::Jsonb(std::move(j));
+      CITUSX_ASSIGN_OR_RETURN(JsonbBuffer doc, ParseJsonb(text));
+      return Datum::Jsonb(std::move(doc));
     }
   }
   return Status::InvalidArgument("bad type");
@@ -330,7 +358,7 @@ int64_t Datum::PhysicalSize() const {
     case TypeId::kText:
       return static_cast<int64_t>(s_.size()) + 4;
     case TypeId::kJsonb:
-      return j_ ? j_->SerializedSize() : 4;
+      return j_ ? jsonb().PhysicalSize() : 4;
     default:
       return 8;
   }

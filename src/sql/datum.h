@@ -63,10 +63,13 @@ class Datum {
     d.i_ = micros;
     return d;
   }
-  static Datum Jsonb(JsonPtr j) {
+  /// A jsonb value: the flat document `doc`, or the value at byte
+  /// `offset` inside it.
+  static Datum Jsonb(JsonbBuffer doc, int64_t offset = 0) {
     Datum d;
     d.type_ = TypeId::kJsonb;
-    d.j_ = std::move(j);
+    d.i_ = offset;
+    d.j_ = std::move(doc);
     return d;
   }
 
@@ -74,11 +77,20 @@ class Datum {
   bool is_null() const { return type_ == TypeId::kNull; }
 
   bool bool_value() const { return i_ != 0; }
-  /// Raw int64 payload (int4/int8/bool/date/timestamp).
+  /// Raw int64 payload (int4/int8/bool/date/timestamp; a jsonb value's
+  /// offset in its document).
   int64_t int_value() const { return i_; }
   double float_value() const { return d_; }
   const std::string& text_value() const { return s_; }
-  const JsonPtr& json_value() const { return j_; }
+  /// The jsonb value, read in place; valid while this Datum lives.
+  JsonbView jsonb() const {
+    return j_ == nullptr ? JsonbView() : JsonbView(j_.get() + i_);
+  }
+  /// `v`, a value inside this jsonb Datum's document, as a Datum that
+  /// shares the document.
+  Datum JsonbAt(JsonbView v) const {
+    return Jsonb(j_, static_cast<int64_t>(v.data() - j_.get()));
+  }
 
   /// Numeric value as double (int types widen); 0 for non-numerics.
   double AsDouble() const {
@@ -102,8 +114,15 @@ class Datum {
   /// Hash for hash-partitioning / hash joins. NULL hashes to 0.
   int32_t PartitionHash() const;
 
-  /// Key for hash tables (group by / hash join): type-stable string encoding.
+  /// GROUP BY key: type-stable string encoding, one class per int64
+  /// payload of the integer-like types and one per float.
   std::string GroupKey() const;
+
+  /// Hash-join key, in Compare's equality classes: numbers compare by
+  /// value across int4, int8 and float8 (an integral float files with the
+  /// integers), a date with the timestamp at its midnight, and values of
+  /// other types only with their own type. Not for NULL, which never joins.
+  std::string JoinKey() const;
 
   /// Cast-to-text semantics (PostgreSQL ::text).
   std::string ToText() const;
@@ -126,11 +145,22 @@ class Datum {
   int64_t i_ = 0;
   double d_ = 0;
   std::string s_;
-  JsonPtr j_;
+  JsonbBuffer j_;
 };
 
 /// One tuple.
 using Row = std::vector<Datum>;
+
+/// True, with `*out` set, when `d` is an integer within int64 range: the
+/// floats whose join key is an integer's.
+inline bool IntegralDouble(double d, int64_t* out) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) ||
+      d != static_cast<double>(static_cast<int64_t>(d))) {
+    return false;
+  }
+  *out = static_cast<int64_t>(d);
+  return true;
+}
 
 // ---- date/time helpers (epoch = 2000-01-01, like PostgreSQL) ----
 

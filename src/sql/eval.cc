@@ -9,6 +9,14 @@ namespace citusx::sql {
 
 namespace {
 
+// `d` as text: a text value in place, any other value printed into
+// `*scratch`.
+std::string_view AsText(const Datum& d, std::string* scratch) {
+  if (d.type() == TypeId::kText) return d.text_value();
+  *scratch = d.ToText();
+  return *scratch;
+}
+
 Result<Datum> EvalNumeric(BinOp op, const Datum& l, const Datum& r) {
   // Date/timestamp arithmetic.
   if (l.type() == TypeId::kDate && IsIntegral(r.type())) {
@@ -68,20 +76,22 @@ Result<Datum> EvalJsonGet(const Datum& l, const Datum& r, bool as_text) {
   if (l.type() != TypeId::kJsonb) {
     return Status::InvalidArgument("-> requires jsonb left operand");
   }
-  const JsonPtr& j = l.json_value();
-  if (j == nullptr) return Datum::Null();
-  JsonPtr out;
+  JsonbView j = l.jsonb();
+  if (!j) return Datum::Null();
+  JsonbView out;
   if (r.type() == TypeId::kText) {
-    out = j->GetField(r.text_value());
+    out = j.Field(r.text_value());
   } else if (IsIntegral(r.type())) {
-    out = j->GetElement(r.int_value());
+    out = j.Element(r.int_value());
   } else {
     return Status::InvalidArgument("-> requires text or int key");
   }
-  if (out == nullptr || out->is_null()) return Datum::Null();
-  if (!as_text) return Datum::Jsonb(out);
-  if (out->kind() == Json::Kind::kString) return Datum::Text(out->string_value());
-  return Datum::Text(out->ToString());
+  if (!out || out.kind() == JsonKind::kNull) return Datum::Null();
+  if (!as_text) return l.JsonbAt(out);
+  if (out.kind() == JsonKind::kString) {
+    return Datum::Text(std::string(out.string_value()));
+  }
+  return Datum::Text(out.ToText());
 }
 
 Result<Datum> CallFunction(const std::string& name,
@@ -245,9 +255,9 @@ Result<Datum> CallFunction(const std::string& name,
     if (args[0].is_null() || args[0].type() != TypeId::kJsonb) {
       return Datum::Null();
     }
-    const JsonPtr& j = args[0].json_value();
-    if (j == nullptr || j->kind() != Json::Kind::kArray) return Datum::Null();
-    return Datum::Int8(j->array_size());
+    JsonbView j = args[0].jsonb();
+    if (j.kind() != JsonKind::kArray) return Datum::Null();
+    return Datum::Int8(j.size());
   }
   if (name == "jsonb_path_query_array") {
     CITUSX_RETURN_IF_ERROR(need(2));
@@ -255,26 +265,25 @@ Result<Datum> CallFunction(const std::string& name,
     if (args[0].type() != TypeId::kJsonb) {
       return Status::InvalidArgument("jsonb_path_query_array requires jsonb");
     }
-    auto matches = Json::PathQuery(args[0].json_value(), args[1].ToText());
-    return Datum::Jsonb(Json::MakeArray(std::move(matches)));
+    std::string scratch;
+    return Datum::Jsonb(
+        JsonbPathQueryArray(args[0].jsonb(), AsText(args[1], &scratch)));
   }
   if (name == "jsonb_typeof") {
     CITUSX_RETURN_IF_ERROR(need(1));
-    if (args[0].is_null() || args[0].json_value() == nullptr) {
-      return Datum::Null();
-    }
-    switch (args[0].json_value()->kind()) {
-      case Json::Kind::kNull:
+    if (args[0].is_null() || !args[0].jsonb()) return Datum::Null();
+    switch (args[0].jsonb().kind()) {
+      case JsonKind::kNull:
         return Datum::Text("null");
-      case Json::Kind::kBool:
+      case JsonKind::kBool:
         return Datum::Text("boolean");
-      case Json::Kind::kNumber:
+      case JsonKind::kNumber:
         return Datum::Text("number");
-      case Json::Kind::kString:
+      case JsonKind::kString:
         return Datum::Text("string");
-      case Json::Kind::kArray:
+      case JsonKind::kArray:
         return Datum::Text("array");
-      case Json::Kind::kObject:
+      case JsonKind::kObject:
         return Datum::Text("object");
     }
   }
@@ -285,12 +294,22 @@ Result<Datum> CallFunction(const std::string& name,
 
 namespace {
 
-bool LikeMatchExact(std::string_view t, std::string_view p) {
-  // Iterative wildcard matching with backtracking over the last '%'.
+char FoldCase(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+// Iterative wildcard matching with backtracking over the last '%'. With
+// kFold, ASCII letters compare without case (ILIKE), folded as they are
+// compared.
+template <bool kFold>
+bool LikeMatchImpl(std::string_view t, std::string_view p) {
+  auto same = [](char pc, char tc) {
+    return kFold ? FoldCase(pc) == FoldCase(tc) : pc == tc;
+  };
   size_t ti = 0, pi = 0;
   size_t star_p = std::string_view::npos, star_t = 0;
   while (ti < t.size()) {
-    if (pi < p.size() && (p[pi] == '_' || p[pi] == t[ti])) {
+    if (pi < p.size() && (p[pi] == '_' || same(p[pi], t[ti]))) {
       ti++;
       pi++;
     } else if (pi < p.size() && p[pi] == '%') {
@@ -311,8 +330,8 @@ bool LikeMatchExact(std::string_view t, std::string_view p) {
 
 bool LikeMatch(std::string_view text, std::string_view pattern,
                bool case_insensitive) {
-  if (case_insensitive) return LikeMatchExact(ToLower(text), ToLower(pattern));
-  return LikeMatchExact(text, pattern);
+  return case_insensitive ? LikeMatchImpl<true>(text, pattern)
+                          : LikeMatchImpl<false>(text, pattern);
 }
 
 Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
@@ -388,14 +407,13 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
           }
         }
         case BinOp::kLike:
-        case BinOp::kILike: {
-          if (l.is_null() || r.is_null()) return Datum::Null();
-          return Datum::Bool(LikeMatch(l.ToText(), r.ToText(),
-                                       e.bin_op == BinOp::kILike));
-        }
+        case BinOp::kILike:
         case BinOp::kNotLike: {
           if (l.is_null() || r.is_null()) return Datum::Null();
-          return Datum::Bool(!LikeMatch(l.ToText(), r.ToText(), false));
+          std::string lt, rt;
+          bool m = LikeMatch(AsText(l, &lt), AsText(r, &rt),
+                             e.bin_op == BinOp::kILike);
+          return Datum::Bool(e.bin_op == BinOp::kNotLike ? !m : m);
         }
         case BinOp::kConcat: {
           if (l.is_null() || r.is_null()) return Datum::Null();

@@ -1,12 +1,609 @@
 #include "sql/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/str.h"
 
 namespace citusx::sql {
+
+namespace {
+
+enum Tag : char {
+  kTagNull = 0,
+  kTagFalse = 1,
+  kTagTrue = 2,
+  kTagNumber = 3,
+  kTagString = 4,
+  kTagArray = 5,
+  kTagObject = 6,
+};
+
+// A container's tag is followed by its count and the bytes of its children.
+constexpr size_t kContainerHeader = 1 + 2 * sizeof(uint32_t);
+
+uint32_t ReadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void WriteU32(char* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+void AppendVarint(std::string* out, uint32_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+using jsonb_internal::ReadVarint;
+
+// ---- printing: the one printer of JSON text ----
+
+void AppendEscaped(std::string_view s, std::string* out) {
+  out->push_back('"');
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); i++) {
+    const char* esc = nullptr;
+    switch (s[i]) {
+      case '"':
+        esc = "\\\"";
+        break;
+      case '\\':
+        esc = "\\\\";
+        break;
+      case '\n':
+        esc = "\\n";
+        break;
+      case '\t':
+        esc = "\\t";
+        break;
+      case '\r':
+        esc = "\\r";
+        break;
+      default:
+        continue;
+    }
+    out->append(s.data() + run, i - run);
+    out->append(esc, 2);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
+void AppendNumber(double n, std::string* out) {
+  char buf[32];
+  if (n == std::floor(n) && std::abs(n) < 1e15) {
+    auto r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(n));
+    out->append(buf, static_cast<size_t>(r.ptr - buf));
+  } else {
+    int len = std::snprintf(buf, sizeof(buf), "%.17g", n);
+    out->append(buf, static_cast<size_t>(len));
+  }
+}
+
+// Prints the value at `p`; returns the byte after it.
+const char* PrintValue(const char* p, std::string* out) {
+  switch (*p) {
+    case kTagNull:
+      out->append("null");
+      return p + 1;
+    case kTagFalse:
+      out->append("false");
+      return p + 1;
+    case kTagTrue:
+      out->append("true");
+      return p + 1;
+    case kTagNumber: {
+      double n;
+      std::memcpy(&n, p + 1, sizeof(n));
+      AppendNumber(n, out);
+      return p + 1 + sizeof(n);
+    }
+    case kTagString: {
+      const char* c = p + 1;
+      uint32_t len = ReadVarint(&c);
+      AppendEscaped(std::string_view(c, len), out);
+      return c + len;
+    }
+    case kTagArray: {
+      uint32_t n = ReadU32(p + 1);
+      const char* c = p + kContainerHeader;
+      out->push_back('[');
+      for (uint32_t i = 0; i < n; i++) {
+        if (i > 0) out->push_back(',');
+        c = PrintValue(c, out);
+      }
+      out->push_back(']');
+      return c;
+    }
+    default: {  // kTagObject
+      uint32_t n = ReadU32(p + 1);
+      const char* c = p + kContainerHeader;
+      out->push_back('{');
+      for (uint32_t i = 0; i < n; i++) {
+        if (i > 0) out->push_back(',');
+        uint32_t len = ReadVarint(&c);
+        AppendEscaped(std::string_view(c, len), out);
+        out->push_back(':');
+        c = PrintValue(c + len, out);
+      }
+      out->push_back('}');
+      return c;
+    }
+  }
+}
+
+// ---- parsing: the one parser of JSON text ----
+
+class JsonbParser {
+ public:
+  explicit JsonbParser(std::string_view text)
+      : s_(text), out_(text.size() + kContainerHeader) {}
+
+  Result<JsonbBuffer> Parse() {
+    SkipWs();
+    CITUSX_RETURN_IF_ERROR(ParseValue());
+    SkipWs();
+    if (pos_ != s_.size()) {
+      return Status::InvalidArgument("trailing characters in JSON");
+    }
+    return out_.Finish();
+  }
+
+ private:
+  Status ParseValue() {
+    if (pos_ >= s_.size()) {
+      return Status::InvalidArgument("unexpected end of JSON");
+    }
+    char c = s_[pos_];
+    switch (c) {
+      case '{':
+        return ParseObject();
+      case '[':
+        return ParseArray();
+      case '"': {
+        CITUSX_RETURN_IF_ERROR(ParseString());
+        out_.String(str_);
+        return Status::OK();
+      }
+      case 't':
+        if (s_.compare(pos_, 4, "true") == 0) {
+          pos_ += 4;
+          out_.Bool(true);
+          return Status::OK();
+        }
+        break;
+      case 'f':
+        if (s_.compare(pos_, 5, "false") == 0) {
+          pos_ += 5;
+          out_.Bool(false);
+          return Status::OK();
+        }
+        break;
+      case 'n':
+        if (s_.compare(pos_, 4, "null") == 0) {
+          pos_ += 4;
+          out_.Null();
+          return Status::OK();
+        }
+        break;
+      default:
+        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
+    }
+    return Status::InvalidArgument(StrFormat("bad JSON at offset %zu", pos_));
+  }
+
+  Status ParseObject() {
+    pos_++;  // '{'
+    out_.BeginObject();
+    SkipWs();
+    if (pos_ < s_.size() && s_[pos_] == '}') {
+      pos_++;
+      out_.EndObject();
+      return Status::OK();
+    }
+    for (;;) {
+      SkipWs();
+      CITUSX_RETURN_IF_ERROR(ParseString());
+      out_.Key(str_);
+      SkipWs();
+      if (pos_ >= s_.size() || s_[pos_] != ':') {
+        return Status::InvalidArgument("expected ':' in JSON object");
+      }
+      pos_++;
+      SkipWs();
+      CITUSX_RETURN_IF_ERROR(ParseValue());
+      SkipWs();
+      if (pos_ < s_.size() && s_[pos_] == ',') {
+        pos_++;
+        continue;
+      }
+      if (pos_ < s_.size() && s_[pos_] == '}') {
+        pos_++;
+        out_.EndObject();
+        return Status::OK();
+      }
+      return Status::InvalidArgument("expected ',' or '}' in JSON object");
+    }
+  }
+
+  Status ParseArray() {
+    pos_++;  // '['
+    out_.BeginArray();
+    SkipWs();
+    if (pos_ < s_.size() && s_[pos_] == ']') {
+      pos_++;
+      out_.EndArray();
+      return Status::OK();
+    }
+    for (;;) {
+      SkipWs();
+      CITUSX_RETURN_IF_ERROR(ParseValue());
+      SkipWs();
+      if (pos_ < s_.size() && s_[pos_] == ',') {
+        pos_++;
+        continue;
+      }
+      if (pos_ < s_.size() && s_[pos_] == ']') {
+        pos_++;
+        out_.EndArray();
+        return Status::OK();
+      }
+      return Status::InvalidArgument("expected ',' or ']' in JSON array");
+    }
+  }
+
+  // Decodes a string literal into str_.
+  Status ParseString() {
+    if (pos_ >= s_.size() || s_[pos_] != '"') {
+      return Status::InvalidArgument("expected string in JSON");
+    }
+    pos_++;
+    str_.clear();
+    while (pos_ < s_.size()) {
+      char c = s_[pos_++];
+      if (c == '"') return Status::OK();
+      if (c == '\\' && pos_ < s_.size()) {
+        char e = s_[pos_++];
+        switch (e) {
+          case 'n':
+            str_.push_back('\n');
+            break;
+          case 't':
+            str_.push_back('\t');
+            break;
+          case 'r':
+            str_.push_back('\r');
+            break;
+          case 'u': {
+            // ASCII escapes decode; any other code point becomes '?'.
+            if (pos_ + 4 <= s_.size()) {
+              int code = 0;
+              for (int i = 0; i < 4; i++) {
+                char h = s_[pos_ + static_cast<size_t>(i)];
+                code = code * 16 +
+                       (h >= '0' && h <= '9'   ? h - '0'
+                        : h >= 'a' && h <= 'f' ? h - 'a' + 10
+                        : h >= 'A' && h <= 'F' ? h - 'A' + 10
+                                               : 0);
+              }
+              pos_ += 4;
+              str_.push_back(code < 128 ? static_cast<char>(code) : '?');
+            }
+            break;
+          }
+          default:
+            str_.push_back(e);
+        }
+      } else {
+        str_.push_back(c);
+      }
+    }
+    return Status::InvalidArgument("unterminated JSON string");
+  }
+
+  Status ParseNumber() {
+    size_t start = pos_;
+    if (pos_ < s_.size() && s_[pos_] == '-') pos_++;
+    while (pos_ < s_.size() &&
+           ((s_[pos_] >= '0' && s_[pos_] <= '9') || s_[pos_] == '.' ||
+            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' ||
+            s_[pos_] == '-')) {
+      pos_++;
+    }
+    double v = 0;
+    try {
+      v = std::stod(std::string(s_.substr(start, pos_ - start)));
+    } catch (...) {
+      return Status::InvalidArgument("bad JSON number");
+    }
+    out_.Number(v);
+    return Status::OK();
+  }
+
+  void SkipWs() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      pos_++;
+    }
+  }
+
+  std::string_view s_;
+  size_t pos_ = 0;
+  JsonbBuilder out_;
+  std::string str_;
+};
+
+}  // namespace
+
+// ---- JsonbView ----
+
+JsonKind JsonbView::kind() const {
+  if (p_ == nullptr) return JsonKind::kNull;
+  switch (*p_) {
+    case kTagNull:
+      return JsonKind::kNull;
+    case kTagFalse:
+    case kTagTrue:
+      return JsonKind::kBool;
+    case kTagNumber:
+      return JsonKind::kNumber;
+    case kTagString:
+      return JsonKind::kString;
+    case kTagArray:
+      return JsonKind::kArray;
+    default:
+      return JsonKind::kObject;
+  }
+}
+
+bool JsonbView::bool_value() const { return p_ != nullptr && *p_ == kTagTrue; }
+
+double JsonbView::number_value() const {
+  if (p_ == nullptr || *p_ != kTagNumber) return 0;
+  double n;
+  std::memcpy(&n, p_ + 1, sizeof(n));
+  return n;
+}
+
+std::string_view JsonbView::string_value() const {
+  if (p_ == nullptr || *p_ != kTagString) return {};
+  const char* c = p_ + 1;
+  uint32_t len = ReadVarint(&c);
+  return std::string_view(c, len);
+}
+
+int64_t JsonbView::size() const {
+  if (p_ == nullptr || (*p_ != kTagArray && *p_ != kTagObject)) return 0;
+  return ReadU32(p_ + 1);
+}
+
+const char* JsonbView::Children() const { return p_ + kContainerHeader; }
+
+JsonbView JsonbView::Field(std::string_view key) const {
+  JsonbView found;
+  if (p_ == nullptr || *p_ != kTagObject) return found;
+  const char* c = Children();
+  for (uint32_t i = 0, n = ReadU32(p_ + 1); i < n; i++) {
+    uint32_t len = ReadVarint(&c);
+    JsonbView v(c + len);
+    if (std::string_view(c, len) == key) return v;
+    c = v.p_ + v.EncodedSize();
+  }
+  return found;
+}
+
+JsonbView JsonbView::Element(int64_t index) const {
+  if (p_ == nullptr || *p_ != kTagArray || index < 0 || index >= size()) {
+    return JsonbView();
+  }
+  const char* c = Children();
+  for (int64_t i = 0; i < index; i++) c += JsonbView(c).EncodedSize();
+  return JsonbView(c);
+}
+
+size_t JsonbView::EncodedSize() const {
+  switch (*p_) {
+    case kTagNumber:
+      return 1 + sizeof(double);
+    case kTagString: {
+      const char* c = p_ + 1;
+      uint32_t len = ReadVarint(&c);
+      return static_cast<size_t>(c - p_) + len;
+    }
+    case kTagArray:
+    case kTagObject:
+      return kContainerHeader + ReadU32(p_ + 1 + sizeof(uint32_t));
+    default:
+      return 1;
+  }
+}
+
+std::string JsonbView::ToText() const {
+  std::string out;
+  AppendText(&out);
+  return out;
+}
+
+void JsonbView::AppendText(std::string* out) const {
+  if (p_ == nullptr) {
+    out->append("null");
+    return;
+  }
+  PrintValue(p_, out);
+}
+
+int64_t JsonbView::PhysicalSize() const {
+  switch (kind()) {
+    case JsonKind::kNull:
+    case JsonKind::kBool:
+      return 5;
+    case JsonKind::kNumber:
+      return 8;
+    case JsonKind::kString:
+      return static_cast<int64_t>(string_value().size()) + 2;
+    case JsonKind::kArray: {
+      int64_t n = 2;
+      ForEachElement([&](JsonbView v) { n += v.PhysicalSize() + 1; });
+      return n;
+    }
+    case JsonKind::kObject: {
+      int64_t n = 2;
+      ForEachMember([&](std::string_view k, JsonbView v) {
+        n += static_cast<int64_t>(k.size()) + 4 + v.PhysicalSize();
+      });
+      return n;
+    }
+  }
+  return 0;
+}
+
+// ---- JsonbBuilder ----
+
+void JsonbBuilder::AddValue() {
+  // An object counts its keys; its values follow them.
+  if (!open_.empty() && !open_.back().object) open_.back().count++;
+}
+
+void JsonbBuilder::Null() {
+  AddValue();
+  bytes_.push_back(kTagNull);
+}
+
+void JsonbBuilder::Bool(bool b) {
+  AddValue();
+  bytes_.push_back(b ? kTagTrue : kTagFalse);
+}
+
+void JsonbBuilder::Number(double n) {
+  AddValue();
+  bytes_.push_back(kTagNumber);
+  char buf[sizeof(n)];
+  std::memcpy(buf, &n, sizeof(n));
+  bytes_.append(buf, sizeof(n));
+}
+
+void JsonbBuilder::String(std::string_view s) {
+  AddValue();
+  bytes_.push_back(kTagString);
+  AppendVarint(&bytes_, static_cast<uint32_t>(s.size()));
+  bytes_.append(s);
+}
+
+void JsonbBuilder::Raw(JsonbView v) {
+  AddValue();
+  bytes_.append(v.data(), v.EncodedSize());
+}
+
+void JsonbBuilder::BeginContainer(char tag) {
+  AddValue();
+  open_.push_back(Open{bytes_.size(), 0, tag == kTagObject});
+  bytes_.push_back(tag);
+  bytes_.append(2 * sizeof(uint32_t), '\0');
+}
+
+void JsonbBuilder::EndContainer() {
+  Open o = open_.back();
+  open_.pop_back();
+  char* header = bytes_.data() + o.header;
+  WriteU32(header + 1, o.count);
+  WriteU32(header + 1 + sizeof(uint32_t),
+           static_cast<uint32_t>(bytes_.size() - o.header - kContainerHeader));
+}
+
+void JsonbBuilder::BeginArray() { BeginContainer(kTagArray); }
+void JsonbBuilder::EndArray() { EndContainer(); }
+void JsonbBuilder::BeginObject() { BeginContainer(kTagObject); }
+void JsonbBuilder::EndObject() { EndContainer(); }
+
+void JsonbBuilder::Key(std::string_view key) {
+  open_.back().count++;
+  AppendVarint(&bytes_, static_cast<uint32_t>(key.size()));
+  bytes_.append(key);
+}
+
+JsonbBuffer JsonbBuilder::Finish() const {
+  auto buf = std::make_shared_for_overwrite<char[]>(bytes_.size());
+  std::memcpy(buf.get(), bytes_.data(), bytes_.size());
+  return buf;
+}
+
+Result<JsonbBuffer> ParseJsonb(std::string_view text) {
+  return JsonbParser(text).Parse();
+}
+
+JsonbBuffer JsonbPathQueryArray(JsonbView root, std::string_view path) {
+  std::vector<JsonbView> current;
+  if (root) current.push_back(root);
+  size_t pos = 0;
+  if (pos < path.size() && path[pos] == '$') pos++;
+  std::vector<JsonbView> next;
+  while (pos < path.size() && !current.empty()) {
+    next.clear();
+    if (path[pos] == '.') {
+      pos++;
+      size_t start = pos;
+      while (pos < path.size() && path[pos] != '.' && path[pos] != '[') pos++;
+      std::string_view field = path.substr(start, pos - start);
+      for (JsonbView j : current) {
+        JsonbView f = j.Field(field);
+        if (f) next.push_back(f);
+      }
+    } else if (path[pos] == '[') {
+      pos++;
+      if (pos < path.size() && path[pos] == '*') {
+        pos++;
+        for (JsonbView j : current) {
+          j.ForEachElement([&](JsonbView item) { next.push_back(item); });
+        }
+      } else {
+        size_t start = pos;
+        while (pos < path.size() && path[pos] != ']') pos++;
+        int64_t idx = 0;
+        try {
+          idx = std::stoll(std::string(path.substr(start, pos - start)));
+        } catch (...) {
+          next.clear();
+          current.clear();
+          break;
+        }
+        for (JsonbView j : current) {
+          JsonbView e = j.Element(idx);
+          if (e) next.push_back(e);
+        }
+      }
+      if (pos < path.size() && path[pos] == ']') pos++;
+    } else {
+      current.clear();  // malformed path: no match
+      break;
+    }
+    current.swap(next);
+  }
+  // The matches' bytes, copied behind one array header.
+  size_t bytes = 0;
+  for (JsonbView v : current) bytes += v.EncodedSize();
+  auto buf = std::make_shared_for_overwrite<char[]>(kContainerHeader + bytes);
+  char* out = buf.get();
+  out[0] = kTagArray;
+  WriteU32(out + 1, static_cast<uint32_t>(current.size()));
+  WriteU32(out + 1 + sizeof(uint32_t), static_cast<uint32_t>(bytes));
+  out += kContainerHeader;
+  for (JsonbView v : current) {
+    size_t n = v.EncodedSize();
+    std::memcpy(out, v.data(), n);
+    out += n;
+  }
+  return buf;
+}
+
+// ---- Json (tree) ----
 
 JsonPtr Json::MakeArray(std::vector<JsonPtr> items) {
   auto j = std::make_shared<Json>();
@@ -36,357 +633,74 @@ JsonPtr Json::GetElement(int64_t index) const {
   return array_[static_cast<size_t>(index)];
 }
 
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void Serialize(const Json& j, std::string* out) {
-  switch (j.kind()) {
-    case Json::Kind::kNull:
-      *out += "null";
-      break;
-    case Json::Kind::kBool:
-      *out += j.bool_value() ? "true" : "false";
-      break;
-    case Json::Kind::kNumber: {
-      double n = j.number_value();
-      if (n == std::floor(n) && std::abs(n) < 1e15) {
-        *out += StrFormat("%lld", static_cast<long long>(n));
-      } else {
-        *out += StrFormat("%.17g", n);
-      }
-      break;
-    }
-    case Json::Kind::kString:
-      AppendEscaped(j.string_value(), out);
-      break;
-    case Json::Kind::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const auto& item : j.array_items()) {
-        if (!first) out->push_back(',');
-        first = false;
-        Serialize(*item, out);
-      }
-      out->push_back(']');
-      break;
-    }
-    case Json::Kind::kObject: {
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [k, v] : j.object_items()) {
-        if (!first) out->push_back(',');
-        first = false;
-        AppendEscaped(k, out);
-        out->push_back(':');
-        Serialize(*v, out);
-      }
-      out->push_back('}');
-      break;
-    }
-  }
-}
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Result<JsonPtr> Parse() {
-    SkipWs();
-    CITUSX_ASSIGN_OR_RETURN(JsonPtr v, ParseValue());
-    SkipWs();
-    if (pos_ != s_.size()) {
-      return Status::InvalidArgument("trailing characters in JSON");
-    }
-    return v;
-  }
-
- private:
-  Result<JsonPtr> ParseValue() {
-    if (pos_ >= s_.size()) return Status::InvalidArgument("unexpected end of JSON");
-    char c = s_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        CITUSX_ASSIGN_OR_RETURN(std::string str, ParseString());
-        return Json::MakeString(std::move(str));
-      }
-      case 't':
-        if (s_.compare(pos_, 4, "true") == 0) {
-          pos_ += 4;
-          return Json::MakeBool(true);
-        }
-        break;
-      case 'f':
-        if (s_.compare(pos_, 5, "false") == 0) {
-          pos_ += 5;
-          return Json::MakeBool(false);
-        }
-        break;
-      case 'n':
-        if (s_.compare(pos_, 4, "null") == 0) {
-          pos_ += 4;
-          return Json::MakeNull();
-        }
-        break;
-      default:
-        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-    }
-    return Status::InvalidArgument(StrFormat("bad JSON at offset %zu", pos_));
-  }
-
-  Result<JsonPtr> ParseObject() {
-    pos_++;  // '{'
-    std::vector<std::pair<std::string, JsonPtr>> kv;
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      pos_++;
-      return Json::MakeObject(std::move(kv));
-    }
-    for (;;) {
-      SkipWs();
-      CITUSX_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != ':') {
-        return Status::InvalidArgument("expected ':' in JSON object");
-      }
-      pos_++;
-      SkipWs();
-      CITUSX_ASSIGN_OR_RETURN(JsonPtr v, ParseValue());
-      kv.emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        pos_++;
-        continue;
-      }
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        pos_++;
-        return Json::MakeObject(std::move(kv));
-      }
-      return Status::InvalidArgument("expected ',' or '}' in JSON object");
-    }
-  }
-
-  Result<JsonPtr> ParseArray() {
-    pos_++;  // '['
-    std::vector<JsonPtr> items;
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      pos_++;
-      return Json::MakeArray(std::move(items));
-    }
-    for (;;) {
-      SkipWs();
-      CITUSX_ASSIGN_OR_RETURN(JsonPtr v, ParseValue());
-      items.push_back(std::move(v));
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        pos_++;
-        continue;
-      }
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        pos_++;
-        return Json::MakeArray(std::move(items));
-      }
-      return Status::InvalidArgument("expected ',' or ']' in JSON array");
-    }
-  }
-
-  Result<std::string> ParseString() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') {
-      return Status::InvalidArgument("expected string in JSON");
-    }
-    pos_++;
-    std::string out;
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'u': {
-            // Keep it simple: decode BMP escapes to '?' placeholders unless
-            // ASCII.
-            if (pos_ + 4 <= s_.size()) {
-              int code = 0;
-              for (int i = 0; i < 4; i++) {
-                char h = s_[pos_ + static_cast<size_t>(i)];
-                code = code * 16 +
-                       (h >= '0' && h <= '9'   ? h - '0'
-                        : h >= 'a' && h <= 'f' ? h - 'a' + 10
-                        : h >= 'A' && h <= 'F' ? h - 'A' + 10
-                                               : 0);
-              }
-              pos_ += 4;
-              if (code < 128) {
-                out.push_back(static_cast<char>(code));
-              } else {
-                out.push_back('?');
-              }
-            }
-            break;
-          }
-          default:
-            out.push_back(e);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return Status::InvalidArgument("unterminated JSON string");
-  }
-
-  Result<JsonPtr> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') pos_++;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      pos_++;
-    }
-    double v = 0;
-    try {
-      v = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return Status::InvalidArgument("bad JSON number");
-    }
-    return Json::MakeNumber(v);
-  }
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      pos_++;
-    }
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string Json::ToString() const {
-  std::string out;
-  Serialize(*this, &out);
-  return out;
-}
-
-int64_t Json::SerializedSize() const {
+void Json::Encode(JsonbBuilder* b) const {
   switch (kind_) {
     case Kind::kNull:
+      b->Null();
+      break;
     case Kind::kBool:
-      return 5;
+      b->Bool(bool_);
+      break;
     case Kind::kNumber:
-      return 8;
+      b->Number(number_);
+      break;
     case Kind::kString:
-      return static_cast<int64_t>(string_.size()) + 2;
+      b->String(string_);
+      break;
+    case Kind::kArray:
+      b->BeginArray();
+      for (const auto& item : array_) item->Encode(b);
+      b->EndArray();
+      break;
+    case Kind::kObject:
+      b->BeginObject();
+      for (const auto& [k, v] : object_) {
+        b->Key(k);
+        v->Encode(b);
+      }
+      b->EndObject();
+      break;
+  }
+}
+
+std::string Json::ToString() const {
+  JsonbBuilder b;
+  Encode(&b);
+  JsonbBuffer doc = b.Finish();
+  return JsonbView(doc.get()).ToText();
+}
+
+JsonPtr Json::FromJsonb(JsonbView v) {
+  switch (v.kind()) {
+    case Kind::kNull:
+      return MakeNull();
+    case Kind::kBool:
+      return MakeBool(v.bool_value());
+    case Kind::kNumber:
+      return MakeNumber(v.number_value());
+    case Kind::kString:
+      return MakeString(std::string(v.string_value()));
     case Kind::kArray: {
-      int64_t n = 2;
-      for (const auto& i : array_) n += i->SerializedSize() + 1;
-      return n;
+      std::vector<JsonPtr> items;
+      items.reserve(static_cast<size_t>(v.size()));
+      v.ForEachElement([&](JsonbView e) { items.push_back(FromJsonb(e)); });
+      return MakeArray(std::move(items));
     }
     case Kind::kObject: {
-      int64_t n = 2;
-      for (const auto& [k, v] : object_) {
-        n += static_cast<int64_t>(k.size()) + 4 + v->SerializedSize();
-      }
-      return n;
+      std::vector<std::pair<std::string, JsonPtr>> kv;
+      kv.reserve(static_cast<size_t>(v.size()));
+      v.ForEachMember([&](std::string_view k, JsonbView e) {
+        kv.emplace_back(std::string(k), FromJsonb(e));
+      });
+      return MakeObject(std::move(kv));
     }
   }
-  return 0;
+  return MakeNull();
 }
 
 Result<JsonPtr> Json::Parse(const std::string& text) {
-  return JsonParser(text).Parse();
-}
-
-std::vector<JsonPtr> Json::PathQuery(const JsonPtr& root,
-                                     const std::string& path) {
-  std::vector<JsonPtr> current;
-  if (root == nullptr) return current;
-  current.push_back(root);
-  size_t pos = 0;
-  if (pos < path.size() && path[pos] == '$') pos++;
-  while (pos < path.size()) {
-    std::vector<JsonPtr> next;
-    if (path[pos] == '.') {
-      pos++;
-      size_t start = pos;
-      while (pos < path.size() && path[pos] != '.' && path[pos] != '[') pos++;
-      std::string field = path.substr(start, pos - start);
-      for (const auto& j : current) {
-        JsonPtr f = j->GetField(field);
-        if (f != nullptr) next.push_back(f);
-      }
-    } else if (path[pos] == '[') {
-      pos++;
-      if (pos < path.size() && path[pos] == '*') {
-        pos++;
-        for (const auto& j : current) {
-          if (j->kind() == Kind::kArray) {
-            for (const auto& item : j->array_items()) next.push_back(item);
-          }
-        }
-      } else {
-        size_t start = pos;
-        while (pos < path.size() && path[pos] != ']') pos++;
-        int64_t idx = 0;
-        try {
-          idx = std::stoll(path.substr(start, pos - start));
-        } catch (...) {
-          return {};
-        }
-        for (const auto& j : current) {
-          JsonPtr e = j->GetElement(idx);
-          if (e != nullptr) next.push_back(e);
-        }
-      }
-      if (pos < path.size() && path[pos] == ']') pos++;
-    } else {
-      return {};  // malformed path
-    }
-    current = std::move(next);
-    if (current.empty()) break;
-  }
-  return current;
+  CITUSX_ASSIGN_OR_RETURN(JsonbBuffer doc, ParseJsonb(text));
+  return FromJsonb(JsonbView(doc.get()));
 }
 
 }  // namespace citusx::sql

@@ -1,26 +1,148 @@
-// A minimal JSON value type backing the JSONB SQL type, with the operators
-// used by the paper's real-time analytics workload (->, ->>,
-// jsonb_array_length, jsonb_path_query_array).
+// JSONB values. A jsonb Datum holds one flat document: an immutable,
+// contiguous pre-order encoding built once from text (ParseJsonb) and read
+// in place through JsonbView. Copies of the Datum share the buffer, and a
+// sub-value (`->`) is an offset into its parent's buffer.
+//
+// The Json tree below is only a builder for internal payloads and report
+// files (metadata sync, UDF specs, bench JSON). It parses and prints
+// through the flat form, so the grammar and the printed format exist once.
+//
+// Two things about a document never change with its representation: the
+// text it prints (keys in insertion order, duplicates kept, integers below
+// 1e15 as %lld and other numbers as %.17g, five escapes) and its
+// PhysicalSize (the block and wire accounting of every heap, index and
+// network charge that carries it).
 #ifndef CITUSX_SQL_JSON_H_
 #define CITUSX_SQL_JSON_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace citusx::sql {
 
-/// Immutable-after-construction JSON value tree.
+enum class JsonKind : uint8_t {
+  kNull,
+  kBool,
+  kNumber,
+  kString,
+  kArray,
+  kObject
+};
+
+/// The bytes of one flat document. Every value is a tag byte and its
+/// payload:
+///   null, false, true   no payload
+///   number              8-byte double
+///   string              varint length, bytes
+///   array               u32 count, u32 bytes of the elements, elements
+///   object              u32 count, u32 bytes of the members, then per
+///                       member a varint key length, the key, the value
+using JsonbBuffer = std::shared_ptr<const char[]>;
+
+/// A read-only cursor at one value of a flat document; it does not own
+/// the bytes. A default view is "absent" (a missing field or element) and
+/// prints as null.
+class JsonbView {
+ public:
+  JsonbView() = default;
+  explicit JsonbView(const char* p) : p_(p) {}
+
+  explicit operator bool() const { return p_ != nullptr; }
+  const char* data() const { return p_; }
+
+  JsonKind kind() const;
+  bool bool_value() const;
+  double number_value() const;
+  std::string_view string_value() const;
+  /// Elements of an array or members of an object; 0 for a scalar.
+  int64_t size() const;
+
+  /// The first member named `key`; absent if none or not an object.
+  JsonbView Field(std::string_view key) const;
+  /// Array element `index`; absent if out of range or not an array.
+  JsonbView Element(int64_t index) const;
+
+  /// Calls f(element) for each array element, in order.
+  template <typename F>
+  void ForEachElement(F&& f) const;
+  /// Calls f(key, value) for each object member, in insertion order.
+  template <typename F>
+  void ForEachMember(F&& f) const;
+
+  /// Bytes of this value's encoding, tag included.
+  size_t EncodedSize() const;
+
+  /// The printed text (PostgreSQL jsonb::text in this subset's format).
+  std::string ToText() const;
+  void AppendText(std::string* out) const;
+
+  /// Block-accounting size: 5 for null and booleans, 8 for a number, the
+  /// length plus 2 for a string, and for containers 2 plus, per element, its
+  /// size plus 1, or per member its key length plus 4 plus its size.
+  int64_t PhysicalSize() const;
+
+ private:
+  // Start of a container's elements or members.
+  const char* Children() const;
+  const char* p_ = nullptr;
+};
+
+/// Builds one flat document, value by value in pre-order.
+class JsonbBuilder {
+ public:
+  explicit JsonbBuilder(size_t reserve = 0) { bytes_.reserve(reserve); }
+
+  void Null();
+  void Bool(bool b);
+  void Number(double n);
+  void String(std::string_view s);
+  void BeginArray();
+  void EndArray();
+  void BeginObject();
+  /// The next member's key; its value follows.
+  void Key(std::string_view key);
+  void EndObject();
+  /// An encoded value copied verbatim (from another document).
+  void Raw(JsonbView v);
+
+  /// The document: exactly one complete value must have been added.
+  JsonbBuffer Finish() const;
+
+ private:
+  void BeginContainer(char tag);
+  void EndContainer();
+  void AddValue();  // a value starts in the open container, if any
+
+  std::string bytes_;
+  struct Open {
+    size_t header;  // offset of the container's tag
+    uint32_t count;
+    bool object;
+  };
+  std::vector<Open> open_;
+};
+
+/// Parse JSON text into a flat document.
+Result<JsonbBuffer> ParseJsonb(std::string_view text);
+
+/// jsonb_path_query_array over a JSONPath subset ($.a.b[*].c, $.a[0].b:
+/// field access, [n] index, [*] over arrays): every match, in order,
+/// copied into one new array document.
+JsonbBuffer JsonbPathQueryArray(JsonbView root, std::string_view path);
+
+/// A JSON value tree, for building internal payloads and report files.
 class Json;
 using JsonPtr = std::shared_ptr<const Json>;
 
 class Json {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  using Kind = JsonKind;
 
   Json() : kind_(Kind::kNull) {}
   explicit Json(bool b) : kind_(Kind::kBool), bool_(b) {}
@@ -53,21 +175,18 @@ class Json {
     return object_;
   }
 
-  /// Compact serialization (keys in insertion order).
+  /// Compact text, printed through the flat form.
   std::string ToString() const;
 
-  /// Approximate serialized size in bytes (for block accounting).
-  int64_t SerializedSize() const;
-
-  /// Parse JSON text.
+  /// Parse JSON text (through the flat form).
   static Result<JsonPtr> Parse(const std::string& text);
 
-  /// Evaluate a JSONPath subset: $.a.b[*].c / $.a[0].b. Returns all matches.
-  /// Supports: field access, [n] index, [*] wildcard over arrays.
-  static std::vector<JsonPtr> PathQuery(const JsonPtr& root,
-                                        const std::string& path);
+  /// The tree of a flat value.
+  static JsonPtr FromJsonb(JsonbView v);
 
  private:
+  void Encode(JsonbBuilder* b) const;
+
   Kind kind_;
   bool bool_ = false;
   double number_ = 0;
@@ -75,6 +194,46 @@ class Json {
   std::vector<JsonPtr> array_;
   std::vector<std::pair<std::string, JsonPtr>> object_;
 };
+
+// ---- JsonbView iteration ----
+
+namespace jsonb_internal {
+/// Reads a varint at *p and advances past it.
+inline uint32_t ReadVarint(const char** p) {
+  uint32_t v = 0;
+  int shift = 0;
+  for (;;) {
+    auto b = static_cast<unsigned char>(*(*p)++);
+    v |= static_cast<uint32_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+    shift += 7;
+  }
+}
+}  // namespace jsonb_internal
+
+template <typename F>
+void JsonbView::ForEachElement(F&& f) const {
+  if (kind() != JsonKind::kArray) return;
+  const char* c = Children();
+  for (int64_t i = 0, n = size(); i < n; i++) {
+    JsonbView v(c);
+    f(v);
+    c += v.EncodedSize();
+  }
+}
+
+template <typename F>
+void JsonbView::ForEachMember(F&& f) const {
+  if (kind() != JsonKind::kObject) return;
+  const char* c = Children();
+  for (int64_t i = 0, n = size(); i < n; i++) {
+    uint32_t len = jsonb_internal::ReadVarint(&c);
+    std::string_view key(c, len);
+    JsonbView v(c + len);
+    f(key, v);
+    c = v.data() + v.EncodedSize();
+  }
+}
 
 }  // namespace citusx::sql
 

@@ -17,6 +17,14 @@ int64_t BufferPool::EvictIfNeeded() {
 }
 
 bool BufferPool::Access(BlockId block, bool dirty) {
+  // Consecutive touches of one block (a heap scan's rows) find it at the
+  // front already: a hit with nothing to move.
+  if (!lru_.empty() && lru_.front().block == block) {
+    hits_++;
+    if (hits_metric_ != nullptr) hits_metric_->Inc();
+    lru_.front().dirty = lru_.front().dirty || dirty;
+    return true;
+  }
   auto it = map_.find(block);
   if (it != map_.end()) {
     hits_++;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.h"
-#include "common/str.h"
 
 namespace citusx::storage {
 
@@ -118,49 +117,74 @@ bool BtreeIndex::Range(const sql::Datum* lo, bool lo_inclusive,
 
 // ---- GIN trigram index ----
 
-std::vector<std::string> GinTrgmIndex::ExtractTrigrams(
-    const std::string& text) {
-  std::string t = ToLower(text);
-  std::set<std::string> out;
-  if (t.size() < 3) {
-    if (!t.empty()) out.insert(t);
-  } else {
-    for (size_t i = 0; i + 3 <= t.size(); i++) out.insert(t.substr(i, 3));
-  }
-  return {out.begin(), out.end()};
+namespace {
+
+uint32_t FoldByte(char c) {
+  auto b = static_cast<unsigned char>(c);
+  return b >= 'A' && b <= 'Z' ? b - 'A' + 'a' : b;
 }
 
-std::vector<std::string> GinTrgmIndex::PatternTrigrams(
-    const std::string& pattern) {
-  std::string p = ToLower(pattern);
-  std::set<std::string> out;
-  std::string run;
-  auto flush = [&] {
-    if (run.size() >= 3) {
-      for (size_t i = 0; i + 3 <= run.size(); i++) out.insert(run.substr(i, 3));
-    }
-    run.clear();
-  };
-  for (char c : p) {
-    if (c == '%' || c == '_') {
-      flush();
-    } else {
-      run.push_back(c);
-    }
-  }
-  flush();
-  return {out.begin(), out.end()};
+// The lowercased trigram of s[0, n), n in 1..3.
+Trigram Pack(const char* s, size_t n) {
+  Trigram t = static_cast<Trigram>(n) << 24;
+  for (size_t i = 0; i < n; i++) t |= FoldByte(s[i]) << (16 - 8 * i);
+  return t;
 }
 
-uint64_t GinTrgmIndex::PageFor(const std::string& trgm) const {
+// Every trigram of `run` (length >= 3) appended to `out`.
+void AppendTrigrams(std::string_view run, std::vector<Trigram>* out) {
+  for (size_t i = 0; i + 3 <= run.size(); i++) {
+    out->push_back(Pack(run.data() + i, 3));
+  }
+}
+
+void SortUnique(std::vector<Trigram>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+}  // namespace
+
+std::vector<Trigram> GinTrgmIndex::ExtractTrigrams(std::string_view text) {
+  std::vector<Trigram> out;
+  if (text.size() < 3) {
+    if (!text.empty()) out.push_back(Pack(text.data(), text.size()));
+    return out;
+  }
+  out.reserve(text.size() - 2);
+  AppendTrigrams(text, &out);
+  SortUnique(&out);
+  return out;
+}
+
+std::vector<Trigram> GinTrgmIndex::PatternTrigrams(std::string_view pattern) {
+  std::vector<Trigram> out;
+  size_t start = 0;
+  for (size_t i = 0; i <= pattern.size(); i++) {
+    if (i == pattern.size() || pattern[i] == '%' || pattern[i] == '_') {
+      AppendTrigrams(pattern.substr(start, i - start), &out);
+      start = i + 1;
+    }
+  }
+  SortUnique(&out);
+  return out;
+}
+
+uint64_t GinTrgmIndex::PageFor(Trigram t) const {
   int64_t pages = std::max<int64_t>(1, size_bytes_ / pool_->page_bytes());
-  return static_cast<uint64_t>(static_cast<uint32_t>(HashBytes(trgm))) %
+  char bytes[3];
+  size_t n = t >> 24;
+  for (size_t i = 0; i < n; i++) {
+    bytes[i] = static_cast<char>((t >> (16 - 8 * i)) & 0xff);
+  }
+  return static_cast<uint64_t>(static_cast<uint32_t>(
+             HashBytes(std::string_view(bytes, n)))) %
          static_cast<uint64_t>(pages);
 }
 
-int64_t GinTrgmIndex::Insert(const std::string& text, RowId rid) {
-  auto trigrams = ExtractTrigrams(text);
-  for (const auto& t : trigrams) {
+int64_t GinTrgmIndex::Insert(std::string_view text, RowId rid) {
+  std::vector<Trigram> trigrams = ExtractTrigrams(text);
+  for (Trigram t : trigrams) {
     auto& plist = postings_[t];
     plist.push_back(rid);
     size_bytes_ += 8 + (plist.size() == 1 ? 16 : 0);
@@ -169,11 +193,11 @@ int64_t GinTrgmIndex::Insert(const std::string& text, RowId rid) {
   return static_cast<int64_t>(trigrams.size());
 }
 
-bool GinTrgmIndex::Candidates(const std::vector<std::string>& trigrams,
+bool GinTrgmIndex::Candidates(const std::vector<Trigram>& trigrams,
                               std::vector<RowId>* out) {
   bool first = true;
   std::vector<RowId> current;
-  for (const auto& t : trigrams) {
+  for (Trigram t : trigrams) {
     if (!pool_->Access(BlockId{object_id_, PageFor(t)}, false)) return false;
     auto it = postings_.find(t);
     if (it == postings_.end()) {
@@ -198,8 +222,8 @@ bool GinTrgmIndex::Candidates(const std::vector<std::string>& trigrams,
   return true;
 }
 
-void GinTrgmIndex::Remove(const std::string& text, RowId rid) {
-  for (const auto& t : ExtractTrigrams(text)) {
+void GinTrgmIndex::Remove(std::string_view text, RowId rid) {
+  for (Trigram t : ExtractTrigrams(text)) {
     auto it = postings_.find(t);
     if (it == postings_.end()) continue;
     auto& plist = it->second;

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -89,6 +90,11 @@ class BtreeIndex {
   int64_t size_bytes_ = 0;
 };
 
+/// A lowercased trigram packed into an integer: its length (1-3) in the top
+/// byte and its bytes big-endian below, so that among trigrams of one length
+/// integer order is string order.
+using Trigram = uint32_t;
+
 /// Trigram GIN index over a text expression (pg_trgm-style). Supports
 /// candidate retrieval for LIKE/ILIKE patterns containing a literal of
 /// length >= 3.
@@ -97,23 +103,25 @@ class GinTrgmIndex {
   GinTrgmIndex(uint64_t object_id, BufferPool* pool)
       : object_id_(object_id), pool_(pool) {}
 
-  /// Extract lowercase trigrams from a text value.
-  static std::vector<std::string> ExtractTrigrams(const std::string& text);
+  /// The distinct lowercase trigrams of a text value, in order; a non-empty
+  /// text shorter than 3 bytes is one trigram of its own length.
+  static std::vector<Trigram> ExtractTrigrams(std::string_view text);
 
   /// Extract trigrams that any match of `pattern` must contain (from maximal
-  /// literal runs between wildcards). Empty result = index unusable.
-  static std::vector<std::string> PatternTrigrams(const std::string& pattern);
+  /// literal runs between wildcards), in order. Empty result = index
+  /// unusable.
+  static std::vector<Trigram> PatternTrigrams(std::string_view pattern);
 
   /// Index `text` for row `rid`; charges one page access per new trigram
   /// posting. Returns number of postings touched.
-  int64_t Insert(const std::string& text, RowId rid);
+  int64_t Insert(std::string_view text, RowId rid);
 
   /// Rows whose indexed text contains all of `trigrams` (candidates; caller
   /// rechecks). Charges one page access per probed trigram.
-  bool Candidates(const std::vector<std::string>& trigrams,
+  bool Candidates(const std::vector<Trigram>& trigrams,
                   std::vector<RowId>* out);
 
-  void Remove(const std::string& text, RowId rid);
+  void Remove(std::string_view text, RowId rid);
 
   int64_t size_bytes() const { return size_bytes_; }
 
@@ -124,11 +132,11 @@ class GinTrgmIndex {
   }
 
  private:
-  uint64_t PageFor(const std::string& trgm) const;
+  uint64_t PageFor(Trigram t) const;
 
   uint64_t object_id_;
   BufferPool* pool_;
-  std::unordered_map<std::string, std::vector<RowId>> postings_;
+  std::unordered_map<Trigram, std::vector<RowId>> postings_;
   int64_t size_bytes_ = 0;
 };
 

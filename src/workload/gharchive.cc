@@ -27,6 +27,13 @@ std::string CommitMessage(Rng& rng, bool mention_postgres) {
   return msg;
 }
 
+// Draws whether a commit message mentions postgres, and notes a mention.
+bool DrawMention(Rng& rng, const GhArchiveConfig& config, bool* any) {
+  bool mention = rng.Chance(config.postgres_mention_pct);
+  *any = *any || mention;
+  return mention;
+}
+
 }  // namespace
 
 Status GhCreateSchema(net::Connection& conn, const GhArchiveConfig& config) {
@@ -67,6 +74,12 @@ Status GhCreateCommitsTable(net::Connection& conn,
 std::vector<std::vector<std::string>> GhGenerateEvents(
     Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
     int month, int day) {
+  return GhGenerateEvents(rng, config, count, year, month, day, nullptr);
+}
+
+std::vector<std::vector<std::string>> GhGenerateEvents(
+    Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
+    int month, int day, int64_t* postgres_commits) {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; i++) {
@@ -91,14 +104,18 @@ std::vector<std::vector<std::string>> GhGenerateEvents(
       int commits = static_cast<int>(
           rng.Uniform(1, config.max_commits_per_push));
       json += StrFormat("\"size\":%d,\"commits\":[", commits);
+      bool mentions = false;
       for (int c = 0; c < commits; c++) {
         if (c > 0) json += ",";
         json += StrFormat(
             "{\"sha\":\"%016llx\",\"message\":\"%s\"}",
             static_cast<unsigned long long>(rng.Next()),
-            CommitMessage(rng, rng.Chance(config.postgres_mention_pct)).c_str());
+            CommitMessage(rng, DrawMention(rng, config, &mentions)).c_str());
       }
       json += "]";
+      if (mentions && postgres_commits != nullptr) {
+        *postgres_commits += commits;
+      }
     } else {
       json += "\"action\":\"started\"";
     }

@@ -154,6 +154,43 @@ TEST_F(ExecTest, MatchesVolcanoOnJoins) {
   });
 }
 
+// Hash-join keys meet exactly when WHERE's comparison calls them equal: an
+// integer the equal float, a date the timestamp at its midnight, under
+// both executors.
+TEST_F(ExecTest, HashJoinKeysCompareLikeWhere) {
+  RunSim([&] {
+    auto s = node_.OpenSession();
+    MustExec(*s, "CREATE TABLE ji (g bigint, d date, k int)");
+    MustExec(*s, "CREATE TABLE jf (c double precision, ts timestamp, "
+                 "k bigint)");
+    MustExec(*s, "INSERT INTO ji VALUES (1, '2020-01-01', 1), "
+                 "(3, '2020-01-02', 2), (4, NULL, 3), (NULL, '2020-01-03', 4)");
+    MustExec(*s, "INSERT INTO jf VALUES (3.0, '2020-01-02 00:00:00', 2), "
+                 "(3.5, '2020-01-01 12:00:00', 1), "
+                 "(1.0, '2020-01-03 00:00:00', 4), (-0.0, NULL, 3), "
+                 "(4.0, '2020-01-01 00:00:00', 3)");
+    QueryResult r = Diff(*s, "SELECT ji.g, jf.c FROM ji JOIN jf "
+                             "ON ji.g = jf.c ORDER BY 1");
+    ASSERT_EQ(r.rows.size(), 3u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 1);
+    EXPECT_EQ(r.rows[1][0].int_value(), 3);
+    EXPECT_EQ(r.rows[2][0].int_value(), 4);
+    EXPECT_EQ(Diff(*s, "SELECT ji.g FROM ji JOIN jf ON jf.c = ji.g "
+                       "AND ji.k = jf.k ORDER BY 1")
+                  .rows.size(),
+              2u);
+    EXPECT_EQ(Diff(*s, "SELECT ji.d, jf.ts FROM ji JOIN jf ON ji.d = jf.ts "
+                       "ORDER BY 1")
+                  .rows.size(),
+              3u);
+    QueryResult left = Diff(*s, "SELECT count(*), count(jf.c) FROM ji "
+                                "LEFT JOIN jf ON ji.g = jf.c");
+    ASSERT_EQ(left.rows.size(), 1u);
+    EXPECT_EQ(left.rows[0][0].int_value(), 4);
+    EXPECT_EQ(left.rows[0][1].int_value(), 3);
+  });
+}
+
 // jsonb columns keep Datums and timestamp columns int64s; kernels over them
 // (JSON operators, timestamp against date, casts of extracted text) and
 // GROUP BY / DISTINCT keys over them match volcano on both storages.

@@ -6,6 +6,7 @@
 #include "sql/eval.h"
 #include "sql/json.h"
 #include "sql/parser.h"
+#include "workload/gharchive.h"
 
 namespace citusx::sql {
 namespace {
@@ -24,6 +25,36 @@ TEST(Datum, NumericCrossTypeCompare) {
   EXPECT_EQ(Datum::Compare(Datum::Int4(5), Datum::Int8(5)), 0);
   EXPECT_EQ(Datum::Compare(Datum::Int8(5), Datum::Float8(5.5)), -1);
   EXPECT_EQ(Datum::Compare(Datum::Float8(6.0), Datum::Int4(5)), 1);
+}
+
+// Hash-join keys are equal exactly when Compare calls the values equal.
+TEST(Datum, JoinKeysFollowCompareEquality) {
+  const std::vector<Datum> values = {
+      Datum::Int4(3),        Datum::Int8(3),
+      Datum::Float8(3.0),    Datum::Float8(-0.0),
+      Datum::Int8(0),        Datum::Float8(3.5),
+      Datum::Bool(true),     Datum::Int8(1),
+      Datum::Date(2),        Datum::Timestamp(2 * 86400000000LL),
+      Datum::Int8(2),        Datum::Text("3"),
+      Datum::Float8(1e300),  Datum::Int8(-9223372036854775807LL - 1),
+      Datum::Float8(-9223372036854775808.0)};
+  for (const Datum& a : values) {
+    for (const Datum& b : values) {
+      EXPECT_EQ(a.JoinKey() == b.JoinKey(), Datum::Compare(a, b) == 0)
+          << a.ToSqlLiteral() << " vs " << b.ToSqlLiteral();
+    }
+  }
+  // GROUP BY keys keep their classes: an int and a float group apart.
+  EXPECT_NE(Datum::Int8(3).GroupKey(), Datum::Float8(3.0).GroupKey());
+}
+
+TEST(Datum, LikeFoldsCaseInPlace) {
+  EXPECT_TRUE(LikeMatch("Fix the PostgreSQL planner", "%postgres%", true));
+  EXPECT_FALSE(LikeMatch("Fix the PostgreSQL planner", "%postgres%", false));
+  EXPECT_TRUE(LikeMatch("abc", "A_C", true));
+  EXPECT_FALSE(LikeMatch("abd", "A_C", true));
+  EXPECT_TRUE(LikeMatch("[\"X\"]", "%x%", true));
+  EXPECT_FALSE(LikeMatch("", "_", true));
 }
 
 TEST(Datum, TextCompare) {
@@ -113,18 +144,235 @@ TEST(Json, ParseErrors) {
   EXPECT_FALSE(Json::Parse("{} trailing").ok());
 }
 
-TEST(Json, PathQuery) {
-  auto j = Json::Parse(
+// ---- Jsonb (flat documents) ----
+
+// `expr` evaluated with its column references bound to `doc`, shown as
+// "type:text" ("NULL" for SQL NULL).
+std::string EvalOnDoc(const std::string& expr, const Datum& doc) {
+  auto e = ParseExpression(expr);
+  EXPECT_TRUE(e.ok()) << expr;
+  if (!e.ok()) return "";
+  WalkExprMut(*e, [](Expr& x) {
+    if (x.kind == ExprKind::kColumnRef) x.slot = 0;
+  });
+  Row row = {doc};
+  EvalContext ctx;
+  ctx.row = &row;
+  auto r = Eval(**e, ctx);
+  EXPECT_TRUE(r.ok()) << expr << " -> " << r.status().ToString();
+  if (!r.ok() || r->is_null()) return "NULL";
+  return std::string(TypeName(r->type())) + ":" + r->ToText();
+}
+
+Datum MustJsonb(const std::string& text) {
+  auto d = Datum::FromText(TypeId::kJsonb, text);
+  EXPECT_TRUE(d.ok()) << text << " -> " << d.status().ToString();
+  return d.ok() ? *d : Datum::Null();
+}
+
+// The printed text and PhysicalSize of each document, as the pointer-tree
+// representation printed and sized them (its SerializedSize).
+TEST(Jsonb, PrintsAndSizesAsTheTreeDid) {
+  struct Case {
+    std::string in, text;
+    int64_t size;
+  };
+  const std::vector<Case> cases = {
+      {R"({"a":"q\"uote","b":"back\\slash","c":"new\nline","d":"tab\there\r"})",
+       R"({"a":"q\"uote","b":"back\\slash","c":"new\nline","d":"tab\there\r"})",
+       63},
+      {R"(["\u0041\u00e9\u20ac","x\u000ay","\/\b\f","a\u0001b"])",
+       "[\"A??\",\"x\\ny\",\"/bf\",\"a\x01" "b\"]", 26},
+      {"{}", "{}", 2},
+      {"[]", "[]", 2},
+      {R"({"a":{},"b":[],"c":[{}]})", R"({"a":{},"b":[],"c":[{}]})", 26},
+      {"[[1,[2,[3,[]]]],[[]],[]]", "[[1,[2,[3,[]]]],[[]],[]]", 50},
+      {R"({"k":1,"k":2,"j":{"k":"x","k":"y"}})",
+       R"({"k":1,"k":2,"j":{"k":"x","k":"y"}})", 51},
+      {"[0,-0,0.1,1e15,1e300,-7,-123456789012,1e14,-1e15,2.5e-3,"
+       "123456789012345678,-0.5]",
+       "[0,0,0.10000000000000001,1000000000000000,1.0000000000000001e+300,"
+       "-7,-123456789012,100000000000000,-1000000000000000,"
+       "0.0025000000000000001,1.2345678901234568e+17,-0.5]",
+       110},
+      {" { \"a\" : [ 1 , 2 ] , \"b\" :\n\t\"c\" } ", R"({"a":[1,2],"b":"c"})",
+       35},
+      {R"("str")", R"("str")", 5},
+      {"42", "42", 8},
+      {"true", "true", 5},
+      {"null", "null", 5},
+      {R"({"a":[1,"two",null,true,{"b":3}],"c":"x"})",
+       R"({"a":[1,"two",null,true,{"b":3}],"c":"x"})", 60},
+  };
+  for (const Case& c : cases) {
+    Datum d = MustJsonb(c.in);
+    EXPECT_EQ(d.ToText(), c.text) << c.in;
+    EXPECT_EQ(d.PhysicalSize(), c.size) << c.in;
+    // The tree parses and prints through the same form.
+    auto tree = Json::Parse(c.in);
+    ASSERT_TRUE(tree.ok()) << c.in;
+    EXPECT_EQ((*tree)->ToString(), c.text) << c.in;
+  }
+}
+
+TEST(Jsonb, OperatorsAnswerAsBefore) {
+  struct Probe {
+    std::string doc, expr, want;
+  };
+  const std::string quoted =
+      R"({"a":"q\"uote","b":"back\\slash","c":"new\nline","d":"tab\there\r"})";
+  const std::string dup = R"({"k":1,"k":2,"j":{"k":"x","k":"y"}})";
+  const std::string nested = "[[1,[2,[3,[]]]],[[]],[]]";
+  const std::string mixed = R"({"a":[1,"two",null,true,{"b":3}],"c":"x"})";
+  const std::vector<Probe> probes = {
+      {quoted, "data->'a'", R"(jsonb:"q\"uote")"},
+      {quoted, "data->>'a'", "text:q\"uote"},
+      {quoted, "data->>'c'", "text:new\nline"},
+      {quoted, "data->0", "NULL"},
+      {quoted, "jsonb_array_length(data)", "NULL"},
+      {quoted, "jsonb_typeof(data->'a')", "text:string"},
+      {quoted, "jsonb_path_query_array(data, '$.a')", R"(jsonb:["q\"uote"])"},
+      {dup, "data->'k'", "jsonb:1"},
+      {dup, "data->>'k'", "text:1"},
+      {dup, "data->'j'->>'k'", "text:x"},
+      {dup, "jsonb_path_query_array(data, '$.k')", "jsonb:[1]"},
+      {nested, "data->0", "jsonb:[1,[2,[3,[]]]]"},
+      {nested, "data->>1", "text:[[]]"},
+      {nested, "jsonb_array_length(data)", "bigint:3"},
+      {nested, "jsonb_typeof(data->0)", "text:array"},
+      {nested, "jsonb_path_query_array(data, '$[0][1]')", "jsonb:[[2,[3,[]]]]"},
+      {nested, "jsonb_path_query_array(data, '$[*][*]')", "jsonb:[1,[2,[3,[]]],[]]"},
+      {mixed, "data->'a'->4", R"(jsonb:{"b":3})"},
+      {mixed, "data->'a'->>1", "text:two"},
+      {mixed, "data->'a'->2", "NULL"},  // JSON null is SQL NULL
+      {mixed, "jsonb_array_length(data->'a')", "bigint:5"},
+      {mixed, "jsonb_typeof(data)", "text:object"},
+      {mixed, "jsonb_path_query_array(data, '$.a[1]')", R"(jsonb:["two"])"},
+      {mixed, "jsonb_path_query_array(data, '$.a[*].b')", "jsonb:[3]"},
+      {mixed, "jsonb_path_query_array(data, '$.a[x]')", "jsonb:[]"},
+      {mixed, "jsonb_path_query_array(data, 'a')", "jsonb:[]"},
+      {mixed, "jsonb_path_query_array(data, '$')",
+       R"(jsonb:[{"a":[1,"two",null,true,{"b":3}],"c":"x"}])"},
+      {"[]", "jsonb_array_length(data)", "bigint:0"},
+      {"null", "jsonb_typeof(data)", "text:null"},
+      {"false", "jsonb_typeof(data)", "text:boolean"},
+      {"42", "jsonb_typeof(data)", "text:number"},
+  };
+  for (const Probe& p : probes) {
+    EXPECT_EQ(EvalOnDoc(p.expr, MustJsonb(p.doc)), p.want)
+        << p.doc << "  " << p.expr;
+  }
+  // A path result is a document of its own, sized like any other.
+  Datum doc = MustJsonb(mixed);
+  JsonbBuffer path = JsonbPathQueryArray(doc.jsonb(), "$.a");
+  EXPECT_EQ(Datum::Jsonb(path).PhysicalSize(), 48);
+  EXPECT_EQ(Datum::Jsonb(path).ToText(), R"([[1,"two",null,true,{"b":3}]])");
+}
+
+TEST(Jsonb, PathQuery) {
+  Datum doc = MustJsonb(
       R"({"payload": {"commits": [{"message": "m1"}, {"message": "m2"}]}})");
-  ASSERT_TRUE(j.ok());
-  auto matches = Json::PathQuery(*j, "$.payload.commits[*].message");
-  ASSERT_EQ(matches.size(), 2u);
-  EXPECT_EQ(matches[0]->string_value(), "m1");
-  EXPECT_EQ(matches[1]->string_value(), "m2");
-  EXPECT_TRUE(Json::PathQuery(*j, "$.missing.path").empty());
-  auto idx = Json::PathQuery(*j, "$.payload.commits[1].message");
-  ASSERT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx[0]->string_value(), "m2");
+  JsonbBuffer all =
+      JsonbPathQueryArray(doc.jsonb(), "$.payload.commits[*].message");
+  JsonbView matches(all.get());
+  ASSERT_EQ(matches.size(), 2);
+  EXPECT_EQ(matches.Element(0).string_value(), "m1");
+  EXPECT_EQ(matches.Element(1).string_value(), "m2");
+  EXPECT_EQ(JsonbView(JsonbPathQueryArray(doc.jsonb(), "$.missing.path").get())
+                .size(),
+            0);
+  JsonbBuffer idx =
+      JsonbPathQueryArray(doc.jsonb(), "$.payload.commits[1].message");
+  ASSERT_EQ(JsonbView(idx.get()).size(), 1);
+  EXPECT_EQ(JsonbView(idx.get()).Element(0).string_value(), "m2");
+}
+
+TEST(Jsonb, CopiesAndSubValuesShareTheBuffer) {
+  Datum doc = MustJsonb(R"({"a":{"b":[1,2]},"c":"x"})");
+  Datum copy = doc;
+  EXPECT_EQ(copy.jsonb().data(), doc.jsonb().data());
+  Datum a = doc.JsonbAt(doc.jsonb().Field("a"));
+  EXPECT_EQ(a.jsonb().data(), doc.jsonb().Field("a").data());
+  EXPECT_EQ(a.ToText(), R"({"b":[1,2]})");
+  EXPECT_EQ(a.PhysicalSize(), 27);
+  EXPECT_EQ(Datum::Compare(a, MustJsonb(R"({"b": [1, 2]})")), 0);
+  EXPECT_EQ(a.GroupKey(), R"(J{"b":[1,2]})");
+  EXPECT_EQ(a.PartitionHash(), MustJsonb(R"({"b":[1,2]})").PartitionHash());
+}
+
+TEST(Jsonb, MalformedTextRefusedWithTheSameErrors) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{", "expected string in JSON"},
+      {"[1,", "unexpected end of JSON"},
+      {"{\"a\" 1}", "expected ':' in JSON object"},
+      {"tru", "bad JSON at offset 0"},
+      {"{} trailing", "trailing characters in JSON"},
+      {"\"abc", "unterminated JSON string"},
+      {"[1 2]", "expected ',' or ']' in JSON array"},
+      {"{\"a\":1 \"b\"}", "expected ',' or '}' in JSON object"},
+      {"{\"a\":1,}", "expected string in JSON"},
+      {"-", "bad JSON number"},
+      {"1e400", "bad JSON number"},
+      {"", "unexpected end of JSON"},
+      {"\"a\\", "unterminated JSON string"},
+      {"[\"\\u12\"]", "unterminated JSON string"},
+      {"[1,]", "bad JSON at offset 3"},
+      {"{\"a\":}", "bad JSON at offset 5"},
+      {"--1", "bad JSON number"},
+  };
+  for (const auto& [in, error] : cases) {
+    auto d = Datum::FromText(TypeId::kJsonb, in);
+    ASSERT_FALSE(d.ok()) << in;
+    EXPECT_EQ(d.status().message(), error) << in;
+    EXPECT_FALSE(Json::Parse(in).ok()) << in;
+  }
+  // Accepted as before: a number's trailing characters stop at the first
+  // one strtod does not take.
+  EXPECT_EQ(MustJsonb("1.2.3").ToText(), "1.2");
+}
+
+// The generator's documents print back to their own text, and their
+// sizes and operator answers match the pointer-tree representation's
+// (totals pinned from it).
+TEST(Jsonb, GhArchiveDocumentsAnswerAsBefore) {
+  Rng rng(7);
+  workload::GhArchiveConfig config;
+  const std::vector<std::string> exprs = {
+      "data->>'type'",
+      "data->'payload'->'commits'",
+      "jsonb_array_length(data->'payload'->'commits')",
+      "jsonb_typeof(data->'actor')",
+      "jsonb_path_query_array(data, '$.payload.commits[*].message')::text",
+      "data->'payload'->'commits'->1->>'sha'",
+      "jsonb_path_query_array(data, '$.payload.commits[0].sha')",
+      "(data->>'created_at')::date",
+      "data->'repo'",
+      "data->'payload'->>'size'"};
+  uint64_t digest = 1469598103934665603ULL;
+  int64_t docs = 0, size_sum = 0, sub_size = 0;
+  for (int day = 1; day <= 3; day++) {
+    for (const auto& row :
+         workload::GhGenerateEvents(rng, config, 400, 2020, 3, day)) {
+      Datum doc = MustJsonb(row[1]);
+      docs++;
+      EXPECT_EQ(doc.ToText(), row[1]);
+      size_sum += doc.PhysicalSize();
+      for (const std::string& e : exprs) {
+        std::string shown = EvalOnDoc(e, doc);
+        for (unsigned char c : shown) {
+          digest = (digest ^ c) * 1099511628211ULL;
+        }
+        digest = (digest ^ 0xff) * 1099511628211ULL;
+        if (shown.rfind("jsonb:", 0) == 0) {
+          sub_size += MustJsonb(shown.substr(6)).PhysicalSize();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(docs, 1200);
+  EXPECT_EQ(size_sum, 360853);
+  EXPECT_EQ(sub_size, 217287);
+  EXPECT_EQ(digest, 9387858631670363739ULL);
 }
 
 // ---- Parser ----
@@ -463,12 +711,12 @@ TEST(Eval, DateFunctions) {
 }
 
 TEST(Eval, JsonExpressions) {
-  auto j = Json::Parse(
+  auto j = Datum::FromText(TypeId::kJsonb, 
       R"({"created_at": "2020-02-01T10:00:00Z",
           "payload": {"commits": [{"message": "fix postgres bug"},
                                    {"message": "other"}]}})");
   ASSERT_TRUE(j.ok());
-  Row row = {Datum::Jsonb(*j)};
+  Row row = {*j};
   auto e = ParseExpression(
       "jsonb_array_length(data->'payload'->'commits')");
   ASSERT_TRUE(e.ok());

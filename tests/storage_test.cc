@@ -2,6 +2,8 @@
 // trigram GIN index, columnar store.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.h"
 #include "sim/simulation.h"
 #include "sql/eval.h"
@@ -238,6 +240,37 @@ TEST_F(StorageTest, GinTrgmCandidatesAreSuperset) {
     EXPECT_EQ(std::find(candidates.begin(), candidates.end(), RowId{4}),
               candidates.end());
   });
+}
+
+// Packed trigrams come out in the order, and with the bytes, of the sorted
+// set of lowercased substrings they replace.
+TEST_F(StorageTest, GinTrigramsPackInStringOrder) {
+  auto unpack = [](Trigram t) {
+    std::string s;
+    for (uint32_t i = 0; i < (t >> 24); i++) {
+      s.push_back(static_cast<char>((t >> (16 - 8 * i)) & 0xff));
+    }
+    return s;
+  };
+  for (std::string text : {std::string("Fix the PostgreSQL planner, postgres"),
+                           std::string("\xe9t\xe9 ZZz"), std::string("aB"),
+                           std::string("q"), std::string("")}) {
+    std::set<std::string> want;
+    std::string lower;
+    for (char c : text) {
+      lower.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c);
+    }
+    if (lower.size() < 3) {
+      if (!lower.empty()) want.insert(lower);
+    } else {
+      for (size_t i = 0; i + 3 <= lower.size(); i++) {
+        want.insert(lower.substr(i, 3));
+      }
+    }
+    std::vector<std::string> got;
+    for (Trigram t : GinTrgmIndex::ExtractTrigrams(text)) got.push_back(unpack(t));
+    EXPECT_EQ(got, std::vector<std::string>(want.begin(), want.end())) << text;
+  }
 }
 
 TEST_F(StorageTest, GinPatternTrigramsFromLiteralRuns) {
