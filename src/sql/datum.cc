@@ -123,7 +123,7 @@ int Datum::Compare(const Datum& a, const Datum& b) {
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kJsonb: {
-      if (a.j_ == b.j_ && a.i_ == b.i_) return 0;
+      if (a.j_ == b.j_) return 0;
       int c = a.jsonb().ToText().compare(b.jsonb().ToText());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }

@@ -63,12 +63,11 @@ class Datum {
     d.i_ = micros;
     return d;
   }
-  /// A jsonb value: the flat document `doc`, or the value at byte
-  /// `offset` inside it.
-  static Datum Jsonb(JsonbBuffer doc, int64_t offset = 0) {
+  /// A jsonb value: the flat value `doc` points at, in a document `doc`
+  /// owns or shares.
+  static Datum Jsonb(JsonbBuffer doc) {
     Datum d;
     d.type_ = TypeId::kJsonb;
-    d.i_ = offset;
     d.j_ = std::move(doc);
     return d;
   }
@@ -77,20 +76,15 @@ class Datum {
   bool is_null() const { return type_ == TypeId::kNull; }
 
   bool bool_value() const { return i_ != 0; }
-  /// Raw int64 payload (int4/int8/bool/date/timestamp; a jsonb value's
-  /// offset in its document).
+  /// Raw int64 payload (int4/int8/bool/date/timestamp).
   int64_t int_value() const { return i_; }
   double float_value() const { return d_; }
   const std::string& text_value() const { return s_; }
   /// The jsonb value, read in place; valid while this Datum lives.
-  JsonbView jsonb() const {
-    return j_ == nullptr ? JsonbView() : JsonbView(j_.get() + i_);
-  }
+  JsonbView jsonb() const { return JsonbView(j_.get()); }
   /// `v`, a value inside this jsonb Datum's document, as a Datum that
-  /// shares the document.
-  Datum JsonbAt(JsonbView v) const {
-    return Jsonb(j_, static_cast<int64_t>(v.data() - j_.get()));
-  }
+  /// points into the document and shares it.
+  Datum JsonbAt(JsonbView v) const { return Jsonb(JsonbBuffer(j_, v.data())); }
 
   /// Numeric value as double (int types widen); 0 for non-numerics.
   double AsDouble() const {

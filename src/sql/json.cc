@@ -140,6 +140,100 @@ const char* PrintValue(const char* p, std::string* out) {
   }
 }
 
+// ---- building ----
+
+// Builds one flat document, value by value in pre-order.
+class JsonbBuilder {
+ public:
+  explicit JsonbBuilder(size_t reserve = 0) { bytes_.reserve(reserve); }
+
+  void Null();
+  void Bool(bool b);
+  void Number(double n);
+  void String(std::string_view s);
+  void BeginArray() { BeginContainer(kTagArray); }
+  void EndArray() { EndContainer(); }
+  void BeginObject() { BeginContainer(kTagObject); }
+  // The next member's key; its value follows.
+  void Key(std::string_view key);
+  void EndObject() { EndContainer(); }
+
+  size_t size() const { return bytes_.size(); }
+  // The document: exactly one complete value must have been added.
+  JsonbBuffer Finish() const;
+
+ private:
+  void BeginContainer(char tag);
+  void EndContainer();
+  void AddValue();  // a value starts in the open container, if any
+
+  std::string bytes_;
+  struct Open {
+    size_t header;  // offset of the container's tag
+    uint32_t count;
+    bool object;
+  };
+  std::vector<Open> open_;
+};
+
+void JsonbBuilder::AddValue() {
+  // An object counts its keys; its values follow them.
+  if (!open_.empty() && !open_.back().object) open_.back().count++;
+}
+
+void JsonbBuilder::Null() {
+  AddValue();
+  bytes_.push_back(kTagNull);
+}
+
+void JsonbBuilder::Bool(bool b) {
+  AddValue();
+  bytes_.push_back(b ? kTagTrue : kTagFalse);
+}
+
+void JsonbBuilder::Number(double n) {
+  AddValue();
+  bytes_.push_back(kTagNumber);
+  char buf[sizeof(n)];
+  std::memcpy(buf, &n, sizeof(n));
+  bytes_.append(buf, sizeof(n));
+}
+
+void JsonbBuilder::String(std::string_view s) {
+  AddValue();
+  bytes_.push_back(kTagString);
+  AppendVarint(&bytes_, static_cast<uint32_t>(s.size()));
+  bytes_.append(s);
+}
+
+void JsonbBuilder::BeginContainer(char tag) {
+  AddValue();
+  open_.push_back(Open{bytes_.size(), 0, tag == kTagObject});
+  bytes_.push_back(tag);
+  bytes_.append(2 * sizeof(uint32_t), '\0');
+}
+
+void JsonbBuilder::EndContainer() {
+  Open o = open_.back();
+  open_.pop_back();
+  char* header = bytes_.data() + o.header;
+  WriteU32(header + 1, o.count);
+  WriteU32(header + 1 + sizeof(uint32_t),
+           static_cast<uint32_t>(bytes_.size() - o.header - kContainerHeader));
+}
+
+void JsonbBuilder::Key(std::string_view key) {
+  open_.back().count++;
+  AppendVarint(&bytes_, static_cast<uint32_t>(key.size()));
+  bytes_.append(key);
+}
+
+JsonbBuffer JsonbBuilder::Finish() const {
+  auto buf = std::make_shared_for_overwrite<char[]>(bytes_.size());
+  std::memcpy(buf.get(), bytes_.data(), bytes_.size());
+  return buf;
+}
+
 // ---- parsing: the one parser of JSON text ----
 
 class JsonbParser {
@@ -153,6 +247,10 @@ class JsonbParser {
     SkipWs();
     if (pos_ != s_.size()) {
       return Status::InvalidArgument("trailing characters in JSON");
+    }
+    // Counts, skip sizes and lengths are 32-bit, and none exceeds the whole.
+    if (out_.size() > UINT32_MAX) {
+      return Status::InvalidArgument("JSON document too large");
     }
     return out_.Finish();
   }
@@ -465,76 +563,6 @@ int64_t JsonbView::PhysicalSize() const {
   return 0;
 }
 
-// ---- JsonbBuilder ----
-
-void JsonbBuilder::AddValue() {
-  // An object counts its keys; its values follow them.
-  if (!open_.empty() && !open_.back().object) open_.back().count++;
-}
-
-void JsonbBuilder::Null() {
-  AddValue();
-  bytes_.push_back(kTagNull);
-}
-
-void JsonbBuilder::Bool(bool b) {
-  AddValue();
-  bytes_.push_back(b ? kTagTrue : kTagFalse);
-}
-
-void JsonbBuilder::Number(double n) {
-  AddValue();
-  bytes_.push_back(kTagNumber);
-  char buf[sizeof(n)];
-  std::memcpy(buf, &n, sizeof(n));
-  bytes_.append(buf, sizeof(n));
-}
-
-void JsonbBuilder::String(std::string_view s) {
-  AddValue();
-  bytes_.push_back(kTagString);
-  AppendVarint(&bytes_, static_cast<uint32_t>(s.size()));
-  bytes_.append(s);
-}
-
-void JsonbBuilder::Raw(JsonbView v) {
-  AddValue();
-  bytes_.append(v.data(), v.EncodedSize());
-}
-
-void JsonbBuilder::BeginContainer(char tag) {
-  AddValue();
-  open_.push_back(Open{bytes_.size(), 0, tag == kTagObject});
-  bytes_.push_back(tag);
-  bytes_.append(2 * sizeof(uint32_t), '\0');
-}
-
-void JsonbBuilder::EndContainer() {
-  Open o = open_.back();
-  open_.pop_back();
-  char* header = bytes_.data() + o.header;
-  WriteU32(header + 1, o.count);
-  WriteU32(header + 1 + sizeof(uint32_t),
-           static_cast<uint32_t>(bytes_.size() - o.header - kContainerHeader));
-}
-
-void JsonbBuilder::BeginArray() { BeginContainer(kTagArray); }
-void JsonbBuilder::EndArray() { EndContainer(); }
-void JsonbBuilder::BeginObject() { BeginContainer(kTagObject); }
-void JsonbBuilder::EndObject() { EndContainer(); }
-
-void JsonbBuilder::Key(std::string_view key) {
-  open_.back().count++;
-  AppendVarint(&bytes_, static_cast<uint32_t>(key.size()));
-  bytes_.append(key);
-}
-
-JsonbBuffer JsonbBuilder::Finish() const {
-  auto buf = std::make_shared_for_overwrite<char[]>(bytes_.size());
-  std::memcpy(buf.get(), bytes_.data(), bytes_.size());
-  return buf;
-}
-
 Result<JsonbBuffer> ParseJsonb(std::string_view text) {
   return JsonbParser(text).Parse();
 }
@@ -633,74 +661,78 @@ JsonPtr Json::GetElement(int64_t index) const {
   return array_[static_cast<size_t>(index)];
 }
 
-void Json::Encode(JsonbBuilder* b) const {
-  switch (kind_) {
-    case Kind::kNull:
+namespace {
+
+void Encode(const Json& j, JsonbBuilder* b) {
+  switch (j.kind()) {
+    case JsonKind::kNull:
       b->Null();
       break;
-    case Kind::kBool:
-      b->Bool(bool_);
+    case JsonKind::kBool:
+      b->Bool(j.bool_value());
       break;
-    case Kind::kNumber:
-      b->Number(number_);
+    case JsonKind::kNumber:
+      b->Number(j.number_value());
       break;
-    case Kind::kString:
-      b->String(string_);
+    case JsonKind::kString:
+      b->String(j.string_value());
       break;
-    case Kind::kArray:
+    case JsonKind::kArray:
       b->BeginArray();
-      for (const auto& item : array_) item->Encode(b);
+      for (const auto& item : j.array_items()) Encode(*item, b);
       b->EndArray();
       break;
-    case Kind::kObject:
+    case JsonKind::kObject:
       b->BeginObject();
-      for (const auto& [k, v] : object_) {
+      for (const auto& [k, v] : j.object_items()) {
         b->Key(k);
-        v->Encode(b);
+        Encode(*v, b);
       }
       b->EndObject();
       break;
   }
 }
 
+JsonPtr TreeOf(JsonbView v) {
+  switch (v.kind()) {
+    case JsonKind::kNull:
+      return Json::MakeNull();
+    case JsonKind::kBool:
+      return Json::MakeBool(v.bool_value());
+    case JsonKind::kNumber:
+      return Json::MakeNumber(v.number_value());
+    case JsonKind::kString:
+      return Json::MakeString(std::string(v.string_value()));
+    case JsonKind::kArray: {
+      std::vector<JsonPtr> items;
+      items.reserve(static_cast<size_t>(v.size()));
+      v.ForEachElement([&](JsonbView e) { items.push_back(TreeOf(e)); });
+      return Json::MakeArray(std::move(items));
+    }
+    case JsonKind::kObject: {
+      std::vector<std::pair<std::string, JsonPtr>> kv;
+      kv.reserve(static_cast<size_t>(v.size()));
+      v.ForEachMember([&](std::string_view k, JsonbView e) {
+        kv.emplace_back(std::string(k), TreeOf(e));
+      });
+      return Json::MakeObject(std::move(kv));
+    }
+  }
+  return Json::MakeNull();
+}
+
+}  // namespace
+
 std::string Json::ToString() const {
   JsonbBuilder b;
-  Encode(&b);
+  Encode(*this, &b);
   JsonbBuffer doc = b.Finish();
   return JsonbView(doc.get()).ToText();
 }
 
-JsonPtr Json::FromJsonb(JsonbView v) {
-  switch (v.kind()) {
-    case Kind::kNull:
-      return MakeNull();
-    case Kind::kBool:
-      return MakeBool(v.bool_value());
-    case Kind::kNumber:
-      return MakeNumber(v.number_value());
-    case Kind::kString:
-      return MakeString(std::string(v.string_value()));
-    case Kind::kArray: {
-      std::vector<JsonPtr> items;
-      items.reserve(static_cast<size_t>(v.size()));
-      v.ForEachElement([&](JsonbView e) { items.push_back(FromJsonb(e)); });
-      return MakeArray(std::move(items));
-    }
-    case Kind::kObject: {
-      std::vector<std::pair<std::string, JsonPtr>> kv;
-      kv.reserve(static_cast<size_t>(v.size()));
-      v.ForEachMember([&](std::string_view k, JsonbView e) {
-        kv.emplace_back(std::string(k), FromJsonb(e));
-      });
-      return MakeObject(std::move(kv));
-    }
-  }
-  return MakeNull();
-}
-
 Result<JsonPtr> Json::Parse(const std::string& text) {
   CITUSX_ASSIGN_OR_RETURN(JsonbBuffer doc, ParseJsonb(text));
-  return FromJsonb(JsonbView(doc.get()));
+  return TreeOf(JsonbView(doc.get()));
 }
 
 }  // namespace citusx::sql

@@ -1,7 +1,7 @@
 // JSONB values. A jsonb Datum holds one flat document: an immutable,
 // contiguous pre-order encoding built once from text (ParseJsonb) and read
 // in place through JsonbView. Copies of the Datum share the buffer, and a
-// sub-value (`->`) is an offset into its parent's buffer.
+// sub-value (`->`) points into its parent's buffer and shares it.
 //
 // The Json tree below is only a builder for internal payloads and report
 // files (metadata sync, UDF specs, bench JSON). It parses and prints
@@ -35,8 +35,9 @@ enum class JsonKind : uint8_t {
   kObject
 };
 
-/// The bytes of one flat document. Every value is a tag byte and its
-/// payload:
+/// One value of a flat document; the pointer owns (or, for a value inside
+/// a document, shares) the whole document. Every value is a tag byte and
+/// its payload:
 ///   null, false, true   no payload
 ///   number              8-byte double
 ///   string              varint length, bytes
@@ -93,41 +94,6 @@ class JsonbView {
   const char* p_ = nullptr;
 };
 
-/// Builds one flat document, value by value in pre-order.
-class JsonbBuilder {
- public:
-  explicit JsonbBuilder(size_t reserve = 0) { bytes_.reserve(reserve); }
-
-  void Null();
-  void Bool(bool b);
-  void Number(double n);
-  void String(std::string_view s);
-  void BeginArray();
-  void EndArray();
-  void BeginObject();
-  /// The next member's key; its value follows.
-  void Key(std::string_view key);
-  void EndObject();
-  /// An encoded value copied verbatim (from another document).
-  void Raw(JsonbView v);
-
-  /// The document: exactly one complete value must have been added.
-  JsonbBuffer Finish() const;
-
- private:
-  void BeginContainer(char tag);
-  void EndContainer();
-  void AddValue();  // a value starts in the open container, if any
-
-  std::string bytes_;
-  struct Open {
-    size_t header;  // offset of the container's tag
-    uint32_t count;
-    bool object;
-  };
-  std::vector<Open> open_;
-};
-
 /// Parse JSON text into a flat document.
 Result<JsonbBuffer> ParseJsonb(std::string_view text);
 
@@ -181,12 +147,7 @@ class Json {
   /// Parse JSON text (through the flat form).
   static Result<JsonPtr> Parse(const std::string& text);
 
-  /// The tree of a flat value.
-  static JsonPtr FromJsonb(JsonbView v);
-
  private:
-  void Encode(JsonbBuilder* b) const;
-
   Kind kind_;
   bool bool_ = false;
   double number_ = 0;

@@ -73,12 +73,6 @@ Status GhCreateCommitsTable(net::Connection& conn,
 
 std::vector<std::vector<std::string>> GhGenerateEvents(
     Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
-    int month, int day) {
-  return GhGenerateEvents(rng, config, count, year, month, day, nullptr);
-}
-
-std::vector<std::vector<std::string>> GhGenerateEvents(
-    Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
     int month, int day, int64_t* postgres_commits) {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(static_cast<size_t>(count));

@@ -29,17 +29,12 @@ Status GhCreateCommitsTable(net::Connection& conn,
                             const GhArchiveConfig& config);
 
 /// Generate `count` events for the given day as COPY rows (event_id, json).
+/// With `postgres_commits`, also adds to it the commits of every push event
+/// with a commit message that mentions postgres: the generator's own count
+/// of what the dashboard query sums for the day.
 std::vector<std::vector<std::string>> GhGenerateEvents(
     Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
-    int month, int day);
-
-/// The same events (same draws), also adding to `*postgres_commits` the
-/// commits of every push event with a commit message that mentions
-/// postgres: the generator's own count of what the dashboard query sums
-/// for the day.
-std::vector<std::vector<std::string>> GhGenerateEvents(
-    Rng& rng, const GhArchiveConfig& config, int64_t count, int year,
-    int month, int day, int64_t* postgres_commits);
+    int month, int day, int64_t* postgres_commits = nullptr);
 
 /// The §4.2 dashboard query: commits mentioning postgres per day.
 std::string GhDashboardQuery();

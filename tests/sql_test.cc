@@ -298,6 +298,9 @@ TEST(Jsonb, CopiesAndSubValuesShareTheBuffer) {
   EXPECT_EQ(Datum::Compare(a, MustJsonb(R"({"b": [1, 2]})")), 0);
   EXPECT_EQ(a.GroupKey(), R"(J{"b":[1,2]})");
   EXPECT_EQ(a.PartitionHash(), MustJsonb(R"({"b":[1,2]})").PartitionHash());
+  // Like a whole document, a sub-value reads as 0 where a number is taken.
+  EXPECT_EQ(a.AsInt64(), 0);
+  EXPECT_EQ(EvalOnDoc("abs(data->'c')", doc), "bigint:0");
 }
 
 TEST(Jsonb, MalformedTextRefusedWithTheSameErrors) {
@@ -711,7 +714,7 @@ TEST(Eval, DateFunctions) {
 }
 
 TEST(Eval, JsonExpressions) {
-  auto j = Datum::FromText(TypeId::kJsonb, 
+  auto j = Datum::FromText(TypeId::kJsonb,
       R"({"created_at": "2020-02-01T10:00:00Z",
           "payload": {"commits": [{"message": "fix postgres bug"},
                                    {"message": "other"}]}})");
