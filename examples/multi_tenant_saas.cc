@@ -85,7 +85,7 @@ int main() {
     std::printf("tenant 7 open work:\n");
     for (const auto& row : dash.rows) {
       std::printf("  %-8s %lld tasks, %.1f hours\n",
-                  row[0].text_value().c_str(),
+                  row[0].ToText().c_str(),
                   static_cast<long long>(row[1].int_value()),
                   row[2].float_value());
     }

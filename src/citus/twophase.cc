@@ -282,7 +282,7 @@ Result<int> CitusExtension::RecoverTwoPhaseCommits(engine::Session& session) {
   CITUSX_ASSIGN_OR_RETURN(engine::QueryResult records,
                           session.Execute("SELECT gid FROM pg_dist_transaction"));
   std::set<std::string> committed;
-  for (const auto& row : records.rows) committed.insert(row[0].text_value());
+  for (const auto& row : records.rows) committed.emplace(row[0].text_value());
 
   int finalized = 0;
   std::string my_prefix = "citusx_" + node_->name() + "_";

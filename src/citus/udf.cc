@@ -24,7 +24,7 @@ void SplitNamedArgs(const std::vector<sql::Datum>& args,
     const auto& a = args[i];
     if (a.type() == sql::TypeId::kText &&
         a.text_value().rfind("__named__", 0) == 0 && i + 1 < args.size()) {
-      (*named)[a.text_value().substr(9)] = args[i + 1];
+      (*named)[std::string(a.text_value().substr(9))] = args[i + 1];
       i++;
     } else {
       positional->push_back(a);

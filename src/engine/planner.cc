@@ -521,8 +521,15 @@ Result<PlannedRel> SelectPlanner::PlanTableRef(
     case sql::TableRef::Kind::kJoin: {
       CITUSX_ASSIGN_OR_RETURN(PlannedRel left,
                               PlanTableRef(*ref.left, conjuncts));
-      CITUSX_ASSIGN_OR_RETURN(PlannedRel right,
-                              PlanTableRef(*ref.right, conjuncts));
+      // WHERE filters a LEFT JOIN's output, so none of its conjuncts goes
+      // below the nullable side: there it would drop rows the join then
+      // NULL-extends. They stay for the filter above the join.
+      std::vector<ExprPtr> none;
+      CITUSX_ASSIGN_OR_RETURN(
+          PlannedRel right,
+          PlanTableRef(*ref.right, ref.join_type == sql::JoinType::kLeft
+                                       ? &none
+                                       : conjuncts));
       std::vector<ExprPtr> on_conjuncts;
       SplitConjuncts(ref.on, &on_conjuncts);
       // For INNER joins, WHERE conjuncts spanning both sides can join here.
@@ -1102,19 +1109,7 @@ Result<QueryResult> ExecuteInsert(const sql::InsertStmt& stmt,
 namespace {
 
 // Plan the target-table scan for UPDATE/DELETE: locked, with rowid.
-Result<ExecNodePtr> PlanDmlScan(TableInfo* table, const sql::ExprPtr& where,
-                                const PlannerInput& input, ExecContext& ctx) {
-  sql::SelectStmt sel;
-  auto star = sql::MakeStar();
-  sel.targets.push_back(sql::SelectItem{star, ""});
-  auto ref = std::make_shared<sql::TableRef>();
-  ref->kind = sql::TableRef::Kind::kTable;
-  ref->name = table->name;
-  sel.from.push_back(ref);
-  sel.where = where != nullptr ? where->Clone() : nullptr;
-  sel.for_update = true;
-  // Build via the planner, then flip the scan flags.
-  // Simpler: construct the scan directly.
+Result<ExecNodePtr> PlanDmlScan(TableInfo* table, const sql::ExprPtr& where) {
   std::vector<sql::ExprPtr> conjuncts;
   sql::ExprPtr where_clone = where != nullptr ? where->Clone() : nullptr;
   SplitConjuncts(where_clone, &conjuncts);
@@ -1134,12 +1129,6 @@ Result<ExecNodePtr> PlanDmlScan(TableInfo* table, const sql::ExprPtr& where,
     });
     CITUSX_RETURN_IF_ERROR(st);
   }
-  // Reuse scan selection by creating a private planner call: we inline the
-  // access-path logic through PlanSelect on a FOR UPDATE select, but we need
-  // rowids, so we construct scans here via the shared BuildScan helper.
-  // (BuildScan is file-local to the planner; replicate minimal logic by
-  // planning through PlanSelect is not possible -- instead we expose the
-  // needed behaviour with a direct scan.)
   // Index selection: equality on any btree prefix.
   for (const auto& idx : table->indexes) {
     if (idx->btree == nullptr) continue;
@@ -1232,7 +1221,7 @@ Result<QueryResult> ExecuteUpdate(const sql::UpdateStmt& stmt,
     sets.emplace_back(pos, std::move(bound));
   }
   CITUSX_ASSIGN_OR_RETURN(ExecNodePtr scan,
-                          PlanDmlScan(table, stmt.where, input, ctx));
+                          PlanDmlScan(table, stmt.where));
   // Collect matching (row, rid) pairs first, then apply.
   std::vector<std::pair<sql::Row, storage::RowId>> matches;
   CITUSX_RETURN_IF_ERROR(scan->Execute(ctx, [&](sql::Row& row) -> Result<bool> {
@@ -1276,7 +1265,7 @@ Result<QueryResult> ExecuteDelete(const sql::DeleteStmt& stmt,
       ctx.locks->Acquire(LockTag{table->oid, LockTag::kTableRid}, ctx.txn,
                          LockMode::kShared));
   CITUSX_ASSIGN_OR_RETURN(ExecNodePtr scan,
-                          PlanDmlScan(table, stmt.where, input, ctx));
+                          PlanDmlScan(table, stmt.where));
   std::vector<storage::RowId> rids;
   CITUSX_RETURN_IF_ERROR(scan->Execute(ctx, [&](sql::Row& row) -> Result<bool> {
     rids.push_back(static_cast<storage::RowId>(row.back().int_value()));

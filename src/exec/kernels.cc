@@ -544,7 +544,7 @@ class LikeKernel : public Kernel {
       return EvalShadow(*shadow_, {&a, &b}, env, chunk, sel, out);
     }
     bool ci = op_ == BinOp::kILike;
-    const std::string& pattern = b.value.text_value();
+    std::string_view pattern = b.value.text_value();
     auto col = NewCol(TypeId::kBool, chunk.rows);
     Nulls nulls{NullSource(a)};
     TextAcc text = Texts(a);

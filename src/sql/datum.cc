@@ -1,8 +1,10 @@
 #include "sql/datum.h"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/str.h"
@@ -119,11 +121,11 @@ int Datum::Compare(const Datum& a, const Datum& b) {
     case TypeId::kTimestamp:
       return a.i_ < b.i_ ? -1 : (a.i_ > b.i_ ? 1 : 0);
     case TypeId::kText: {
-      int c = a.s_.compare(b.s_);
+      int c = a.text_value().compare(b.text_value());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kJsonb: {
-      if (a.j_ == b.j_) return 0;
+      if (a.jsonb().data() == b.jsonb().data()) return 0;
       int c = a.jsonb().ToText().compare(b.jsonb().ToText());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
@@ -132,12 +134,28 @@ int Datum::Compare(const Datum& a, const Datum& b) {
   }
 }
 
+Datum Datum::Text(std::string_view s) {
+  static_assert(offsetof(Datum, len_) == kInlineText,
+                "short text fills the bytes before len_");
+  Datum d;
+  d.type_ = TypeId::kText;
+  if (s.size() <= kInlineText) {
+    d.len_ = static_cast<uint8_t>(s.size());
+    if (!s.empty()) std::memcpy(static_cast<void*>(&d), s.data(), s.size());
+  } else {
+    d.len_ = kLongText;
+    d.block_ = SharedBlock::New(s.size());
+    std::memcpy(d.block_->data(), s.data(), s.size());
+  }
+  return d;
+}
+
 int32_t Datum::PartitionHash() const {
   switch (type_) {
     case TypeId::kNull:
       return 0;
     case TypeId::kText:
-      return HashBytes(s_);
+      return HashBytes(text_value());
     case TypeId::kJsonb:
       return HashBytes(jsonb().ToText());
     case TypeId::kFloat8:
@@ -151,8 +169,11 @@ std::string Datum::GroupKey() const {
   switch (type_) {
     case TypeId::kNull:
       return "\x00N";
-    case TypeId::kText:
-      return "T" + s_;
+    case TypeId::kText: {
+      std::string key = "T";
+      key.append(text_value());
+      return key;
+    }
     case TypeId::kJsonb: {
       std::string key = "J";
       jsonb().AppendText(&key);
@@ -173,7 +194,7 @@ std::string Datum::GroupKey() const {
 
 std::string Datum::JoinKey() const {
   char buf[32];
-  int64_t n = i_;
+  int64_t n = int_value();
   switch (type_) {
     case TypeId::kBool:
       return i_ != 0 ? "B1" : "B0";
@@ -216,7 +237,7 @@ std::string Datum::ToText() const {
       return StrFormat("%g", d_);
     }
     case TypeId::kText:
-      return s_;
+      return std::string(text_value());
     case TypeId::kDate:
       return FormatDate(i_);
     case TypeId::kTimestamp:
@@ -239,7 +260,7 @@ std::string Datum::ToSqlLiteral() const {
     case TypeId::kFloat8:
       return StrFormat("%.17g", d_);
     case TypeId::kText:
-      return QuoteSqlLiteral(s_);
+      return QuoteSqlLiteral(text_value());
     case TypeId::kDate:
       return QuoteSqlLiteral(FormatDate(i_)) + "::date";
     case TypeId::kTimestamp:
@@ -308,21 +329,21 @@ Result<Datum> Datum::CastTo(TypeId target) const {
   switch (target) {
     case TypeId::kInt4:
       if (IsNumeric(type_)) return Datum::Int4(static_cast<int32_t>(AsInt64()));
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       if (type_ == TypeId::kBool) return Datum::Int4(i_ != 0 ? 1 : 0);
       break;
     case TypeId::kInt8:
       if (IsNumeric(type_)) return Datum::Int8(AsInt64());
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       break;
     case TypeId::kFloat8:
       if (IsNumeric(type_)) return Datum::Float8(AsDouble());
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       break;
     case TypeId::kText:
       return Datum::Text(ToText());
     case TypeId::kDate:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       if (type_ == TypeId::kTimestamp) {
         int64_t days = i_ / 86400000000LL;
         if (i_ < 0 && i_ % 86400000000LL != 0) days--;
@@ -330,14 +351,14 @@ Result<Datum> Datum::CastTo(TypeId target) const {
       }
       break;
     case TypeId::kTimestamp:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       if (type_ == TypeId::kDate) return Datum::Timestamp(i_ * 86400000000LL);
       break;
     case TypeId::kJsonb:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       break;
     case TypeId::kBool:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, ToText());
       if (IsNumeric(type_)) return Datum::Bool(AsInt64() != 0);
       break;
     default:
@@ -356,9 +377,9 @@ int64_t Datum::PhysicalSize() const {
     case TypeId::kInt4:
       return 4;
     case TypeId::kText:
-      return static_cast<int64_t>(s_.size()) + 4;
+      return static_cast<int64_t>(text_value().size()) + 4;
     case TypeId::kJsonb:
-      return j_ ? jsonb().PhysicalSize() : 4;
+      return block_ != nullptr ? jsonb().PhysicalSize() : 4;
     default:
       return 8;
   }

@@ -89,7 +89,7 @@ Result<Datum> EvalJsonGet(const Datum& l, const Datum& r, bool as_text) {
   if (!out || out.kind() == JsonKind::kNull) return Datum::Null();
   if (!as_text) return l.JsonbAt(out);
   if (out.kind() == JsonKind::kString) {
-    return Datum::Text(std::string(out.string_value()));
+    return Datum::Text(out.string_value());
   }
   return Datum::Text(out.ToText());
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 #include "common/str.h"
 
@@ -229,9 +230,9 @@ void JsonbBuilder::Key(std::string_view key) {
 }
 
 JsonbBuffer JsonbBuilder::Finish() const {
-  auto buf = std::make_shared_for_overwrite<char[]>(bytes_.size());
-  std::memcpy(buf.get(), bytes_.data(), bytes_.size());
-  return buf;
+  SharedBlock* block = SharedBlock::New(bytes_.size());
+  std::memcpy(block->data(), bytes_.data(), bytes_.size());
+  return JsonbBuffer(block);
 }
 
 // ---- parsing: the one parser of JSON text ----
@@ -441,6 +442,14 @@ class JsonbParser {
 
 }  // namespace
 
+SharedBlock* SharedBlock::New(size_t size) {
+  return new (::operator new(sizeof(SharedBlock) + size)) SharedBlock(size);
+}
+
+void SharedBlock::Unref() {
+  if (--refs_ == 0) ::operator delete(this);
+}
+
 // ---- JsonbView ----
 
 JsonKind JsonbView::kind() const {
@@ -617,8 +626,8 @@ JsonbBuffer JsonbPathQueryArray(JsonbView root, std::string_view path) {
   // The matches' bytes, copied behind one array header.
   size_t bytes = 0;
   for (JsonbView v : current) bytes += v.EncodedSize();
-  auto buf = std::make_shared_for_overwrite<char[]>(kContainerHeader + bytes);
-  char* out = buf.get();
+  SharedBlock* block = SharedBlock::New(kContainerHeader + bytes);
+  char* out = block->data();
   out[0] = kTagArray;
   WriteU32(out + 1, static_cast<uint32_t>(current.size()));
   WriteU32(out + 1 + sizeof(uint32_t), static_cast<uint32_t>(bytes));
@@ -628,7 +637,7 @@ JsonbBuffer JsonbPathQueryArray(JsonbView root, std::string_view path) {
     std::memcpy(out, v.data(), n);
     out += n;
   }
-  return buf;
+  return JsonbBuffer(block);
 }
 
 // ---- Json (tree) ----

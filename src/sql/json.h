@@ -1,7 +1,8 @@
 // JSONB values. A jsonb Datum holds one flat document: an immutable,
-// contiguous pre-order encoding built once from text (ParseJsonb) and read
-// in place through JsonbView. Copies of the Datum share the buffer, and a
-// sub-value (`->`) points into its parent's buffer and shares it.
+// contiguous pre-order encoding in a SharedBlock, built once from text
+// (ParseJsonb) and read in place through JsonbView. Copies of the Datum
+// share the block, and a sub-value (`->`) is the same block at the offset
+// of the value inside it.
 //
 // The Json tree below is only a builder for internal payloads and report
 // files (metadata sync, UDF specs, bench JSON). It parses and prints
@@ -15,6 +16,7 @@
 #ifndef CITUSX_SQL_JSON_H_
 #define CITUSX_SQL_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,16 +37,69 @@ enum class JsonKind : uint8_t {
   kObject
 };
 
-/// One value of a flat document; the pointer owns (or, for a value inside
-/// a document, shares) the whole document. Every value is a tag byte and
-/// its payload:
+/// An immutable, reference-counted run of bytes behind a header of
+/// (count, length): a jsonb document, or a text value too long to sit
+/// inline in a Datum. Every copy of the Datum that holds it shares it. The
+/// count is a plain integer: the program runs on one thread (DESIGN.md
+/// §6.3).
+class SharedBlock {
+ public:
+  /// A block of `size` bytes for the caller to fill, with count 1.
+  static SharedBlock* New(size_t size);
+  SharedBlock(const SharedBlock&) = delete;
+  SharedBlock& operator=(const SharedBlock&) = delete;
+
+  void Ref() { refs_++; }
+  /// Frees the block when this was the last reference.
+  void Unref();
+
+  size_t size() const { return size_; }
+  const char* data() const { return reinterpret_cast<const char*>(this + 1); }
+  char* data() { return reinterpret_cast<char*>(this + 1); }
+
+ private:
+  explicit SharedBlock(size_t size) : size_(size) {}
+
+  size_t refs_ = 1;
+  size_t size_;
+};
+
+/// One flat document in a SharedBlock, holding one reference to it. Every
+/// value is a tag byte and its payload:
 ///   null, false, true   no payload
 ///   number              8-byte double
 ///   string              varint length, bytes
 ///   array               u32 count, u32 bytes of the elements, elements
 ///   object              u32 count, u32 bytes of the members, then per
 ///                       member a varint key length, the key, the value
-using JsonbBuffer = std::shared_ptr<const char[]>;
+class JsonbBuffer {
+ public:
+  JsonbBuffer() = default;
+  /// Takes over the caller's reference to `block`.
+  explicit JsonbBuffer(SharedBlock* block) : block_(block) {}
+  JsonbBuffer(const JsonbBuffer& o) : block_(o.block_) {
+    if (block_ != nullptr) block_->Ref();
+  }
+  JsonbBuffer(JsonbBuffer&& o) noexcept
+      : block_(std::exchange(o.block_, nullptr)) {}
+  JsonbBuffer& operator=(JsonbBuffer o) noexcept {
+    std::swap(block_, o.block_);
+    return *this;
+  }
+  ~JsonbBuffer() {
+    if (block_ != nullptr) block_->Unref();
+  }
+
+  /// The document's root value; nullptr for an empty buffer.
+  const char* get() const {
+    return block_ != nullptr ? block_->data() : nullptr;
+  }
+  /// Hands the block, and this buffer's reference to it, to the caller.
+  SharedBlock* release() { return std::exchange(block_, nullptr); }
+
+ private:
+  SharedBlock* block_ = nullptr;
+};
 
 /// A read-only cursor at one value of a flat document; it does not own
 /// the bytes. A default view is "absent" (a missing field or element) and

@@ -39,7 +39,7 @@ sql::Datum ColumnVector::Get(int64_t i) const {
     case Layout::kDouble:
       return sql::Datum::Float8(doubles_[r]);
     case Layout::kText:
-      return sql::Datum::Text(std::string(text(i)));
+      return sql::Datum::Text(text(i));
     case Layout::kDatum:
       return datums_[r];
     case Layout::kEmpty:

@@ -223,6 +223,38 @@ TEST_F(CitusTest, ColocatedJoinAndReferenceJoin) {
   });
 }
 
+// The co-located LEFT JOIN's WHERE filters the join's output on every
+// shard, as PostgreSQL's does, at the pushdown and the router tier.
+TEST_F(CitusTest, ColocatedLeftJoinWhereFiltersTheJoinOutput) {
+  MakeDeployment(2);
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE ji (k bigint, g bigint)");
+    MustQuery(**conn, "CREATE TABLE jf (k bigint, c double precision)");
+    MustQuery(**conn, "SELECT create_distributed_table('ji', 'k')");
+    MustQuery(**conn,
+              "SELECT create_distributed_table('jf', 'k', "
+              "colocate_with := 'ji')");
+    MustQuery(**conn, "INSERT INTO ji VALUES (1, 1), (2, 3), (3, 4), (4, NULL)");
+    MustQuery(**conn,
+              "INSERT INTO jf VALUES (2, 3.0), (1, 3.5), (4, 1.0), (3, -0.0), "
+              "(3, 4.0)");
+    // k = 2 and k = 3 match; k = 1 and k = 4 are NULL-extended.
+    QueryResult r = MustQuery(
+        **conn,
+        "SELECT ji.k FROM ji LEFT JOIN jf ON ji.k = jf.k AND ji.g = jf.c "
+        "WHERE jf.c IS NULL ORDER BY 1");
+    ASSERT_EQ(r.rows.size(), 2u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 1);
+    EXPECT_EQ(r.rows[1][0].int_value(), 4);
+    r = MustQuery(**conn,
+                  "SELECT ji.k FROM ji LEFT JOIN jf ON ji.k = jf.k AND "
+                  "ji.g = jf.c WHERE ji.k = 4 AND jf.c IS NULL");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].int_value(), 4);
+  });
+}
+
 TEST_F(CitusTest, ReferenceTableReplicationAndWrites) {
   MakeDeployment(3);
   RunSim([&] {

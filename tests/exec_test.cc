@@ -191,6 +191,50 @@ TEST_F(ExecTest, HashJoinKeysCompareLikeWhere) {
   });
 }
 
+// A WHERE conjunct on the nullable side of a LEFT JOIN filters the join's
+// output, as PostgreSQL's does; below the join it would drop the rows the
+// join then NULL-extends. Heap and columnar, under both executors.
+TEST_F(ExecTest, LeftJoinWhereFiltersTheJoinOutput) {
+  RunSim([&] {
+    auto s = node_.OpenSession();
+    for (const char* am : {"heap", "columnar"}) {
+      MustExec(*s, StrFormat("CREATE TABLE ji (g bigint) USING %s", am));
+      MustExec(*s,
+               StrFormat("CREATE TABLE jf (c double precision) USING %s", am));
+      MustExec(*s, StrFormat("CREATE TABLE jk (k bigint) USING %s", am));
+      MustExec(*s, "INSERT INTO ji VALUES (1), (3), (4), (NULL)");
+      MustExec(*s, "INSERT INTO jf VALUES (3.0), (3.5), (1.0), (-0.0), (4.0)");
+      MustExec(*s, "INSERT INTO jk VALUES (1), (3)");
+      QueryResult r = Diff(*s, "SELECT ji.g FROM ji LEFT JOIN jf "
+                               "ON ji.g = jf.c WHERE jf.c IS NULL");
+      ASSERT_EQ(r.rows.size(), 1u) << am;
+      EXPECT_TRUE(r.rows[0][0].is_null()) << am;
+      // A null-rejecting conjunct keeps only matched rows.
+      r = Diff(*s, "SELECT ji.g FROM ji LEFT JOIN jf ON ji.g = jf.c "
+                   "WHERE jf.c > 2 ORDER BY 1");
+      ASSERT_EQ(r.rows.size(), 2u) << am;
+      EXPECT_EQ(r.rows[0][0].int_value(), 3) << am;
+      EXPECT_EQ(r.rows[1][0].int_value(), 4) << am;
+      // A conjunct on the preserved side still filters below the join.
+      EXPECT_EQ(Diff(*s, "SELECT ji.g FROM ji LEFT JOIN jf ON ji.g = jf.c "
+                         "WHERE ji.g > 1 AND jf.c IS NULL")
+                    .rows.size(),
+                0u)
+          << am;
+      // Under an enclosing INNER join the conjunct filters above the LEFT
+      // JOIN too: of g = 1 and g = 3, only g = 1 matched a c below 2.
+      r = Diff(*s, "SELECT ji.g, jk.k FROM ji LEFT JOIN jf ON ji.g = jf.c "
+                   "JOIN jk ON jk.k = ji.g WHERE jf.c IS NULL OR jf.c < 2 "
+                   "ORDER BY 1");
+      ASSERT_EQ(r.rows.size(), 1u) << am;
+      EXPECT_EQ(r.rows[0][1].int_value(), 1) << am;
+      for (const char* t : {"ji", "jf", "jk"}) {
+        MustExec(*s, StrFormat("DROP TABLE %s", t));
+      }
+    }
+  });
+}
+
 // jsonb columns keep Datums and timestamp columns int64s; kernels over them
 // (JSON operators, timestamp against date, casts of extracted text) and
 // GROUP BY / DISTINCT keys over them match volcano on both storages.

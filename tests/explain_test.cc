@@ -171,7 +171,7 @@ TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
           must("SELECT tier, calls, shards_hit FROM citus_stat_statements");
       ASSERT_EQ(stats.rows.size(), 1u) << name;
       EXPECT_EQ(stats.rows[0][1].int_value(), 1) << name;
-      const std::string tier = stats.rows[0][0].text_value();
+      const std::string tier(stats.rows[0][0].text_value());
       ASSERT_EQ(label_of_tier.count(tier), 1u) << name << ": " << tier;
       EXPECT_EQ(label, label_of_tier.at(tier))
           << name << " executed at tier " << tier << "\n" << text;

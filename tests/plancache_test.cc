@@ -334,7 +334,10 @@ TEST_F(PlanCacheTest, ExplainMarksCachedShapes) {
     MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
     auto explain_text = [&](const QueryResult& r) {
       std::string all;
-      for (const auto& row : r.rows) all += row[0].text_value() + "\n";
+      for (const auto& row : r.rows) {
+        all += row[0].text_value();
+        all += "\n";
+      }
       return all;
     };
     QueryResult cold =

@@ -138,6 +138,45 @@ TEST_F(StorageTest, HeapUpdateCreatesVersionChain) {
   });
 }
 
+// An UPDATE's new version shares the text it did not change with the old
+// version: a copy of a row copies no long text.
+TEST_F(StorageTest, HeapUpdateSharesUnchangedText) {
+  RunSim([&] {
+    sql::Schema schema;
+    for (const char* name : {"a", "b", "c"}) {
+      schema.columns.push_back(
+          sql::ColumnDef{name, sql::TypeId::kText, false, false, ""});
+    }
+    HeapTable heap(13, schema, &pool_);
+    FakeResolver resolver;
+    auto rid = heap.Insert({Datum::Text(std::string(100, 'a')),
+                            Datum::Text(std::string(100, 'b')),
+                            Datum::Text(std::string(100, 'c'))},
+                           5);
+    ASSERT_TRUE(rid.ok());
+    resolver.committed.insert(5);
+    sql::Row new_row = heap.LatestVersion(*rid, resolver)->row;
+    new_row[1] = Datum::Text(std::string(100, 'B'));
+    ASSERT_TRUE(heap.UpdateRow(*rid, new_row, 7, resolver).ok());
+    resolver.committed.insert(7);
+    Snapshot old_snap;
+    old_snap.xmax = 6;
+    Snapshot new_snap;
+    new_snap.xmax = 8;
+    const TupleVersion* old_v = heap.VisibleVersion(*rid, old_snap, resolver);
+    const TupleVersion* new_v = heap.VisibleVersion(*rid, new_snap, resolver);
+    ASSERT_NE(old_v, nullptr);
+    ASSERT_NE(new_v, nullptr);
+    ASSERT_NE(old_v, new_v);
+    EXPECT_EQ(new_v->row[0].text_value().data(),
+              old_v->row[0].text_value().data());
+    EXPECT_EQ(new_v->row[2].text_value().data(),
+              old_v->row[2].text_value().data());
+    EXPECT_EQ(old_v->row[1].text_value(), std::string(100, 'b'));
+    EXPECT_EQ(new_v->row[1].text_value(), std::string(100, 'B'));
+  });
+}
+
 TEST_F(StorageTest, HeapAbortedUpdateInvisible) {
   RunSim([&] {
     sql::Schema schema;
